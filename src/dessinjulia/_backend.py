@@ -1,9 +1,9 @@
 """Kernel backend selection.
 
-Hot loops are compiled with numba by default.  Setting the environment
-variable ``DESSIN_NUMBA=0`` selects the pure-numpy/python fallback path
-(useful for debugging and as a correctness reference; see
-benchmarks/bench_backends.py for the speed comparison).
+Hot loops are compiled with numba when it is installed (the optional
+``numba`` extra).  Without it, or with the environment variable
+``DESSIN_NUMBA=0``, the pure-numpy/python fallback runs; it is also the
+correctness reference.  perfbench/ measures whichever backend is active.
 """
 
 import os

@@ -360,12 +360,11 @@ def _cloud_nb(c, dc, z0, choices, out, burn):
             # all-real iterates with all-complex roots stay real forever);
             # restart such chains from an asymmetric circle
             resid = 0.0
-            scale = abs(cc[0]) + abs(cc[deg])
             for i in range(deg):
                 q = abs(_polyval_scalar(cc, w[i]))
                 if q > resid:
                     resid = q
-            if resid > 1e-8 * (scale + 1.0):
+            if resid > 1e-8 * (abs(z) + 1.0):
                 rr = r + abs(z)
                 for i in range(deg):
                     ang = 2.0 * np.pi * i / deg + 0.77 + 0.31 * (step + 1)

@@ -1,20 +1,22 @@
 """Batch pipeline: enumerate trees, solve, classify, estimate dimensions,
 render, and persist everything in a resumable on-disk store.
 
-Store layout: ``store/index.json`` mapping canonical code -> record file,
-``store/records/<sha1(code)>.json``, ``store/images/<sha1(code)>-*.ppm``.
-All writes are write-temp-then-rename, so concurrent workers and interrupted
-runs leave the store consistent.
+Store layout: ``store/records/<sha1(code)>.json`` (one file per canonical
+tree code; the file's presence is the record) and
+``store/images/<sha1(code)>-*.ppm``.  Every write is write-temp-then-rename,
+so concurrent workers and interrupted runs leave the store consistent.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
 import time
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 from .dynamics import DynamicsClassification, OrbitConfig, classify
 from .fractal import (FractalError, box_dim, julia_cloud, pressure_dim,
@@ -185,25 +187,15 @@ def _attach_images(rec, cfg, store):
     key = _key(rec.tree_code)
     t0 = time.time()
     esc = render_escape(p, viewport, cfg.image_size, max_iter=500)
-    path = store.image_path(f"{key}-escape.ppm")
-    _atomic_bytes(path, _ppm_bytes(esc))
-    rec.artifacts["escape"] = os.path.relpath(path, store.root)
+    rec.artifacts["escape"] = store.save_image(esc, f"{key}-escape.ppm")
     try:
         bas = render_basins(p, rec.classification, viewport, cfg.image_size,
                             trap_radius=cfg.trap_radius,
                             thresholds=cfg.thresholds, max_iter=2000)
-        path = store.image_path(f"{key}-basins.ppm")
-        _atomic_bytes(path, _ppm_bytes(bas))
-        rec.artifacts["basins"] = os.path.relpath(path, store.root)
+        rec.artifacts["basins"] = store.save_image(bas, f"{key}-basins.ppm")
     except FractalError:
         pass
     rec.timings["render"] = time.time() - t0
-
-
-def _ppm_bytes(raster):
-    rgb = raster.to_rgb()
-    h, w, _ = rgb.shape
-    return f"P6\n{w} {h}\n255\n".encode() + rgb[::-1].tobytes()
 
 
 # ------------------------------------------------------------------- store
@@ -213,70 +205,77 @@ def _key(code):
     return hashlib.sha1(code.encode()).hexdigest()[:16]
 
 
-def _atomic_bytes(path, data):
+def _atomic_write(path, write):
+    """``write(tmp)`` to a temporary file, then rename it over ``path``, so
+    readers never see a partial file."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
+    write(tmp)
     os.replace(tmp, path)
 
 
-def _atomic_json(path, obj):
-    _atomic_bytes(path, json.dumps(obj, indent=1, sort_keys=True).encode())
+def _read_record(path):
+    with open(path) as fh:
+        return CatalogRecord.from_json(json.load(fh))
 
 
 class Store:
-    """Directory-backed record store with per-key atomic writes."""
+    """Directory-backed record store: one atomically written file per
+    record, so concurrent writers never lose each other's records."""
 
     def __init__(self, root=None):
         self.root = root or DEFAULT_STORE
         os.makedirs(os.path.join(self.root, "records"), exist_ok=True)
         os.makedirs(os.path.join(self.root, "images"), exist_ok=True)
 
-    @property
-    def index_path(self):
-        return os.path.join(self.root, "index.json")
+    def record_path(self, code):
+        return os.path.join(self.root, "records", f"{_key(code)}.json")
 
     def image_path(self, name):
         return os.path.join(self.root, "images", name)
 
-    def index(self):
-        try:
-            with open(self.index_path) as fh:
-                return json.load(fh)
-        except FileNotFoundError:
-            return {}
-
     def has(self, code):
-        return code in self.index()
+        return os.path.exists(self.record_path(code))
 
     def load(self, code):
-        rel = self.index()[code]
-        with open(os.path.join(self.root, rel)) as fh:
-            return CatalogRecord.from_json(json.load(fh))
+        return _read_record(self.record_path(code))
 
     def save(self, rec):
-        rel = os.path.join("records", f"{_key(rec.tree_code)}.json")
-        _atomic_json(os.path.join(self.root, rel), rec.to_json())
-        idx = self.index()
-        idx[rec.tree_code] = rel
-        _atomic_json(self.index_path, idx)
+        text = json.dumps(rec.to_json(), indent=1, sort_keys=True)
+        _atomic_write(self.record_path(rec.tree_code),
+                      lambda tmp: Path(tmp).write_text(text))
+
+    def save_image(self, raster, name):
+        """Write a raster as PPM; returns its path relative to the root."""
+        path = self.image_path(name)
+        _atomic_write(path, raster.write_ppm)
+        return os.path.relpath(path, self.root)
 
     def all_records(self):
-        return [self.load(code) for code in sorted(self.index())]
+        recs = [_read_record(path) for path in
+                glob.glob(os.path.join(self.root, "records", "*.json"))]
+        return sorted(recs, key=lambda r: r.tree_code)
 
 
 # --------------------------------------------------------------- pipelines
 
 
-def run_catalog(n_edges, cfg=None, store_path=None, progress=None):
-    """Analyze every tree-pair representative with the given edge count;
-    resumable (existing records are reused unless cfg.force)."""
-    if not 2 <= n_edges <= 8:
+CATALOG_EDGES = range(2, 9)  # the default catalog cap
+
+
+def catalog_trees(n_edges):
+    """The tree-pair representatives a catalog of ``n_edges`` covers."""
+    if n_edges not in CATALOG_EDGES:
         raise ValueError("n_edges must be in 2..8 (the default catalog cap)")
+    return enumerate_trees(n_edges)
+
+
+def _run_trees(trees, cfg=None, store_path=None, progress=None):
+    """Analyze the trees in order; resumable (existing records are reused
+    unless cfg.force)."""
     cfg = cfg or CatalogConfig()
     store = Store(store_path)
     out = []
-    for tree in enumerate_trees(n_edges):
+    for tree in trees:
         code = plane_code(tree)
         if not cfg.force and store.has(code):
             out.append(store.load(code))
@@ -287,6 +286,11 @@ def run_catalog(n_edges, cfg=None, store_path=None, progress=None):
             progress(rec)
         out.append(rec)
     return out
+
+
+def run_catalog(n_edges, cfg=None, store_path=None, progress=None):
+    """Analyze every tree-pair representative with the given edge count."""
+    return _run_trees(catalog_trees(n_edges), cfg, store_path, progress)
 
 
 _SERIES_STEMS = {1: "W(())", 2: "W((()))", 3: "W((()()))"}
@@ -305,21 +309,8 @@ def series_tree(family, n):
 def run_series(family, n_range, cfg=None, store_path=None, progress=None):
     """The <n,family> series over the given n values; returns records in
     order of n."""
-    cfg = cfg or CatalogConfig()
-    store = Store(store_path)
-    out = []
-    for n in n_range:
-        tree = series_tree(family, n)
-        code = plane_code(tree)
-        if not cfg.force and store.has(code):
-            out.append(store.load(code))
-            continue
-        rec = analyze_tree(tree, cfg, store)
-        store.save(rec)
-        if progress:
-            progress(rec)
-        out.append(rec)
-    return out
+    return _run_trees((series_tree(family, n) for n in n_range), cfg,
+                     store_path, progress)
 
 
 def big_passport_trees():

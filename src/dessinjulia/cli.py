@@ -102,7 +102,8 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("catalog", help="batch-analyze all trees of a size")
-    p.add_argument("--edges", type=_positive(int), required=True)
+    p.add_argument("--edges", type=int, choices=cat.CATALOG_EDGES,
+                   required=True)
     p.add_argument("--store", default=None)
     p.add_argument("--dims", action="store_true")
     p.add_argument("--images", action="store_true")
@@ -291,27 +292,23 @@ def _run_batch(args, runner, out):
 
 def _cmd_catalog(args, out):
     if args.jobs > 1:
-        _parallel_catalog(args, out)
-        return 0
+        return _run_batch(
+            args, lambda cfg, prog: _parallel_catalog(
+                cat.catalog_trees(args.edges), cfg, args.store, args.jobs,
+                prog), out)
     return _run_batch(
         args, lambda cfg, prog: cat.run_catalog(
             args.edges, cfg, args.store, progress=prog), out)
 
 
-def _parallel_catalog(args, out):
+def _parallel_catalog(trees, cfg, store_path, jobs, progress):
     from concurrent.futures import ProcessPoolExecutor
-    cfg = cat.CatalogConfig(rng_seed=args.seed, with_dims=args.dims,
-                            with_images=args.images, force=args.force)
-    store = cat.Store(args.store)
-    trees = [t for t in enumerate_trees(args.edges)
-             if cfg.force or not store.has(plane_code(t))]
-    print(f"seed: {args.seed}", file=out)
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for rec in pool.map(_analyze_job, [(t, cfg) for t in trees]):
+    store = cat.Store(store_path)
+    todo = [t for t in trees if cfg.force or not store.has(plane_code(t))]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for rec in pool.map(_analyze_job, [(t, cfg) for t in todo]):
             store.save(rec)
-            tax = rec.classification.taxonomy if rec.classification \
-                else f"no-sz({rec.sz_absent_reason})"
-            print(f"{rec.tree_code}\t{rec.passport}\t{tax}", file=out)
+            progress(rec)
 
 
 def _analyze_job(item):

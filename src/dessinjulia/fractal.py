@@ -90,22 +90,15 @@ def write_ppm(rgb, path):
         fh.write(rgb[::-1].tobytes())
 
 
-def _axes(viewport, width, height):
-    cx, cy, hw, hh = viewport
-    xs = cx + hw * (2.0 * (np.arange(width) + 0.5) / width - 1.0)
-    ys = cy + hh * (2.0 * (np.arange(height) + 0.5) / height - 1.0)
-    return xs, ys
-
-
 def render_escape(p, viewport=(0.0, 0.0, 2.0, 2.0), size=(400, 400),
                   max_iter=200):
     """Escape-time raster: per pixel, iterations until |z| exceeds the
     escape radius (-1 if still bounded after max_iter)."""
-    w, h = int(size[0]), int(size[1])
-    xs, ys = _axes(viewport, w, h)
-    radius = escape_radius(p)
-    counts = render_escape_grid(p.as_array(), xs, ys, max_iter, radius)
-    return Raster(w, h, tuple(viewport), counts)
+    raster = Raster(int(size[0]), int(size[1]), tuple(viewport), None)
+    xs, ys = raster.pixel_axes()
+    raster.escaped_at = render_escape_grid(p.as_array(), xs, ys, max_iter,
+                                           escape_radius(p))
+    return raster
 
 
 def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
@@ -133,8 +126,8 @@ def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
                            "nothing to trap on")
     if escape_bound is None:
         escape_bound = escape_radius(p)
-    w, h = int(size[0]), int(size[1])
-    xs, ys = _axes(viewport, w, h)
+    raster = Raster(int(size[0]), int(size[1]), tuple(viewport), None)
+    xs, ys = raster.pixel_axes()
     if not traps:
         traps, groups = [1e300 + 0j], [0]  # unreachable dummy
     steps, which = render_basin_grid(p.as_array(), xs, ys, max_iter,
@@ -146,7 +139,8 @@ def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
     band[entered & (steps > t1) & (steps <= t2)] = 1
     band[entered & (steps > t2) & (steps <= t3)] = 2
     band[entered & (steps > t3)] = 3
-    return Raster(w, h, tuple(viewport), steps, which, band)
+    raster.escaped_at, raster.attractor_id, raster.band = steps, which, band
+    return raster
 
 
 # ------------------------------------------------------------- point cloud

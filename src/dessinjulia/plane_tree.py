@@ -9,6 +9,7 @@ color-preserving plane isomorphism.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -194,11 +195,18 @@ def parse_plane_code(text):
     return PlaneTree(colors, neighbors).validate()
 
 
+def vertices_by_degree(tree):
+    """(white vertices, black vertices), each by decreasing degree; ties
+    keep vertex order."""
+    return tuple(sorted((v for v in range(tree.n_vertices)
+                         if tree.colors[v] == color),
+                        key=tree.degree, reverse=True)
+                 for color in (WHITE, BLACK))
+
+
 def passport_of(tree):
-    white = tuple(sorted((tree.degree(v) for v in range(tree.n_vertices)
-                          if tree.colors[v] == WHITE), reverse=True))
-    black = tuple(sorted((tree.degree(v) for v in range(tree.n_vertices)
-                          if tree.colors[v] == BLACK), reverse=True))
+    white, black = (tuple(map(tree.degree, vs))
+                    for vs in vertices_by_degree(tree))
     if white < black:
         return Passport(black, white, swapped=True)
     return Passport(white, black, swapped=False)
@@ -277,3 +285,40 @@ def enumerate_trees(n_edges, dedup_color_swap=True):
             keep[code] = tree
         canon = keep
     return [parse_plane_code(code) for code in sorted(canon)]
+
+
+def trees_with_passport(white, black):
+    """Every plane tree whose white and black vertices have the given degree
+    multisets (colors as given, no color-swap dedup), sorted by canonical
+    code.
+
+    Walks are grown in preorder from a white vertex of the largest degree,
+    one start edge per walk; each new vertex takes a degree still left in
+    its color's multiset, so only realizing shapes are built.  The rootings
+    of one tree are merged by canonical code."""
+    left = {WHITE: Counter(white), BLACK: Counter(black)}
+    left[WHITE][max(white)] -= 1
+    codes = set()
+
+    def grow(walk, stack):
+        # stack: (color of the children, children still to place) per open
+        # vertex, root first
+        while stack[-1][1] == 0:
+            if len(stack) == 1:
+                if not any(left[WHITE].values()) and \
+                        not any(left[BLACK].values()):
+                    codes.add(plane_code(parse_plane_code(WHITE + walk)))
+                return
+            stack = stack[:-1]
+            walk += ")"
+        color, todo = stack[-1]
+        stack = stack[:-1] + ((color, todo - 1),)
+        other = WHITE if color == BLACK else BLACK
+        for d in sorted(left[color]):
+            if left[color][d]:
+                left[color][d] -= 1
+                grow(walk + "(", stack + ((other, d - 1),))
+                left[color][d] += 1
+
+    grow("", ((BLACK, max(white)),))
+    return [parse_plane_code(code) for code in sorted(codes)]

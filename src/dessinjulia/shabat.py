@@ -6,9 +6,10 @@ degrees), black coordinates y_j (l_j), and the leading factor a, tied by
     p - 1 = a * prod (z - x_i)^{k_i},    p + 1 = a * prod (z - y_j)^{l_j},
 
 so a*(B - A) = 2 identically, plus the normalization sum x_i = 1,
-sum y_j = -1.  Damped Newton from geometric tree layouts (plus random
-restarts) solves the square system; path-lifting of p(z(t)) = t over
-[-1, 1] recovers which plane tree a solution realizes.
+sum y_j = -1.  Damped Newton from geometric tree layouts, leaf-removal
+continuation and random restarts solves the system of one tree; path-lifting
+of p(z(t)) = t over [-1, 1] recovers which plane tree a solution realizes.
+A passport is solved tree by tree.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ class NoZapponiFormError(ShabatError):
 
 
 class ExhaustedError(ShabatError):
-    def __init__(self, message, best_residuals=()):
-        super().__init__(message)
-        self.best_residuals = list(best_residuals)
+    pass
 
 
 class PathLiftingError(ShabatError):
@@ -189,10 +188,10 @@ class _AltSystem:
 
     def split(self, u):
         x = np.concatenate([[0j], u[: self.s - 1]])
-        return x, u[self.s - 1:]
+        return x, u[self.s - 1:], 1.0
 
     def residual(self, u):
-        x, y = self.split(u)
+        x, y, _ = self.split(u)
         A = _monic_from(x, self.k)
         B = _monic_from(y, self.l)
         F = (B - A)[: self.n].copy()
@@ -200,7 +199,7 @@ class _AltSystem:
         return F
 
     def jacobian(self, u):
-        x, y = self.split(u)
+        x, y, _ = self.split(u)
         J = np.zeros((self.size, self.size), dtype=np.complex128)
         for i in range(1, self.s):
             mults = list(self.k)
@@ -213,7 +212,7 @@ class _AltSystem:
         return J
 
     def scale(self, u):
-        x, y = self.split(u)
+        x, y, _ = self.split(u)
         A = _monic_from(x, self.k)
         B = _monic_from(y, self.l)
         return 1.0 + float(max(np.max(np.abs(A)), np.max(np.abs(B))))
@@ -285,64 +284,6 @@ def _tree_layout(tree, rounds=50):
     return pos
 
 
-def _normalize_seed(x, y):
-    """Affine change making sum x = 1 and sum y = -1 exactly."""
-    sx, sy = x.sum(), y.sum()
-    s, t = len(x), len(y)
-    M = np.array([[sx, s], [sy, t]], dtype=np.complex128)
-    rhs = np.array([1.0, -1.0], dtype=np.complex128)
-    try:
-        alpha, beta = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        alpha, beta = 1.0, 0.0
-    if abs(alpha) < 1e-9:
-        alpha = 1.0
-    return alpha * x + beta, alpha * y + beta
-
-
-def _seed_from_positions(system, xpos, ypos):
-    x, y = _normalize_seed(np.asarray(xpos, dtype=np.complex128),
-                           np.asarray(ypos, dtype=np.complex128))
-    A = _monic_from(x, system.k)
-    B = _monic_from(y, system.l)
-    denom = (B - A)[0]
-    a = 2.0 / denom if abs(denom) > 1e-12 else 1.0 + 0j
-    return np.concatenate([x, y, [a]])
-
-
-def _geometric_seed(system, tree):
-    """Seed from a relaxed drawing of the target tree: whites ordered by
-    decreasing degree to match the multiplicity layout of the system."""
-    pos = _tree_layout(tree)
-    whites = sorted((v for v in range(tree.n_vertices)
-                     if tree.colors[v] == pt.WHITE),
-                    key=tree.degree, reverse=True)
-    blacks = sorted((v for v in range(tree.n_vertices)
-                     if tree.colors[v] == pt.BLACK),
-                    key=tree.degree, reverse=True)
-    if tuple(tree.degree(v) for v in whites) != system.k or \
-       tuple(tree.degree(v) for v in blacks) != system.l:
-        raise ShabatError("tree does not realize the system's passport")
-    return _seed_from_positions(system, [pos[v] for v in whites],
-                                [pos[v] for v in blacks])
-
-
-def _random_seed(system, rng):
-    # log-uniform overall scale plus an anisotropic stretch: solutions can
-    # sit far from the unit disk and have extreme aspect ratios
-    scale = math.exp(rng.uniform(math.log(0.5), math.log(12.0)))
-    stretch = math.exp(rng.uniform(0.0, 2.5))
-    rot = cmath.exp(2j * math.pi * rng.random())
-
-    def disk(m):
-        r = scale * np.sqrt(rng.random(m))
-        th = 2.0 * np.pi * rng.random(m)
-        z = r * np.exp(1j * th)
-        return rot * (z.real + 1j * stretch * z.imag)
-
-    return _seed_from_positions(system, disk(system.s), disk(system.t))
-
-
 # ------------------------------------------------------------ solving
 
 
@@ -360,6 +301,8 @@ def _solution_from_vector(system, u, norm):
 
 
 def _is_valid_solution(system, u, norm):
+    """Converged (scaled residual <= 1e-9), nonzero leading factor and
+    pairwise distinct vertices."""
     if norm / system.scale(u) > 1e-9:
         return False
     x, y, a = system.split(u)
@@ -372,6 +315,12 @@ def _is_valid_solution(system, u, norm):
             if abs(pts[i] - pts[j]) < sep:
                 return False
     return True
+
+
+def _degrees(tree):
+    """(white degrees, black degrees), each non-increasing."""
+    return tuple(tuple(map(tree.degree, vs))
+                 for vs in pt.vertices_by_degree(tree))
 
 
 def _same_vertex_set(sol1, sol2, tol=1e-6):
@@ -388,65 +337,6 @@ def _same_vertex_set(sol1, sol2, tol=1e-6):
         else:
             return False
     return True
-
-
-def _matching_trees(white_degrees, black_degrees, n_edges):
-    """Plane trees (no color-swap dedup) realizing the colored passport."""
-    w = tuple(sorted(white_degrees, reverse=True))
-    b = tuple(sorted(black_degrees, reverse=True))
-    out = []
-    for tree in pt.enumerate_trees(n_edges, dedup_color_swap=False):
-        tw = tuple(sorted((tree.degree(v) for v in range(tree.n_vertices)
-                           if tree.colors[v] == pt.WHITE), reverse=True))
-        tb = tuple(sorted((tree.degree(v) for v in range(tree.n_vertices)
-                           if tree.colors[v] == pt.BLACK), reverse=True))
-        if tw == w and tb == b:
-            out.append(tree)
-    return out
-
-
-def _solve_colored(white_degrees, black_degrees, seed_trees, expected_count,
-                   budget, rng_seed):
-    system = ResidualSystem(tuple(sorted(white_degrees, reverse=True)),
-                            tuple(sorted(black_degrees, reverse=True)))
-    rng = np.random.default_rng(rng_seed)
-    solutions = []
-    best_fail = []
-    seeds = []
-    for tree in seed_trees:
-        try:
-            seeds.append(_geometric_seed(system, tree))
-        except ShabatError:
-            pass
-    tries = 0
-    while tries < budget and len(solutions) < expected_count:
-        u0 = seeds[tries] if tries < len(seeds) else _random_seed(system, rng)
-        tries += 1
-        u, norm = _newton(system, u0)
-        if not _is_valid_solution(system, u, norm):
-            best_fail.append(norm / system.scale(u))
-            continue
-        sol = _solution_from_vector(system, u, norm)
-        if not any(_same_vertex_set(sol, s) for s in solutions):
-            solutions.append(sol)
-    if not solutions:
-        raise ExhaustedError(
-            f"no solution within {budget} restarts for passport "
-            f"<{','.join(map(str, white_degrees))}|"
-            f"{','.join(map(str, black_degrees))}>",
-            best_residuals=sorted(best_fail)[:5])
-    solutions.sort(key=lambda s: tuple(
-        (w.location.real, w.location.imag) for w in sorted(
-            s.white, key=lambda c: (c.location.real, c.location.imag))))
-    return solutions
-
-
-def _colored_degrees(tree):
-    w = tuple(sorted((tree.degree(v) for v in range(tree.n_vertices)
-                      if tree.colors[v] == pt.WHITE), reverse=True))
-    b = tuple(sorted((tree.degree(v) for v in range(tree.n_vertices)
-                      if tree.colors[v] == pt.BLACK), reverse=True))
-    return w, b
 
 
 def _remove_leaf(tree, leaf):
@@ -473,30 +363,6 @@ def _alt_seed(system, wpos, bpos):
     return np.concatenate([w[1:] - shift, b - shift])
 
 
-def _alt_valid(system, u, norm):
-    if norm / system.scale(u) > 1e-9:
-        return False
-    x, y = system.split(u)
-    pts = np.concatenate([x, y])
-    sep = 1e-5 * (1.0 + float(np.max(np.abs(pts))))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < sep:
-                return False
-    return True
-
-
-def _alt_positions(tree, pos):
-    """(white positions, black positions) ordered by decreasing degree."""
-    whites = sorted((v for v in range(tree.n_vertices)
-                     if tree.colors[v] == pt.WHITE),
-                    key=tree.degree, reverse=True)
-    blacks = sorted((v for v in range(tree.n_vertices)
-                     if tree.colors[v] == pt.BLACK),
-                    key=tree.degree, reverse=True)
-    return [pos[v] for v in whites], [pos[v] for v in blacks]
-
-
 def _alt_continuation_seeds(system, tree, rng_seed, memo):
     """Seeds obtained by solving the tree minus one leaf and re-inserting
     the leaf near its attachment vertex.  These land in the right Newton
@@ -511,7 +377,7 @@ def _alt_continuation_seeds(system, tree, rng_seed, memo):
             xs, ys = _solve_tree_alt(sub, rng_seed, memo)
         except ShabatError:
             continue
-        ks, ls = _colored_degrees(sub)
+        ks, ls = _degrees(sub)
         att_deg = sub.degree(att)
         att_color = sub.colors[att]
         if att_color == pt.WHITE:
@@ -562,13 +428,15 @@ def _solve_tree_alt(tree, rng_seed, memo, budget=2000):
         sol = (np.conj(xs), np.conj(ys))
         memo[target_code] = sol
         return sol
-    w, b = _colored_degrees(tree)
+    w, b = _degrees(tree)
     system = _AltSystem(w, b)
     rng = np.random.default_rng(rng_seed)
 
     def seed_iter():
-        wpos, bpos = _alt_positions(tree, _tree_layout(tree))
-        yield _alt_seed(system, wpos, bpos)
+        pos = _tree_layout(tree)
+        whites, blacks = pt.vertices_by_degree(tree)
+        yield _alt_seed(system, [pos[v] for v in whites],
+                        [pos[v] for v in blacks])
         yield from _alt_continuation_seeds(system, tree, rng_seed, memo)
         while True:
             scale = math.exp(rng.uniform(math.log(0.5), math.log(8.0)))
@@ -582,9 +450,9 @@ def _solve_tree_alt(tree, rng_seed, memo, budget=2000):
             break
         tries += 1
         u, norm = _newton(system, u0, max_steps=120)
-        if not _alt_valid(system, u, norm):
+        if not _is_valid_solution(system, u, norm):
             continue
-        x, y = system.split(u)
+        x, y, _ = system.split(u)
         try:
             found = _alt_identify(system, x, y)
         except PathLiftingError:
@@ -603,43 +471,32 @@ def _solve_tree_alt(tree, rng_seed, memo, budget=2000):
         f"{tries} restarts")
 
 
-def solve_passport(passport, budget=None, rng_seed=0, expected_count=None):
-    """All SZ solutions of a (normalized) passport; one per plane tree
-    realizing it that admits a Zapponi form."""
+def solve_passport(passport, budget=None, rng_seed=0):
+    """All SZ solutions of a (normalized) passport: every plane tree that
+    realizes it is solved with solve_tree, and those that admit a Zapponi
+    form contribute one solution each."""
     if isinstance(passport, str):
         passport = pt.Passport.parse(passport)
     build_system(passport)  # validates
-    if passport.n_edges <= 9:
-        trees = _matching_trees(passport.white, passport.black,
-                                passport.n_edges)
-        if not trees:
-            raise ShabatError(f"no plane tree has passport {passport}")
-        memo = {}
-        solutions = []
-        degenerate = 0
-        for t in trees:
-            try:
-                sol = solve_tree(t, budget=budget, rng_seed=rng_seed,
-                                 _memo=memo)
-            except NoZapponiFormError:
-                degenerate += 1
-                continue
-            if not any(_same_vertex_set(sol, s) for s in solutions):
-                solutions.append(sol)
-        if not solutions:
-            raise NoZapponiFormError(
-                f"no tree with passport {passport} admits a Zapponi form "
-                f"({degenerate} degenerate)")
-        solutions.sort(key=lambda s: tuple(
-            (w.location.real, w.location.imag) for w in sorted(
-                s.white, key=lambda c: (c.location.real, c.location.imag))))
-        return solutions
-    # too many trees to enumerate: blind multi-start search
-    expected = expected_count or 1
-    if budget is None:
-        budget = 1000 * expected
-    return _solve_colored(passport.white, passport.black, [], expected,
-                          budget, rng_seed)
+    memo = {}
+    solutions = []
+    degenerate = 0
+    for t in pt.trees_with_passport(passport.white, passport.black):
+        try:
+            sol = solve_tree(t, budget=budget, rng_seed=rng_seed, _memo=memo)
+        except NoZapponiFormError:
+            degenerate += 1
+            continue
+        if not any(_same_vertex_set(sol, s) for s in solutions):
+            solutions.append(sol)
+    if not solutions:
+        raise NoZapponiFormError(
+            f"no tree with passport {passport} admits a Zapponi form "
+            f"({degenerate} degenerate)")
+    solutions.sort(key=lambda s: tuple(
+        (w.location.real, w.location.imag) for w in sorted(
+            s.white, key=lambda c: (c.location.real, c.location.imag))))
+    return solutions
 
 
 def solve_tree(tree, budget=None, rng_seed=0, _memo=None):
@@ -664,7 +521,7 @@ def solve_tree(tree, budget=None, rng_seed=0, _memo=None):
             "Zapponi form")
     xz = (x - beta) / alpha
     yz = (y - beta) / alpha
-    w, b = _colored_degrees(tree)
+    w, b = _degrees(tree)
     a = alpha ** sum(w)
     system = ResidualSystem(w, b)
     u0 = np.concatenate([xz, yz, [a]])

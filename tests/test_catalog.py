@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -90,6 +91,29 @@ def test_store_save_load_and_resume(tmp_path):
     store = Store(root)
     rec = store.load(seen[0])
     rec.validate()
+
+
+def _save_many(root, prefix, count):
+    store = Store(root)
+    for i in range(count):
+        store.save(CatalogRecord(f"{prefix}{i}", "1|1", {},
+                                 sz_absent_reason="symmetric"))
+
+
+def test_store_concurrent_writers_lose_nothing(tmp_path):
+    root = str(tmp_path / "store")
+    ctx = multiprocessing.get_context("spawn")
+    procs = [ctx.Process(target=_save_many, args=(root, prefix, 200))
+             for prefix in ("W", "B")]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=120)
+        assert not p.is_alive() and p.exitcode == 0
+    store = Store(root)
+    codes = [f"{prefix}{i}" for prefix in ("W", "B") for i in range(200)]
+    assert all(store.has(code) for code in codes)
+    assert [r.tree_code for r in store.all_records()] == sorted(codes)
 
 
 def test_store_force_reanalyzes(tmp_path):

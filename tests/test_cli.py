@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from dessinjulia import catalog as cat
 from dessinjulia.cli import pair_representative, run_cli
 from dessinjulia.plane_tree import (enumerate_trees, parse_plane_code,
                                     plane_code)
@@ -148,6 +149,18 @@ def test_catalog_and_report(tmp_path):
     code, rep = run(["report", "--store", store])
     assert code == 0
     assert rep.startswith("| tree | passport |")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_catalog_edge_cap_is_a_usage_error(tmp_path, monkeypatch, jobs):
+    def no_solving(*args, **kwargs):
+        raise AssertionError("analysis started")
+    monkeypatch.setattr(cat, "analyze_tree", no_solving)
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exc:
+        run(["catalog", "--edges", "9", "--jobs", jobs, "--store", str(store)])
+    assert exc.value.code == 2
+    assert not store.exists()
 
 
 def test_series_command(tmp_path):

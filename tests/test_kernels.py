@@ -1,0 +1,111 @@
+"""Each ``_*_nb`` kernel agrees with its ``_*_np`` twin.
+
+Without numba, ``_backend.njit`` is the identity and the ``_nb`` kernels run
+as plain Python, so this compares the two algorithms; with numba installed
+it compares the compiled kernels against numpy."""
+
+import numpy as np
+import pytest
+
+from dessinjulia import _kernels as K
+from dessinjulia.dynamics import classify, escape_radius
+from dessinjulia.fractal import repelling_fixed_point
+from dessinjulia.plane_tree import parse_plane_code
+from dessinjulia.polynomial import ComplexPoly, parse_poly
+from dessinjulia.shabat import solve_tree
+
+
+def _close(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+@pytest.fixture(scope="module", params=["z2", "quintic", "tree7"])
+def poly(request):
+    if request.param == "z2":
+        return ComplexPoly((0, 0, 1))
+    if request.param == "quintic":
+        return parse_poly("0,-15/4,0,10,0,-12")
+    return solve_tree(parse_plane_code("W((())())()(())")).poly
+
+
+def _derivative(c):
+    return c[1:] * np.arange(1, len(c))
+
+
+def test_aberth_iterate(poly):
+    # roots of p(w) - z at a generic z are simple
+    c = poly.as_array().copy()
+    c[0] -= 0.3 + 0.2j
+    w0 = K._aberth_start(c, len(c) - 1)
+    a = K._aberth_iterate_nb(c, _derivative(c), w0.copy(), 1000, 1e-14)
+    b = K._aberth_iterate_np(c, _derivative(c), w0.copy(), 1000, 1e-14)
+    _close(np.sort_complex(a), np.sort_complex(b))
+
+
+def test_orbit_brent_and_tail(poly, monkeypatch):
+    c = poly.as_array()
+    radius = escape_radius(poly)
+    monkeypatch.setattr(K, "USE_NUMBA", False)
+    for z0 in (1.0 + 0j, -1.0 + 0j, 0.1 + 0.05j):
+        sa, la, za, na = K._orbit_brent_nb(c, z0, 5000, radius, 1e-9)
+        sb, lb, zb, nb = K._orbit_brent_np(c, z0, 5000, radius, 1e-9)
+        assert (sa, la, na) == (sb, lb, nb)
+        _close(za, zb)
+        ea, ta, ka = K._orbit_tail_nb(c, z0, 300, 16, radius)
+        eb, tb, kb = K.orbit_tail(c, z0, 300, 16, radius)
+        assert (ea, ka) == (eb, kb)
+        _close(ta[:ka], tb[:kb])
+
+
+def _grid(n=24, half=1.6):
+    xs = np.linspace(-half, half, n)
+    return xs, xs + 0.01
+
+
+def test_render_escape(poly):
+    c = poly.as_array()
+    xs, ys = _grid()
+    radius = escape_radius(poly)
+    np.testing.assert_array_equal(
+        K._render_escape_nb(c, xs, ys, 60, radius),
+        K._render_escape_np(c, xs, ys, 60, radius))
+
+
+def test_render_basin(poly):
+    c = poly.as_array()
+    xs, ys = _grid()
+    cls = classify(poly)
+    traps = [z for f in (cls.fate_plus, cls.fate_minus) if f.bounded
+             for z in f.cycle_points] or [1e6 + 0j]  # beyond escape
+    traps = np.asarray(traps, dtype=np.complex128)
+    groups = np.arange(len(traps), dtype=np.int16)
+    radius = escape_radius(poly)
+    sa, wa = K._render_basin_nb(c, xs, ys, 200, radius, traps, groups, 0.05)
+    sb, wb = K._render_basin_np(c, xs, ys, 200, radius, traps, groups, 0.05)
+    np.testing.assert_array_equal(sa, sb)
+    np.testing.assert_array_equal(wa, wb)
+
+
+def test_cloud(poly):
+    c = poly.as_array()
+    choices = np.random.default_rng(0).integers(0, poly.degree, size=(4, 30))
+    z0 = np.full(4, repelling_fixed_point(poly))
+    a = K._cloud_nb(c, _derivative(c), z0, choices,
+                    np.empty((4, 25), dtype=np.complex128), 5)
+    b = K._cloud_np(c, _derivative(c), z0, choices,
+                    np.empty((4, 25), dtype=np.complex128), 5)
+    _close(a, b)
+
+
+def test_newton_periodic(poly):
+    c = poly.as_array()
+    seeds = np.random.default_rng(1).uniform(-1, 1, (40, 2)) @ [1, 1j]
+    bound = 4 * escape_radius(poly)
+    pa, ma, oka = K._newton_periodic_nb(c, _derivative(c), seeds, 2, 80,
+                                        1e-13, bound)
+    pb, mb, okb = K._newton_periodic_np(c, _derivative(c), seeds, 2, 80,
+                                        1e-13, bound)
+    np.testing.assert_array_equal(oka, okb)
+    assert oka.any()
+    _close(pa[oka], pb[okb])
+    _close(ma[oka], mb[okb])

@@ -1,9 +1,15 @@
+from collections import Counter, defaultdict
+from math import factorial
+
 import pytest
 
+from dessinjulia.catalog import big_passport_trees
 from dessinjulia.plane_tree import (BLACK, WHITE, Passport, PlaneTree,
-                                    PlaneTreeError, enumerate_trees,
-                                    invert_colors, mirror, parse_plane_code,
-                                    passport_of, plane_code, symmetry_flags)
+                                    PlaneTreeError, _rooted_walk,
+                                    enumerate_trees, invert_colors, mirror,
+                                    parse_plane_code, passport_of, plane_code,
+                                    symmetry_flags, trees_with_passport,
+                                    vertices_by_degree)
 
 # non-symmetric tree-pair counts by edge number (independent of this code
 # base; cross-checked again by the growth oracle below)
@@ -136,3 +142,52 @@ def test_mirror_symmetric_tree_counts_6_edges():
     kinds = {plane_code(t): symmetry_flags(t)["mirror"] for t in trees}
     assert len(kinds) == 9
     assert any(kinds.values()) and not all(kinds.values())
+
+
+# ------------------------------------------------------ trees of a passport
+
+
+def _tutte_rooted(white, black):
+    """Tutte, "The number of planted plane trees with a given partition"
+    (Amer. Math. Monthly 1964): plane trees with these degree multisets,
+    rooted at an edge, number n (s-1)! (t-1)! / (prod m_d! prod m'_d!),
+    where m_d counts the white (m'_d the black) vertices of degree d."""
+    count = sum(white) * factorial(len(white) - 1) * factorial(len(black) - 1)
+    for m in [*Counter(white).values(), *Counter(black).values()]:
+        count //= factorial(m)
+    return count
+
+
+def _edge_rooted(trees):
+    """Distinct edge-rooted versions: one walk per white vertex and start
+    edge (every edge has exactly one white end)."""
+    return len({_rooted_walk(t, v, s) for t in trees
+                for v in range(t.n_vertices) if t.colors[v] == WHITE
+                for s in range(t.degree(v))})
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_trees_with_passport_match_filter_and_tutte(n):
+    by_passport = defaultdict(set)
+    for tree in enumerate_trees(n, dedup_color_swap=False):
+        white, black = (tuple(map(tree.degree, vs))
+                        for vs in vertices_by_degree(tree))
+        by_passport[white, black].add(plane_code(tree))
+    for (white, black), codes in by_passport.items():
+        trees = trees_with_passport(white, black)
+        assert [plane_code(t) for t in trees] == sorted(codes)
+        assert _edge_rooted(trees) == _tutte_rooted(white, black)
+
+
+def test_trees_with_passport_beyond_enumeration():
+    trees = trees_with_passport((4, 3, 1, 1, 1), (2, 2, 2, 2, 1, 1))
+    assert len(trees) == 10
+    assert _tutte_rooted((4, 3, 1, 1, 1), (2, 2, 2, 2, 1, 1)) == 10 * 10
+    # the fixture codes are not canonical: compare canonical forms
+    big = big_passport_trees()
+    pp = Passport.parse(big["passport"])
+    trees = trees_with_passport(pp.white, pp.black)
+    assert [plane_code(t) for t in trees] == sorted(
+        plane_code(parse_plane_code(e["code"])) for e in big["trees"])
+    assert len(trees) == 6
+    assert _tutte_rooted(pp.white, pp.black) == 15 * 6

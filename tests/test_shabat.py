@@ -44,6 +44,19 @@ def test_solve_passport_self_dual_quintic():
     assert len(hits) == 1
 
 
+def test_solve_passport_above_nine_edges():
+    # one solution per realizing tree, each identified back to its own tree
+    sols = solve_passport("4,3,1,1,1|2,2,2,2,1,1")
+    assert len(sols) == 10
+    codes = set()
+    for sol in sols:
+        assert max(sol.invariant_deviations()) < 1e-8
+        tree = identify_tree(sol.poly)
+        assert str(passport_of(tree)) == "4,3,1,1,1|2,2,2,2,1,1"
+        codes.add(plane_code(tree))
+    assert len(codes) == 10
+
+
 def test_invariants_hold_for_all_small_trees():
     for n in range(3, 7):
         for tree in _nonsym(n):
