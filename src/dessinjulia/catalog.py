@@ -14,8 +14,11 @@ import hashlib
 import json
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 from .dynamics import DynamicsClassification, OrbitConfig, classify
@@ -130,7 +133,7 @@ def analyze_tree(tree, cfg=None, store=None):
     cfg = cfg or CatalogConfig()
     code = plane_code(tree)
     rec = CatalogRecord(code, str(passport_of(tree)), symmetry_flags(tree))
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         rec.sz = solve_tree(tree, budget=cfg.budget, rng_seed=cfg.rng_seed)
     except NoZapponiFormError as exc:
@@ -140,14 +143,14 @@ def analyze_tree(tree, cfg=None, store=None):
     except ExhaustedError as exc:
         rec.sz_absent_reason = "exhausted"
         rec.error = str(exc)
-    rec.timings["solve"] = time.time() - t0
+    rec.timings["solve"] = time.perf_counter() - t0
     if rec.sz is None:
         return rec
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     rec.classification = classify(rec.sz.poly,
                                   cfg=OrbitConfig(max_iter=cfg.max_iter))
-    rec.timings["classify"] = time.time() - t0
+    rec.timings["classify"] = time.perf_counter() - t0
 
     if cfg.with_dims:
         _attach_dims(rec, cfg)
@@ -161,14 +164,14 @@ def _attach_dims(rec, cfg):
     p = rec.sz.poly
     cls = rec.classification
     disconnected = cls.connectedness == "totally_disconnected"
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         cloud = julia_cloud(p, cfg.cloud_points, rng_seed=cfg.rng_seed)
         rec.dims.append(box_dim(cloud, disconnected=disconnected))
     except (FractalError, ValueError) as exc:
         rec.error = f"box_dim: {exc}"
-    rec.timings["box_dim"] = time.time() - t0
-    t0 = time.time()
+    rec.timings["box_dim"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     try:
         mults = [abs(f.multiplier) for f in (cls.fate_plus, cls.fate_minus)
                  if f.bounded]
@@ -176,7 +179,7 @@ def _attach_dims(rec, cfg):
                                      attractor_multipliers=mults))
     except (FractalError, ValueError) as exc:
         rec.error = f"pressure_dim: {exc}"
-    rec.timings["pressure_dim"] = time.time() - t0
+    rec.timings["pressure_dim"] = time.perf_counter() - t0
 
 
 def _attach_images(rec, cfg, store):
@@ -185,7 +188,7 @@ def _attach_images(rec, cfg, store):
                      max(abs(b.location) for b in rec.sz.black), 1.0)
     viewport = (0.0, 0.0, span, span)
     key = _key(rec.tree_code)
-    t0 = time.time()
+    t0 = time.perf_counter()
     esc = render_escape(p, viewport, cfg.image_size, max_iter=500)
     rec.artifacts["escape"] = store.save_image(esc, f"{key}-escape.ppm")
     try:
@@ -195,7 +198,7 @@ def _attach_images(rec, cfg, store):
         rec.artifacts["basins"] = store.save_image(bas, f"{key}-basins.ppm")
     except FractalError:
         pass
-    rec.timings["render"] = time.time() - t0
+    rec.timings["render"] = time.perf_counter() - t0
 
 
 # ------------------------------------------------------------------- store
@@ -269,28 +272,32 @@ def catalog_trees(n_edges):
     return enumerate_trees(n_edges)
 
 
-def _run_trees(trees, cfg=None, store_path=None, progress=None):
-    """Analyze the trees in order; resumable (existing records are reused
-    unless cfg.force)."""
+def _run_trees(trees, cfg=None, store_path=None, progress=None, jobs=1):
+    """Analyze the trees, in ``jobs`` worker processes when jobs > 1;
+    resumable (existing records are reused unless cfg.force).  Records are
+    saved, reported and returned in tree order."""
     cfg = cfg or CatalogConfig()
     store = Store(store_path)
-    out = []
+    codes = []
+    todo = []
     for tree in trees:
-        code = plane_code(tree)
-        if not cfg.force and store.has(code):
-            out.append(store.load(code))
-            continue
-        rec = analyze_tree(tree, cfg, store)
-        store.save(rec)
-        if progress:
-            progress(rec)
-        out.append(rec)
-    return out
+        codes.append(plane_code(tree))
+        if cfg.force or not store.has(codes[-1]):
+            todo.append(tree)
+    fresh = {}
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        for rec in (pool.map if pool else map)(
+                analyze_tree, todo, repeat(cfg), repeat(store)):
+            store.save(rec)
+            if progress:
+                progress(rec)
+            fresh[rec.tree_code] = rec
+    return [fresh[c] if c in fresh else store.load(c) for c in codes]
 
 
-def run_catalog(n_edges, cfg=None, store_path=None, progress=None):
+def run_catalog(n_edges, cfg=None, store_path=None, progress=None, jobs=1):
     """Analyze every tree-pair representative with the given edge count."""
-    return _run_trees(catalog_trees(n_edges), cfg, store_path, progress)
+    return _run_trees(catalog_trees(n_edges), cfg, store_path, progress, jobs)
 
 
 _SERIES_STEMS = {1: "W(())", 2: "W((()))", 3: "W((()()))"}

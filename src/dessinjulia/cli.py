@@ -291,29 +291,9 @@ def _run_batch(args, runner, out):
 
 
 def _cmd_catalog(args, out):
-    if args.jobs > 1:
-        return _run_batch(
-            args, lambda cfg, prog: _parallel_catalog(
-                cat.catalog_trees(args.edges), cfg, args.store, args.jobs,
-                prog), out)
     return _run_batch(
         args, lambda cfg, prog: cat.run_catalog(
-            args.edges, cfg, args.store, progress=prog), out)
-
-
-def _parallel_catalog(trees, cfg, store_path, jobs, progress):
-    from concurrent.futures import ProcessPoolExecutor
-    store = cat.Store(store_path)
-    todo = [t for t in trees if cfg.force or not store.has(plane_code(t))]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for rec in pool.map(_analyze_job, [(t, cfg) for t in todo]):
-            store.save(rec)
-            progress(rec)
-
-
-def _analyze_job(item):
-    tree, cfg = item
-    return cat.analyze_tree(tree, cfg)
+            args.edges, cfg, args.store, progress=prog, jobs=args.jobs), out)
 
 
 def _cmd_series(args, out):

@@ -10,7 +10,7 @@ disconnected, mixed = infinitely many components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -154,13 +154,9 @@ def iterate_orbit(p, z0, max_iter=None, tol=None, cfg=None):
     """Fate of the forward orbit of z0 under p."""
     cfg = cfg or OrbitConfig()
     if max_iter is not None:
-        cfg = OrbitConfig(max_iter=max_iter, tol=cfg.tol,
-                          weak_tol=cfg.weak_tol,
-                          weak_max_period=cfg.weak_max_period)
+        cfg = replace(cfg, max_iter=max_iter)
     if tol is not None:
-        cfg = OrbitConfig(max_iter=cfg.max_iter, tol=tol,
-                          weak_tol=cfg.weak_tol,
-                          weak_max_period=cfg.weak_max_period)
+        cfg = replace(cfg, tol=tol)
     if cfg.max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     radius = escape_radius(p)

@@ -562,164 +562,110 @@ def zapponi_normalize(p, tol=1e-9):
 # ------------------------------------------------------------ identification
 
 
-class _FactoredShabat:
-    """p - 1 = a*prod(z - x_i)^{k_i} and p + 1 = a*prod(z - y_j)^{l_j}
-    evaluated in product form.
+def _lift_edges(whites, blacks, a):
+    """Lift all n edges of p^{-1}([-1, 1]) together: follow the n roots of
+    p(z) = t from t = 1 (germs at the white vertices) to t = -1 (the black
+    vertices) on one shared step schedule.  Returns one tuple (white index,
+    black index, departure angle, arrival angle) per edge.
 
-    The dense representation of p loses all precision where p is within
-    rounding distance of +-1 (exactly the neighborhoods of high-degree
-    vertices), while the products keep full relative accuracy there."""
+    p - 1 = a*prod(z - x)^k and p + 1 = a*prod(z - y)^l are evaluated in
+    product form: the dense p loses all precision where p is within
+    rounding distance of +-1, next to high-degree vertices.  The offset from
+    the critical value (s = 1 - t, then u = 1 + t) is carried as its own
+    variable, since 1 - s rounds to 1.0 for s below 1e-16.  The step guard
+    scales with the distance to the nearest vertex and to the nearest other
+    root: around a degree-k vertex the branches are only ~2*pi*|z - v|/k
+    apart, so a fixed guard would allow hops between them."""
+    x = np.array([w.location for w in whites], dtype=np.complex128)
+    k = np.array([w.multiplicity for w in whites])
+    y = np.array([b.location for b in blacks], dtype=np.complex128)
+    l = np.array([b.multiplicity for b in blacks])
+    n = int(k.sum())
+    verts = np.concatenate([x, y])
+    dmin = min(abs(v - verts[i + 1:]).min() for i, v in enumerate(verts[:-1]))
+    if dmin <= 0:
+        raise PathLiftingError("coincident vertices")
+    near = 0.05 * dmin  # germ radius, and the arrival radius at a black vertex
+    wi = np.repeat(np.arange(len(x)), k)
+    germ = np.arange(n) - np.repeat(np.cumsum(k) - k, k)
 
-    def __init__(self, xs, ks, ys, ls, a):
-        self.x = [complex(v) for v in xs]
-        self.k = list(ks)
-        self.y = [complex(v) for v in ys]
-        self.l = list(ls)
-        self.a = complex(a)
+    def newton(z, v, sign):
+        """Solve p -+ 1 = -+v (sign -1: white side, +1: black side)."""
+        for _ in range(12):
+            zx, zy = z[:, None] - x, z[:, None] - y
+            pm = a * np.prod(zx ** k, axis=1)
+            pp = a * np.prod(zy ** l, axis=1)
+            # p' from the product whose vertex is nearest: there the
+            # dominant pole term keeps the logarithmic derivative exact
+            dp = np.where(np.abs(zx).min(axis=1) <= np.abs(zy).min(axis=1),
+                          pm * (k / zx).sum(axis=1), pp * (l / zy).sum(axis=1))
+            f = (pm if sign < 0 else pp) - sign * v
+            done = np.abs(f) < 1e-12 * v
+            if done.all():
+                break
+            z = np.where(done, z, z - f / dp)
+        return z, dp, done
 
-    def minus_one(self, z):
-        """p(z) - 1"""
-        acc = self.a
-        for v, m in zip(self.x, self.k):
-            acc *= (z - v) ** m
-        return acc
-
-    def plus_one(self, z):
-        """p(z) + 1"""
-        acc = self.a
-        for v, m in zip(self.y, self.l):
-            acc *= (z - v) ** m
-        return acc
-
-    def deriv(self, z):
-        """p'(z) via the logarithmic derivative of the product whose vertex
-        is nearest: there the dominant pole term makes the sum cancellation
-        free, while the other side's sum cancels catastrophically."""
-        dx = min(abs(z - v) for v in self.x)
-        dy = min(abs(z - v) for v in self.y)
-        if dx <= dy:
-            return self.minus_one(z) * sum(
-                m / (z - v) for v, m in zip(self.x, self.k))
-        return self.plus_one(z) * sum(
-            m / (z - v) for v, m in zip(self.y, self.l))
-
-    def germ_coeff(self, wi):
-        """c with p - 1 ~ c (z - x_wi)^{k_wi} near the white vertex wi."""
-        x = self.x[wi]
-        acc = self.a
-        for j, (v, m) in enumerate(zip(self.x, self.k)):
-            if j != wi:
-                acc *= (x - v) ** m
-        return acc
-
-
-def _newton_on_level(fs, z, side, val, tol=1e-12, iters=30):
-    """Corrector solving p(z) = 1 - val (side 'w') or p(z) = val - 1
-    (side 'b').  The offset val from the critical value is carried as its
-    own variable: 1 - val rounds to 1.0 in doubles for val below 1e-16,
-    which is routine near high-degree vertices."""
-    for _ in range(iters):
-        f = fs.minus_one(z) + val if side == "w" else fs.plus_one(z) - val
-        if abs(f) < tol * val:
-            return z
-        d = fs.deriv(z)
-        if d == 0:
-            return None
-        z = z - f / d
-    f = fs.minus_one(z) + val if side == "w" else fs.plus_one(z) - val
-    return z if abs(f) < 1e-6 * val else None
-
-
-def _lift_edge(fs, wi, germ, dmin, steps=400):
-    """Continue p(z(t)) = t from near +1 (white vertex wi, germ index) down
-    to the black end; returns (black index, departure angle, arrival angle).
-
-    The step guard scales with the distance to the nearest vertex: inside
-    the fan-out zone of a high-degree vertex the level-set branches are only
-    ~2*pi*|z - v|/k apart, so a fixed guard would allow hops between germs.
-    """
-    x = fs.x[wi]
-    k = fs.k[wi]
-    vertices = fs.x + fs.y
-    c = fs.germ_coeff(wi)
-    r = 0.05 * dmin
-    delta = max(min(abs(c) * r ** k, 0.5), 1e-280)
-    r = (delta / abs(c)) ** (1.0 / k)
-    theta = (math.pi - cmath.phase(c) + 2.0 * math.pi * germ) / k
-    z = _newton_on_level(fs, x + r * cmath.exp(1j * theta), "w", delta)
-    if z is None:
-        raise PathLiftingError("could not start continuation", edge=(wi, germ))
-    ds0 = 2.0 / steps
-    iters = 0
-
-    def guard(zc):
-        return min(0.2 * dmin, 0.5 * min(abs(zc - v) for v in vertices))
-
-    # white half: s = 1 - t grows from delta to 1 (t from 1-delta to 0)
-    s = delta
-    ds = delta
-    while s < 1.0:
-        iters += 1
-        if iters > 100 * steps or ds == 0.0:
-            raise PathLiftingError("stalled continuation", edge=(wi, germ))
-        step = min(ds, s)
-        if 1.0 - s < step:
-            step = 1.0 - s
-        zp = fs.deriv(z)
-        if zp == 0:
-            raise PathLiftingError("stalled continuation (p' = 0 on path)",
-                                   edge=(wi, germ))
-        z_new = _newton_on_level(fs, z - step / zp, "w", s + step)
-        if z_new is None or abs(z_new - z) > guard(z):
-            ds *= 0.5
-            continue
-        z = z_new
-        s += step
-        ds = min(ds * 1.5, ds0)
-    # black half: u = 1 + t shrinks from 1 until z reaches a black vertex
-    stop = 0.05 * dmin
-    u = 1.0
-    du = min(ds, ds0)
-    while True:
-        dy = [abs(z - v) for v in fs.y]
-        yi = int(np.argmin(dy))
-        if dy[yi] < stop:
-            break
-        iters += 1
-        if iters > 100 * steps or du == 0.0 or u < 1e-280:
-            raise PathLiftingError("stalled continuation", edge=(wi, germ))
-        step = min(du, 0.5 * u)
-        zp = fs.deriv(z)
-        if zp == 0:
-            raise PathLiftingError("stalled continuation (p' = 0 on path)",
-                                   edge=(wi, germ))
-        z_new = _newton_on_level(fs, z - step / zp, "b", u - step)
-        if z_new is None or abs(z_new - z) > guard(z):
-            du *= 0.5
-            continue
-        z = z_new
-        u -= step
-        du = min(du * 1.5, ds0)
-    return yi, theta, cmath.phase(z - fs.y[yi])
+    c = a * np.prod(np.where(np.eye(len(x), dtype=bool), 1.0,
+                             (x[:, None] - x) ** k), axis=1)[wi]
+    kw = k[wi]
+    delta = np.clip(np.abs(c) * near ** kw, 1e-280, 0.5)
+    theta = (np.pi - np.angle(c) + 2.0 * np.pi * germ) / kw
+    z = x[wi] + (delta / np.abs(c)) ** (1.0 / kw) * np.exp(1j * theta)
+    with np.errstate(all="ignore"):
+        z, dp, ok = newton(z, delta, -1)
+        if not ok.all():
+            bad = np.argmin(ok)
+            raise PathLiftingError("could not start continuation",
+                                   edge=(int(wi[bad]), int(germ[bad])))
+        live = np.ones(n, dtype=bool)
+        # white half s = delta^(1 - tau), tau in [0, 1]; black half
+        # u = e^(-tau) until every root has arrived near a black vertex
+        for sign, log_v0, slope, tau_end in (
+                (-1, np.log(delta), -np.log(delta), 1.0),
+                (1, np.zeros(n), -np.ones(n), -math.log(1e-280))):
+            tau, dtau, steps = 0.0, 0.05, 0
+            while True:
+                if sign > 0:
+                    live &= np.abs(z[:, None] - y).min(axis=1) >= near
+                    if not live.any():
+                        break
+                elif tau >= tau_end:
+                    break
+                idx = np.flatnonzero(live)
+                edge = (int(wi[idx[0]]), int(germ[idx[0]]))
+                steps += 1
+                if steps > 40000 or dtau < 1e-15 or tau >= tau_end:
+                    raise PathLiftingError("stalled continuation", edge=edge)
+                if np.any(dp[idx] == 0):
+                    raise PathLiftingError(
+                        "stalled continuation (p' = 0 on path)", edge=edge)
+                t1 = min(tau + dtau, tau_end)
+                z0 = z[idx]
+                v0 = np.exp(log_v0[idx] + slope[idx] * tau)
+                v1 = np.exp(log_v0[idx] + slope[idx] * t1)
+                z1, dp1, ok = newton(z0 + sign * (v1 - v0) / dp[idx], v1,
+                                     sign)
+                gap = np.abs(z0[:, None] - z)
+                gap[np.arange(len(idx)), idx] = np.inf
+                guard = np.minimum(
+                    np.minimum(0.2 * dmin,
+                               0.5 * np.abs(z0[:, None] - verts).min(axis=1)),
+                    0.3 * gap.min(axis=1))
+                if ok.all() and np.all(np.abs(z1 - z0) < guard):
+                    z[idx], dp[idx], tau = z1, dp1, t1
+                    dtau *= 1.5
+                else:
+                    dtau *= 0.5
+    bi = np.abs(z[:, None] - y).argmin(axis=1)
+    return list(zip(wi.tolist(), bi.tolist(), theta.tolist(),
+                    np.angle(z - y[bi]).tolist()))
 
 
 def _identify_from_vertices(p, whites, blacks):
-    locs = [w.location for w in whites] + [b.location for b in blacks]
-    dmin = min(abs(a - b) for i, a in enumerate(locs)
-               for b in locs[i + 1:])
-    if dmin <= 0:
-        raise PathLiftingError("coincident vertices")
-    fs = _FactoredShabat([w.location for w in whites],
-                         [w.multiplicity for w in whites],
-                         [b.location for b in blacks],
-                         [b.multiplicity for b in blacks],
-                         p.leading)
     s = len(whites)
-    edges = []  # (white index, black index, angle at white, angle at black)
-    for wi, w in enumerate(whites):
-        for germ in range(w.multiplicity):
-            bi, aw, ab = _lift_edge(fs, wi, germ, dmin)
-            edges.append((wi, bi, aw, ab))
+    # (white index, black index, angle at white, angle at black)
+    edges = _lift_edges(whites, blacks, complex(p.leading))
     for bi, b in enumerate(blacks):
         got = sum(1 for e in edges if e[1] == bi)
         if got != b.multiplicity:

@@ -7,7 +7,9 @@ import pytest
 from dessinjulia.catalog import (CatalogConfig, CatalogRecord, Store,
                                  analyze_tree, big_passport_trees, report,
                                  run_catalog, run_series, series_tree)
+from dessinjulia.dynamics import classify
 from dessinjulia.plane_tree import parse_plane_code, plane_code
+from dessinjulia.shabat import identify_tree, solve_tree
 
 
 def _cfg(**kw):
@@ -171,6 +173,16 @@ def test_big_passport_fixture():
     assert [e["taxonomy"] for e in sorted(entries,
                                           key=lambda e: e["separation"])] == \
         ["g4", "g4", "g4", "g4", "g1", "g1"]
+
+
+def test_big_passport_separation_one_recomputed():
+    # solved, identified and classified here, not read back from the JSON
+    entry = next(e for e in big_passport_trees()["trees"]
+                 if e["separation"] == 1)
+    tree = parse_plane_code(entry["code"])
+    sz = solve_tree(tree)
+    assert plane_code(identify_tree(sz.poly)) == plane_code(tree)
+    assert classify(sz.poly).taxonomy == entry["taxonomy"] == "g4"
 
 
 # ------------------------------------------------------------------- report

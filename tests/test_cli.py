@@ -1,4 +1,5 @@
 import io
+import os
 
 import pytest
 
@@ -161,6 +162,20 @@ def test_catalog_edge_cap_is_a_usage_error(tmp_path, monkeypatch, jobs):
         run(["catalog", "--edges", "9", "--jobs", jobs, "--store", str(store)])
     assert exc.value.code == 2
     assert not store.exists()
+
+
+def test_catalog_images_do_not_depend_on_jobs(tmp_path):
+    written = []
+    for jobs in ("1", "2"):
+        store = tmp_path / f"store{jobs}"
+        code, _ = run(["catalog", "--edges", "4", "--images", "--jobs", jobs,
+                       "--store", str(store)])
+        assert code == 0
+        written.append((sorted(os.listdir(store / "images")),
+                        [r.artifacts for r in
+                         cat.Store(str(store)).all_records()]))
+    assert written[0][0]
+    assert written[0] == written[1]
 
 
 def test_series_command(tmp_path):

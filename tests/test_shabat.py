@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dessinjulia.catalog import series_tree
 from dessinjulia.plane_tree import (enumerate_trees, invert_colors,
                                     parse_plane_code, passport_of, plane_code,
                                     symmetry_flags)
@@ -120,6 +121,18 @@ def test_identify_round_trip_5_edges():
         sol = solve_tree(tree)
         got = identify_tree(sol.poly)
         assert plane_code(got) == plane_code(tree)
+
+
+@pytest.mark.parametrize("family", [1, 2, 3])
+def test_identify_round_trip_caterpillars(family):
+    # up to 16 edges around a degree-13 hub, where the level-set branches
+    # crowd closest together
+    for n in range(3, 14):
+        tree = series_tree(family, n)
+        if symmetry_flags(tree)["rotational"]:
+            continue
+        got = identify_tree(solve_tree(tree).poly)
+        assert plane_code(got) == plane_code(tree), n
 
 
 def test_identify_rejects_non_shabat():
