@@ -1,9 +1,11 @@
-"""Numerical hot loops, in two flavors per kernel.
+"""Numerical hot loops.
 
-``*_nb`` variants are numba-compiled scalar loops; ``*_np`` variants are
-vectorized numpy fallbacks.  The public names dispatch on the backend flag
-(see _backend).  Both flavors implement the same algorithm so results agree
-to floating-point noise.
+Most kernels come in two flavors: ``*_nb`` variants are numba-compiled
+scalar loops, ``*_np`` variants are vectorized numpy fallbacks.  The public
+names dispatch on the backend flag (see _backend).  Both flavors implement
+the same algorithm so results agree to floating-point noise.  The backward
+tree (``cloud_chains``) is numpy-only: each level is one batched Aberth
+solve over all its rows.
 """
 
 from __future__ import annotations
@@ -72,24 +74,33 @@ def _aberth_iterate_nb(c, dc, w, maxiter, tol):
     return w
 
 
-def _aberth_iterate_np(c, dc, w, maxiter, tol):
-    n = len(w)
+def _aberth_iterate_np(c, dc, w, z, maxiter, tol):
+    """Aberth iteration on p(w) = z[r] for every row r of w at once.  A row
+    stops when its largest relative correction falls below tol."""
+    out = w.copy()
+    rows = np.arange(len(w))
+    n = w.shape[1]
     for _ in range(maxiter):
-        p = _polyval_np(c, w)
+        p = _polyval_np(c, w) - z[:, None]
         dp = _polyval_np(dc, w)
         ok = p != 0.0
         ratio = np.where(ok, dp / np.where(ok, p, 1.0), 0.0)
-        diff = w[:, None] - w[None, :]
-        np.fill_diagonal(diff, 1.0)
+        diff = w[:, :, None] - w[:, None, :]
+        diff.reshape(len(w), n * n)[:, ::n + 1] = 1.0
         diff[diff == 0.0] = 1e-12 + 1e-12j
-        s = (1.0 / diff).sum(axis=1) - 1.0  # subtract the diagonal dummy
+        s = (1.0 / diff).sum(axis=2) - 1.0  # subtract the diagonal dummy
         denom = ratio - s
         good = ok & (denom != 0.0)
         corr = np.where(good, 1.0 / np.where(good, denom, 1.0), 0.0)
         w = w - corr
-        if np.max(np.abs(corr) / (1.0 + np.abs(w))) < tol:
-            break
-    return w
+        done = (np.abs(corr) / (1.0 + np.abs(w))).max(axis=1) < tol
+        if done.any():
+            out[rows[done]] = w[done]
+            rows, w, z = rows[~done], w[~done], z[~done]
+            if not len(rows):
+                break
+    out[rows] = w
+    return out
 
 
 def aberth_roots(coeffs, start=None, maxiter=1000, tol=1e-14):
@@ -105,7 +116,7 @@ def aberth_roots(coeffs, start=None, maxiter=1000, tol=1e-14):
         else _aberth_start(c, n)
     if USE_NUMBA:
         return _aberth_iterate_nb(c, dc, w.copy(), maxiter, tol)
-    return _aberth_iterate_np(c, dc, w.copy(), maxiter, tol)
+    return _aberth_iterate_np(c, dc, w[None], np.zeros(1), maxiter, tol)[0]
 
 
 # ---------------------------------------------------------------- orbits
@@ -331,112 +342,47 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r):
     return _render_basin_np(c, xs, ys, max_iter, radius, traps, groups, trap_r)
 
 
-# ------------------------------------------------------- inverse iteration
+# ------------------------------------------------------------ backward tree
+
+_CHUNK = 1024  # rows per batched Aberth solve; bounds its (rows, d, d) arrays
 
 
-@njit(cache=True)
-def _cloud_nb(c, dc, z0, choices, out, burn):
-    nb_chains, length = choices.shape
-    deg = len(c) - 1
-    for b in range(nb_chains):
-        # preimage polynomial p(w) - z: only the constant coefficient moves
-        cc = c.copy()
-        z = z0[b]
-        w = np.empty(deg, dtype=np.complex128)
-        an = abs(c[deg])
-        r = 0.0
-        for i in range(deg):
-            a = abs(c[i]) / an
-            if a > r:
-                r = a
-        r += 2.0
-        for i in range(deg):
-            ang = 2.0 * np.pi * i / deg + 0.77
-            w[i] = r * np.cos(ang) + 1j * r * np.sin(ang)
-        for step in range(length):
-            cc[0] = c[0] - z
-            w = _aberth_iterate_nb(cc, dc, w, 80, 1e-13)
-            # the warm start can stall on a degenerate configuration (e.g.
-            # all-real iterates with all-complex roots stay real forever);
-            # restart such chains from an asymmetric circle
-            resid = 0.0
-            for i in range(deg):
-                q = abs(_polyval_scalar(cc, w[i]))
-                if q > resid:
-                    resid = q
-            if resid > 1e-8 * (abs(z) + 1.0):
-                rr = r + abs(z)
-                for i in range(deg):
-                    ang = 2.0 * np.pi * i / deg + 0.77 + 0.31 * (step + 1)
-                    w[i] = rr * np.cos(ang) + 1j * rr * np.sin(ang)
-                w = _aberth_iterate_nb(cc, dc, w, 200, 1e-13)
-            # deterministic branch pick: lexicographic (re, im) order
-            order = np.argsort(w.real + 1e-9 * w.imag)
-            z = w[order[choices[b, step]]]
-            if step >= burn:
-                out[b, step - burn] = z
-    return out
+def _preimages(c, dc, z):
+    """All d roots of p(w) = z[r] for every row r, as a (len(z), d) array.
+
+    Each row starts on a circle at the Fujiwara bound of p(w) - z[r]; a row
+    whose residual stays above 1e-8(|z| + 1) (a stalled, e.g. symmetric,
+    start) is solved again from a rotated circle."""
+    d = len(c) - 1
+    an = abs(c[-1])
+    bound = max([(abs(c[i]) / an) ** (1.0 / (d - i)) for i in range(1, d)],
+                default=0.0)
+    r = np.maximum(bound, (np.abs(c[0] - z) / an) ** (1.0 / d))
+    ang = 2.0 * np.pi * np.arange(d) / d + 0.77
+    w = _aberth_iterate_np(c, dc, r[:, None] * np.exp(1j * ang), z, 80, 1e-13)
+    resid = np.abs(_polyval_np(c, w) - z[:, None]).max(axis=1)
+    bad = resid > 1e-8 * (np.abs(z) + 1.0)
+    if bad.any():
+        w[bad] = _aberth_iterate_np(c, dc,
+                                    r[bad, None] * np.exp(1j * (ang + 0.31)),
+                                    z[bad], 200, 1e-13)
+    return w
 
 
-def _cloud_np(c, dc, z0, choices, out, burn):
-    nb_chains, length = choices.shape
-    deg = len(c) - 1
-    an = abs(c[deg])
-    r = 2.0 + max(abs(c[i]) / an for i in range(deg))
-    ang = 2.0 * np.pi * np.arange(deg) / deg + 0.77
-    w = np.tile(r * np.exp(1j * ang), (nb_chains, 1))
-    z = z0.copy()
-    def iterate(w, z, maxiter):
-        for _ in range(maxiter):
-            p = _polyval_np(c, w) - z[:, None]
-            dp = _polyval_np(dc, w)
-            ok = p != 0.0
-            ratio = np.where(ok, dp / np.where(ok, p, 1.0), 0.0)
-            diff = w[:, :, None] - w[:, None, :]
-            ii = np.arange(deg)
-            diff[:, ii, ii] = 1.0
-            diff[diff == 0.0] = 1e-12 + 1e-12j
-            s = (1.0 / diff).sum(axis=2) - 1.0
-            denom = ratio - s
-            good = ok & (denom != 0.0)
-            corr = np.where(good, 1.0 / np.where(good, denom, 1.0), 0.0)
-            w = w - corr
-            if np.max(np.abs(corr) / (1.0 + np.abs(w))) < 1e-13:
-                break
-        return w
-
-    for step in range(length):
-        # batched Aberth on p(w) - z_b, warm-started from the previous step
-        w = iterate(w, z, 80)
-        # restart chains whose warm start stalled on a degenerate
-        # configuration (e.g. all-real iterates with all-complex roots)
-        resid = np.abs(_polyval_np(c, w) - z[:, None]).max(axis=1)
-        bad = resid > 1e-8 * (np.abs(z) + 1.0)
-        if bad.any():
-            ang2 = ang + 0.31 * (step + 1)
-            w[bad] = (r + np.abs(z[bad]))[:, None] * np.exp(1j * ang2)
-            w[bad] = iterate(w[bad], z[bad], 200)
-        order = np.argsort(w.real + 1e-9 * w.imag, axis=1)
-        pick = order[np.arange(nb_chains), choices[:, step]]
-        z = w[np.arange(nb_chains), pick]
-        if step >= burn:
-            out[:, step - burn] = z
-    return out
-
-
-def cloud_chains(coeffs, z0, choices, burn):
-    """Backward random orbits: ``choices[b, s]`` selects the preimage branch
-    (in (re, im) sorted order) of chain b at step s."""
+def cloud_chains(coeffs, z0, depth):
+    """Levels 1..depth of the backward tree of z0: level k holds the d^k
+    solutions of p^k(w) = z0, and the preimages of point i of level k-1 sit
+    at [d*i, d*i + d) of level k."""
     c = np.asarray(coeffs, dtype=np.complex128)
     deg = len(c) - 1
     dc = c[1:] * np.arange(1, deg + 1)
-    z0 = np.asarray(z0, dtype=np.complex128)
-    choices = np.asarray(choices, dtype=np.int64)
-    out = np.empty((choices.shape[0], choices.shape[1] - burn),
-                   dtype=np.complex128)
-    if USE_NUMBA:
-        return _cloud_nb(c, dc, z0, choices, out, burn)
-    return _cloud_np(c, dc, z0, choices, out, burn)
+    z = np.array([z0], dtype=np.complex128)
+    levels = []
+    for _ in range(depth):
+        z = np.concatenate([_preimages(c, dc, z[i:i + _CHUNK]).ravel()
+                            for i in range(0, len(z), _CHUNK)])
+        levels.append(z)
+    return levels
 
 
 # ------------------------------------------------- periodic point refinement

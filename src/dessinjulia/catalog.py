@@ -175,8 +175,7 @@ def _attach_dims(rec, cfg):
     try:
         mults = [abs(f.multiplier) for f in (cls.fate_plus, cls.fate_minus)
                  if f.bounded]
-        rec.dims.append(pressure_dim(p, rng_seed=cfg.rng_seed,
-                                     attractor_multipliers=mults))
+        rec.dims.append(pressure_dim(p, attractor_multipliers=mults))
     except (FractalError, ValueError) as exc:
         rec.error = f"pressure_dim: {exc}"
     rec.timings["pressure_dim"] = time.perf_counter() - t0

@@ -254,16 +254,15 @@ def _cmd_render(args, out):
 
 def _cmd_dim(args, out):
     p = _poly_or_tree(args, out)
-    print(f"seed: {args.seed}", file=out)
     try:
         if args.method == "box":
+            print(f"seed: {args.seed}", file=out)
             cls = classify(p)
             cloud = julia_cloud(p, args.points, rng_seed=args.seed)
             est = box_dim(cloud, disconnected=(
                 cls.connectedness == "totally_disconnected"))
         else:
-            est = pressure_dim(p, max_period=args.max_period,
-                               rng_seed=args.seed)
+            est = pressure_dim(p, max_period=args.max_period)
     except (FractalError, ValueError) as exc:
         raise _CliError(str(exc))
     print(f"dimension: {est.value:.4f} ({est.method}, "

@@ -1,9 +1,11 @@
 """Julia set rendering and Hausdorff dimension estimation.
 
-Two renderers (escape time, basin first-entry with banded coloring), an
-inverse-iteration point cloud, and two dimension estimators: box counting
-on a cloud, and a periodic-orbit pressure method (root of the truncated
-topological pressure P(s) = (1/k) log sum |(p^k)'|^-s).
+Two renderers (escape time, basin first-entry with banded coloring) and two
+dimension estimators that read one backward tree, the levels of iterated
+preimages of a repelling fixed point (equidistributed to the Brolin
+measure): box counting on a point cloud drawn from its deepest levels, and
+tree pressure, the root of P_k(s) - P_(k-1)(s) with
+P_k(s) = log sum |(p^k)'(w)|^-s over level k.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import (aberth_roots, cloud_chains, newton_periodic,
-                       render_basin_grid, render_escape_grid)
+from ._kernels import (aberth_roots, cloud_chains, render_basin_grid,
+                       render_escape_grid)
 from .dynamics import escape_radius
 from .polynomial import derivative, evaluate
 
@@ -162,20 +164,26 @@ def repelling_fixed_point(p):
     return best[0]
 
 
-def julia_cloud(p, target_points=20000, rng_seed=0, n_chains=64, burn=20):
-    """Point cloud on the Julia set by randomized inverse iteration from a
-    repelling fixed point.  Deterministic given rng_seed."""
+def julia_cloud(p, target_points=20000, rng_seed=0):
+    """Point cloud on the Julia set from the backward tree of a repelling
+    fixed point z0.  With k the first depth where d^k >= target_points, the
+    cloud is all of level k-1 plus target_points - d^(k-1) points of level
+    k, drawn without replacement (deterministic given rng_seed).  p maps
+    level k onto level k-1, and z0 is one of its own preimages, so level
+    k-1 reappears inside level k: p maps the cloud into itself."""
     if p.degree < 2:
         raise FractalError("need degree >= 2")
     if target_points < 1:
         raise ValueError("target_points must be positive")
+    d = p.degree
+    k = 1
+    while d ** k < target_points:
+        k += 1
     z0 = repelling_fixed_point(p)
-    per_chain = -(-target_points // n_chains)
-    length = burn + per_chain
-    rng = np.random.default_rng(rng_seed)
-    choices = rng.integers(0, p.degree, size=(n_chains, length))
-    pts = cloud_chains(p.as_array(), np.full(n_chains, z0), choices, burn)
-    return pts.ravel()[:target_points]
+    levels = [np.array([z0])] + cloud_chains(p.as_array(), z0, k)
+    pick = np.random.default_rng(rng_seed).choice(
+        d ** k, target_points - d ** (k - 1), replace=False)
+    return np.concatenate([levels[k - 1], levels[k][pick]])
 
 
 def save_cloud(points, path):
@@ -271,112 +279,80 @@ def box_dim(points, coarsest_div=8, finest_div=2 ** 18, disconnected=False,
                               "raw_slope": float(slope)}, conf)
 
 
-def _periodic_data(p, k, cloud, radius, max_rounds=60):
-    """|(p^k)'| of the distinct repelling solutions of p^k(z) = z.
-
-    Newton on the period-k equation from the cloud seeds, then a closure
-    loop: forward images of found points are again periodic (completing any
-    partially found cycle exactly), and their polynomial preimages supply
-    seeds ever closer to whatever remains.  Iterate until nothing new turns
-    up.  Deduplication on a spatial hash grid."""
-    c = p.as_array()
-    found = {}
-    state = {"tol": None}
-
-    def absorb(seeds):
-        pts, mult, ok = newton_periodic(c, seeds, k, maxiter=80, tol=1e-13,
-                                        bound=4 * radius)
-        keep = ok & (np.abs(mult) > 1.0 + 1e-9) & (np.abs(pts) <= radius)
-        pts, mult = pts[keep], mult[keep]
-        if len(pts) == 0:
-            return 0
-        if state["tol"] is None:
-            state["tol"] = 1e-8 * (float(np.max(np.abs(pts))) + 1.0)
-        tol = state["tol"]
-        new = 0
-        for z, m in zip(pts, mult):
-            z = complex(z)
-            ci, cj = round(z.real / tol), round(z.imag / tol)
-            if any((ci + di, cj + dj) in found and
-                   abs(z - found[(ci + di, cj + dj)][0]) < tol
-                   for di in (-1, 0, 1) for dj in (-1, 0, 1)):
-                continue
-            found[(ci, cj)] = (z, abs(complex(m)))
-            new += 1
-        return new
-
-    absorb(cloud)
-    for _ in range(max_rounds):
-        pts = np.array([v[0] for v in found.values()])
-        if len(pts) == 0:
-            break
-        fwd = evaluate(p, pts)
-        pre = []
-        for z in pts:
-            shifted = c.copy()
-            shifted[0] -= z
-            pre.append(aberth_roots(shifted))
-        if absorb(np.concatenate([fwd] + pre)) == 0:
-            break
-    return np.array([v[1] for v in found.values()])
+# largest backward-tree level that pressure_dim solves for
+LEVEL_CAP = 20000
 
 
-def _pressure_root(lams, k):
-    """Bisection root of P(s) = (1/k) log sum lam^-s on (0, 2)."""
-    def P(s):
-        return float(np.log(np.sum(lams ** (-s))) / k)
+def _log_sum_exp(x):
+    m = float(np.max(x))
+    if not np.isfinite(m):
+        return m
+    return m + float(np.log(np.sum(np.exp(x - m))))
+
+
+def _step_root(prev, cur):
+    """Bisection root on (0, 2) of P_k(s) - P_(k-1)(s), where P_k(s) =
+    log sum exp(-s L) over the log-derivatives L of level k; None when s = 2
+    does not bracket it (the difference is log d > 0 at s = 0)."""
+    def f(s):
+        return _log_sum_exp(-s * cur) - _log_sum_exp(-s * prev)
     lo, hi = 0.0, 2.0
-    if P(hi) > 0:
-        raise FractalError("pressure still positive at s = 2; set not "
-                           "resolved as hyperbolic at this truncation")
-    if P(lo) < 0:
-        raise FractalError("pressure negative at s = 0; too few periodic "
-                           "points found")
+    if not f(hi) < 0:
+        return None
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if P(mid) > 0:
+        if f(mid) > 0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi), hi - lo
 
 
-def pressure_dim(p, max_period=None, rng_seed=0, degree_cap=20000,
-                 attractor_multipliers=()):
-    """Hausdorff dimension via periodic orbits: the root s of the truncated
-    pressure at period k = max_period.
+def pressure_dim(p, max_period=None, attractor_multipliers=()):
+    """Hausdorff dimension by tree pressure (Przytycki, Rivera-Letelier &
+    Smirnov 2004).
 
-    Periodic points are found by Newton on p^k(z) = z seeded from an
-    inverse-iteration cloud (they are dense in the Julia set), filtered to
-    repelling ones.  Diagnostics carry the root drift between k-1 and k and
-    the point coverage; confidence is low on large drift or a weakly
-    hyperbolic attractor (|multiplier| > 0.9)."""
+    Level k of the backward tree of a repelling fixed point gives P_k(s) =
+    log sum |(p^k)'(w)|^-s; the estimate is the root in (0, 2) of
+    P_k - P_(k-1) at the deepest depth k <= max_period whose step brackets
+    one.  max_period is that depth bound, by default the largest with
+    d^k <= LEVEL_CAP.  drift is the spread of the roots over the last three
+    depths; confidence is low when it exceeds 0.02, when one of those
+    depths brackets no root, or on a weakly hyperbolic attractor
+    (|multiplier| > 0.9)."""
+    d = p.degree
+    if d < 2:
+        raise FractalError("need degree >= 2")
     if max_period is None:
         max_period = 1
-        while p.degree ** (max_period + 1) <= degree_cap:
+        while d ** (max_period + 1) <= LEVEL_CAP:
             max_period += 1
-    if p.degree ** max_period > degree_cap:
+    if d ** max_period > LEVEL_CAP:
         raise FractalError(
-            f"degree^{max_period} exceeds the root-finding cap {degree_cap}; "
+            f"degree^{max_period} exceeds the level cap {LEVEL_CAP}; "
             "use a smaller max_period")
-    radius = escape_radius(p)
-    cloud = julia_cloud(p, target_points=min(100000, max(12000,
-                        4 * p.degree ** max_period)), rng_seed=rng_seed)
-    roots_by_k = {}
-    for k in (max_period - 1, max_period):
-        if k < 1:
-            continue
-        lams = _periodic_data(p, k, cloud, radius)
-        if len(lams) == 0:
-            raise FractalError(f"no repelling period-{k} points found")
-        root, width = _pressure_root(lams, k)
-        roots_by_k[k] = (root, width, len(lams))
-    root, width, n_pts = roots_by_k[max_period]
-    drift = abs(root - roots_by_k[max_period - 1][0]) \
-        if max_period - 1 in roots_by_k else 0.0
+    dp = derivative(p)
+    prev = np.zeros(1)  # log|(p^0)'| at the base point
+    roots = []
+    with np.errstate(divide="ignore"):
+        for level in cloud_chains(p.as_array(), repelling_fixed_point(p),
+                                  max_period):
+            # (p^k)'(w) = p'(w) (p^(k-1))'(p(w)), and p(w) is w's parent
+            cur = np.repeat(prev, d) + np.log(np.abs(evaluate(dp, level)))
+            roots.append(_step_root(prev, cur))
+            prev = cur
+    bracketed = [k for k, r in enumerate(roots, 1) if r]
+    if not bracketed:
+        raise FractalError(f"no depth up to {max_period} brackets a root of "
+                           "the tree pressure step in (0, 2)")
+    depth = bracketed[-1]
+    root, width = roots[depth - 1]
+    last = [r[0] for r in roots[-3:] if r]
+    drift = max(last) - min(last) if last else 0.0
     weak = any(abs(m) > 0.9 for m in attractor_multipliers)
-    conf = "ok" if drift <= 0.02 and not weak else "low"
+    conf = "ok" if (drift <= 0.02 and len(last) == len(roots[-3:])
+                    and not weak) else "low"
     diag = {"pressure_bracket": width, "max_period": max_period,
-            "drift": drift, "points_at_max_period": n_pts,
-            "coverage": n_pts / p.degree ** max_period}
+            "depth": depth, "drift": drift,
+            "points_at_max_period": d ** max_period}
     return DimensionEstimate(min(max(root, 0.0), 2.0), "pressure", diag, conf)

@@ -323,9 +323,13 @@ def _degrees(tree):
                  for vs in pt.vertices_by_degree(tree))
 
 
-def _same_vertex_set(sol1, sol2, tol=1e-6):
-    w1 = [(w.location, w.multiplicity) for w in sol1.white]
-    w2 = [(w.location, w.multiplicity) for w in sol2.white]
+def _whites(sol):
+    return [(w.location, w.multiplicity) for w in sol.white]
+
+
+def _same_vertex_set(w1, w2, tol=1e-6):
+    """Whether two lists of (location, multiplicity) pairs agree up to order,
+    locations within tol."""
     if len(w1) != len(w2):
         return False
     used = [False] * len(w2)
@@ -444,6 +448,7 @@ def _solve_tree_alt(tree, rng_seed, memo, budget=2000):
                 2j * np.pi * rng.random(system.n + 1))
             yield _alt_seed(system, pts[: system.s], pts[system.s:])
 
+    lifted = []  # white vertices of every solution lifted so far
     tries = 0
     for u0 in seed_iter():
         if tries >= budget:
@@ -453,6 +458,11 @@ def _solve_tree_alt(tree, rng_seed, memo, budget=2000):
         if not _is_valid_solution(system, u, norm):
             continue
         x, y, _ = system.split(u)
+        # a repeat already lifted to a tree that is neither target nor mirror
+        whites = list(zip(x, system.k))
+        if any(_same_vertex_set(whites, seen) for seen in lifted):
+            continue
+        lifted.append(whites)
         try:
             found = _alt_identify(system, x, y)
         except PathLiftingError:
@@ -487,7 +497,8 @@ def solve_passport(passport, budget=None, rng_seed=0):
         except NoZapponiFormError:
             degenerate += 1
             continue
-        if not any(_same_vertex_set(sol, s) for s in solutions):
+        if not any(_same_vertex_set(_whites(sol), _whites(s))
+                   for s in solutions):
             solutions.append(sol)
     if not solutions:
         raise NoZapponiFormError(

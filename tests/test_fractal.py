@@ -7,6 +7,7 @@ from dessinjulia.fractal import (BAND_NAMES, DimensionEstimate, FractalError,
                                  render_basins, render_escape,
                                  repelling_fixed_point, save_cloud, write_ppm)
 from dessinjulia.polynomial import ComplexPoly
+from test_acceptance import QUINTICS
 
 RNG = np.random.default_rng(20240819)
 
@@ -108,6 +109,15 @@ def test_julia_cloud_deterministic_and_invariant():
     assert float(np.quantile(d, 0.99)) < 0.02
 
 
+def test_julia_cloud_maps_into_itself():
+    # z0 is one of its own preimages, so level k-1 of the backward tree
+    # reappears in level k and p(cloud) lies in the cloud up to rounding
+    for p in (BASILICA, QUINTICS[1]):
+        cloud = julia_cloud(p, 3000, rng_seed=3)
+        d = [np.min(np.abs(cloud - w)) for w in p(cloud)]
+        assert max(d) < 1e-9
+
+
 def test_save_cloud(tmp_path):
     pts = julia_cloud(SQUARE, 100, rng_seed=0)
     path = tmp_path / "cloud.csv"
@@ -171,3 +181,13 @@ def test_pressure_dim_validation():
         pressure_dim(SQUARE, max_period=20)  # 2^20 over the root cap
     d = pressure_dim(SQUARE, max_period=8, attractor_multipliers=(0.95,))
     assert d.confidence == "low"
+
+
+def test_pressure_dim_confidence_on_the_quintics():
+    # q3 is hyperbolic and settles by the default depth; the other section-4
+    # quintics drift over the last three depths, and q5 still gets a value
+    q3 = pressure_dim(QUINTICS[2])
+    assert q3.confidence == "ok" and abs(q3.value - 0.8605) < 1e-3
+    for q in (QUINTICS[0], QUINTICS[1], QUINTICS[3], QUINTICS[4]):
+        d = pressure_dim(q)
+        assert d.confidence == "low" and 0.0 < d.value < 2.0

@@ -1,4 +1,5 @@
-"""Each ``_*_nb`` kernel agrees with its ``_*_np`` twin.
+"""Each ``_*_nb`` kernel agrees with its ``_*_np`` twin, and the numpy-only
+backward-tree kernel solves p(w) = z level by level.
 
 Without numba, ``_backend.njit`` is the identity and the ``_nb`` kernels run
 as plain Python, so this compares the two algorithms; with numba installed
@@ -38,7 +39,8 @@ def test_aberth_iterate(poly):
     c[0] -= 0.3 + 0.2j
     w0 = K._aberth_start(c, len(c) - 1)
     a = K._aberth_iterate_nb(c, _derivative(c), w0.copy(), 1000, 1e-14)
-    b = K._aberth_iterate_np(c, _derivative(c), w0.copy(), 1000, 1e-14)
+    b = K._aberth_iterate_np(c, _derivative(c), w0[None], np.zeros(1), 1000,
+                             1e-14)[0]
     _close(np.sort_complex(a), np.sort_complex(b))
 
 
@@ -86,15 +88,25 @@ def test_render_basin(poly):
     np.testing.assert_array_equal(wa, wb)
 
 
-def test_cloud(poly):
+def test_backward_tree(poly):
     c = poly.as_array()
-    choices = np.random.default_rng(0).integers(0, poly.degree, size=(4, 30))
-    z0 = np.full(4, repelling_fixed_point(poly))
-    a = K._cloud_nb(c, _derivative(c), z0, choices,
-                    np.empty((4, 25), dtype=np.complex128), 5)
-    b = K._cloud_np(c, _derivative(c), z0, choices,
-                    np.empty((4, 25), dtype=np.complex128), 5)
-    _close(a, b)
+    d = poly.degree
+    z0 = repelling_fixed_point(poly)
+    depth = {2: 10, 5: 4}.get(d, 3)
+    levels = K.cloud_chains(c, z0, depth)
+    assert len(levels) == depth
+    parents = np.array([z0])
+    for k, level in enumerate(levels, 1):
+        assert level.shape == (d ** k,)
+        # the preimages of point i of level k-1 sit at [d*i, d*i + d)
+        want = parents[np.arange(d ** k) // d]
+        assert np.all(np.abs(poly(level) - want) <= 1e-8 * (np.abs(want) + 1))
+        if d == 2:
+            roots = np.exp(2j * np.pi * np.arange(2 ** k) / 2 ** k)
+            dist = np.abs(level[:, None] - roots[None, :])
+            assert dist.min(axis=1).max() < 1e-12
+            assert len(set(dist.argmin(axis=1))) == 2 ** k
+        parents = level
 
 
 def test_newton_periodic(poly):
