@@ -5,7 +5,9 @@ scalar loops, ``*_np`` variants are vectorized numpy fallbacks.  The public
 names dispatch on the backend flag (see _backend).  Both flavors implement
 the same algorithm so results agree to floating-point noise.  The backward
 tree (``cloud_chains``) is numpy-only: each level is one batched Aberth
-solve over all its rows.
+solve over all its rows.  Both renderers run one first-entry loop
+(``render_basin_grid``) over the pixels still live; escape time is that
+loop with no traps.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ def _aberth_iterate_nb(c, dc, w, maxiter, tol):
                 continue
             dp = _polyval_scalar(dc, w[i])
             ratio = dp / p
+            if not (np.isfinite(ratio.real) and np.isfinite(ratio.imag)):
+                continue  # p underflowed next to a multiple root: w[i] is one
             s = 0.0 + 0.0j
             for j in range(n):
                 if j != i:
@@ -83,8 +87,11 @@ def _aberth_iterate_np(c, dc, w, z, maxiter, tol):
     for _ in range(maxiter):
         p = _polyval_np(c, w) - z[:, None]
         dp = _polyval_np(dc, w)
-        ok = p != 0.0
-        ratio = np.where(ok, dp / np.where(ok, p, 1.0), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = dp / np.where(p != 0.0, p, 1.0)
+        # a zero or underflowed p (next to a multiple root) takes no step
+        ok = (p != 0.0) & np.isfinite(ratio)
+        ratio = np.where(ok, ratio, 0.0)
         diff = w[:, :, None] - w[:, None, :]
         diff.reshape(len(w), n * n)[:, ::n + 1] = 1.0
         diff[diff == 0.0] = 1e-12 + 1e-12j
@@ -224,53 +231,6 @@ def orbit_tail(coeffs, z0, n_iter, keep, radius):
 
 
 @njit(cache=True)
-def _render_escape_nb(c, xs, ys, max_iter, radius):
-    h = len(ys)
-    w = len(xs)
-    out = np.full((h, w), -1, dtype=np.int32)
-    for iy in range(h):
-        for ix in range(w):
-            z = complex(xs[ix], ys[iy])
-            if abs(z) > radius:
-                out[iy, ix] = 0
-                continue
-            for it in range(1, max_iter + 1):
-                z = _polyval_scalar(c, z)
-                az = abs(z)
-                if az > radius or not np.isfinite(az):
-                    out[iy, ix] = it
-                    break
-    return out
-
-
-def _render_escape_np(c, xs, ys, max_iter, radius):
-    z = (xs[None, :] + 1j * ys[:, None]).astype(np.complex128)
-    out = np.full(z.shape, -1, dtype=np.int32)
-    out[np.abs(z) > radius] = 0
-    active = out < 0
-    for it in range(1, max_iter + 1):
-        if not active.any():
-            break
-        za = _polyval_np(c, z[active])
-        z[active] = za
-        with np.errstate(invalid="ignore", over="ignore"):
-            esc = ~(np.abs(za) <= radius)
-        idx = np.where(active)
-        gone = (idx[0][esc], idx[1][esc])
-        out[gone] = it
-        active[gone] = False
-        z[gone] = 0.0  # keep escaped cells finite
-    return out
-
-
-def render_escape_grid(coeffs, xs, ys, max_iter, radius):
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if USE_NUMBA:
-        return _render_escape_nb(c, xs, ys, max_iter, radius)
-    return _render_escape_np(c, xs, ys, max_iter, radius)
-
-
-@njit(cache=True)
 def _render_basin_nb(c, xs, ys, max_iter, radius, traps, groups, trap_r):
     h = len(ys)
     w = len(xs)
@@ -303,36 +263,41 @@ def _render_basin_nb(c, xs, ys, max_iter, radius, traps, groups, trap_r):
 
 
 def _render_basin_np(c, xs, ys, max_iter, radius, traps, groups, trap_r):
-    z = (xs[None, :] + 1j * ys[:, None]).astype(np.complex128)
+    """The first-entry loop over the live pixels only: their values and
+    flat pixel indices sit in two 1-D arrays, and a pixel that leaves the
+    disc or enters a trap is written through its index and dropped from
+    both."""
+    z = (xs[None, :] + 1j * ys[:, None]).astype(np.complex128).ravel()
     steps = np.full(z.shape, -1, dtype=np.int32)
     which = np.zeros(z.shape, dtype=np.int16)
-    active = np.ones(z.shape, dtype=bool)
+    pix = np.arange(z.size)
     for it in range(max_iter + 1):
-        if not active.any():
-            break
-        za = z[active]
         with np.errstate(invalid="ignore", over="ignore"):
-            esc = ~(np.abs(za) <= radius)
-        hit = np.full(za.shape, -1, dtype=np.int64)
+            done = ~(np.abs(z) <= radius)
         for t in range(len(traps)):
-            m = (hit < 0) & ~esc & (np.abs(za - traps[t]) <= trap_r)
-            hit[m] = t
-        done = esc | (hit >= 0)
+            hit = ~done & (np.abs(z - traps[t]) <= trap_r)
+            which[pix[hit]] = groups[t] + 1
+            done |= hit
         if done.any():
-            idx = np.where(active)
-            sel = (idx[0][done], idx[1][done])
-            steps[sel] = it
-            wsel = np.zeros(done.sum(), dtype=np.int16)
-            hd = hit[done]
-            wsel[hd >= 0] = groups[hd[hd >= 0]] + 1
-            which[sel] = wsel
-            active[sel] = False
-        if it < max_iter and active.any():
-            z[active] = _polyval_np(c, z[active])
-    return steps, which
+            steps[pix[done]] = it
+            live = ~done
+            z, pix = z[live], pix[live]
+            if not pix.size:
+                break
+        if it < max_iter:
+            acc = np.full_like(z, c[-1])
+            for i in range(len(c) - 2, -1, -1):
+                acc *= z
+                acc += c[i]
+            z = acc
+    shape = (len(ys), len(xs))
+    return steps.reshape(shape), which.reshape(shape)
 
 
 def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r):
+    """Per pixel, the first step at which the orbit leaves the disc of the
+    given radius (attractor id 0) or comes within trap_r of traps[t]
+    (attractor id groups[t] + 1); -1 and 0 if neither within max_iter."""
     c = np.asarray(coeffs, dtype=np.complex128)
     traps = np.asarray(traps, dtype=np.complex128)
     groups = np.asarray(groups, dtype=np.int16)
@@ -340,6 +305,11 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r):
         return _render_basin_nb(c, xs, ys, max_iter, radius, traps, groups,
                                 trap_r)
     return _render_basin_np(c, xs, ys, max_iter, radius, traps, groups, trap_r)
+
+
+def render_escape_grid(coeffs, xs, ys, max_iter, radius):
+    """Escape time: the first-entry loop with no traps."""
+    return render_basin_grid(coeffs, xs, ys, max_iter, radius, (), (), 0.0)[0]
 
 
 # ------------------------------------------------------------ backward tree
@@ -369,18 +339,26 @@ def _preimages(c, dc, z):
     return w
 
 
+def preimages(coeffs, z):
+    """All d roots of p(w) = z[r] for every r, as a (len(z), d) array,
+    solved in batches of _CHUNK rows."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    deg = len(c) - 1
+    dc = c[1:] * np.arange(1, deg + 1)
+    out = np.empty((len(z), deg), dtype=np.complex128)
+    for i in range(0, len(z), _CHUNK):
+        out[i:i + _CHUNK] = _preimages(c, dc, z[i:i + _CHUNK])
+    return out
+
+
 def cloud_chains(coeffs, z0, depth):
     """Levels 1..depth of the backward tree of z0: level k holds the d^k
     solutions of p^k(w) = z0, and the preimages of point i of level k-1 sit
     at [d*i, d*i + d) of level k."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    deg = len(c) - 1
-    dc = c[1:] * np.arange(1, deg + 1)
     z = np.array([z0], dtype=np.complex128)
     levels = []
     for _ in range(depth):
-        z = np.concatenate([_preimages(c, dc, z[i:i + _CHUNK]).ravel()
-                            for i in range(0, len(z), _CHUNK)])
+        z = preimages(coeffs, z).ravel()
         levels.append(z)
     return levels
 

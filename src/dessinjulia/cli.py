@@ -87,7 +87,9 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--viewport", type=_viewport, default=(0.0, 0.0, 2.0, 2.0))
     p.add_argument("--size", type=_size, default=(400, 400))
-    p.add_argument("--max-iter", type=_positive(int), default=500)
+    p.add_argument("--max-iter", type=_positive(int),
+                   help="iteration cap (default 500 for escape, 2000 for "
+                        "basins)")
     p.add_argument("--trap-radius", type=_positive(float), default=0.01)
     p.add_argument("--escape-bound", type=_positive(float))
     p.add_argument("--seed", type=int, default=0)
@@ -237,13 +239,14 @@ def _cmd_classify(args, out):
 def _cmd_render(args, out):
     p = _poly_or_tree(args, out)
     if args.mode == "escape":
-        raster = render_escape(p, args.viewport, args.size, args.max_iter)
+        raster = render_escape(p, args.viewport, args.size,
+                               args.max_iter or 500)
     else:
         cls = classify(p)
         try:
             raster = render_basins(p, cls, args.viewport, args.size,
                                    trap_radius=args.trap_radius,
-                                   max_iter=max(args.max_iter, 2000),
+                                   max_iter=args.max_iter or 2000,
                                    escape_bound=args.escape_bound)
         except FractalError as exc:
             raise _CliError(str(exc))

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import (aberth_roots, cloud_chains, render_basin_grid,
-                       render_escape_grid)
+from ._kernels import (aberth_roots, cloud_chains, preimages,
+                       render_basin_grid, render_escape_grid)
 from .dynamics import escape_radius
 from .polynomial import derivative, evaluate
 
@@ -130,8 +130,6 @@ def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
         escape_bound = escape_radius(p)
     raster = Raster(int(size[0]), int(size[1]), tuple(viewport), None)
     xs, ys = raster.pixel_axes()
-    if not traps:
-        traps, groups = [1e300 + 0j], [0]  # unreachable dummy
     steps, which = render_basin_grid(p.as_array(), xs, ys, max_iter,
                                      escape_bound, traps, groups, trap_radius)
     t1, t2, t3 = thresholds
@@ -180,10 +178,14 @@ def julia_cloud(p, target_points=20000, rng_seed=0):
     while d ** k < target_points:
         k += 1
     z0 = repelling_fixed_point(p)
-    levels = [np.array([z0])] + cloud_chains(p.as_array(), z0, k)
+    c = p.as_array()
+    top = cloud_chains(c, z0, k - 1)[-1] if k > 1 else np.array([z0])
     pick = np.random.default_rng(rng_seed).choice(
         d ** k, target_points - d ** (k - 1), replace=False)
-    return np.concatenate([levels[k - 1], levels[k][pick]])
+    # level k is solved only below the parents of the drawn points
+    parents, row = np.unique(pick // d, return_inverse=True)
+    drawn = preimages(c, top[parents])[row, pick % d]
+    return np.concatenate([top, drawn])
 
 
 def save_cloud(points, path):

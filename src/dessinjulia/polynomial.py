@@ -263,13 +263,13 @@ def roots(p, cluster_tol=1e-6, maxiter=2000):
     """
     if p.degree < 1:
         raise PolynomialError("degree must be >= 1")
-    if cluster_tol <= 0:
-        raise PolynomialError("cluster_tol must be positive")
+    if not 0 < cluster_tol < 0.45:  # the ladder below must try one rung
+        raise PolynomialError("cluster_tol must be in (0, 0.45)")
     raw = aberth_roots(p.as_array(), maxiter=maxiter)
     resid = np.abs(evaluate(p, raw))
     scale = float(np.max(np.abs(raw))) + 1.0
     coeff_scale = float(np.max(np.abs(p.as_array())))
-    if np.max(resid) > 1e-5 * coeff_scale * scale:
+    if not np.max(resid) <= 1e-5 * coeff_scale * scale:  # NaN fails too
         raise RootFindingError(
             f"simultaneous iteration did not converge (residual "
             f"{np.max(resid):.3g})", best=raw)

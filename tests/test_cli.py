@@ -113,6 +113,18 @@ def test_render_basins(tmp_path):
     assert out.exists()
 
 
+def test_render_basins_honours_max_iter(tmp_path):
+    images = []
+    for extra in ([], ["--max-iter", "3"]):
+        out = tmp_path / f"bas{len(extra)}.ppm"
+        code, _ = run(["render", "--poly=-1,0,1", "--mode", "basins",
+                       "--out", str(out), "--size", "20x20",
+                       "--trap-radius", "0.05"] + extra)
+        assert code == 0
+        images.append(out.read_bytes())
+    assert images[0] != images[1]
+
+
 def test_dim_box():
     code, text = run(["dim", "--poly", "0,0,1", "--method", "box",
                       "--points", "60000"])

@@ -12,7 +12,7 @@ from dessinjulia import _kernels as K
 from dessinjulia.dynamics import classify, escape_radius
 from dessinjulia.fractal import repelling_fixed_point
 from dessinjulia.plane_tree import parse_plane_code
-from dessinjulia.polynomial import ComplexPoly, parse_poly
+from dessinjulia.polynomial import ComplexPoly, parse_poly, poly_from_roots
 from dessinjulia.shabat import solve_tree
 
 
@@ -59,33 +59,72 @@ def test_orbit_brent_and_tail(poly, monkeypatch):
         _close(ta[:ka], tb[:kb])
 
 
-def _grid(n=24, half=1.6):
-    xs = np.linspace(-half, half, n)
-    return xs, xs + 0.01
+def _grids():
+    """A square grid with ys close to xs, and a non-square off-centre one
+    that a row/column mix-up in the flat pixel indexing would fail on."""
+    xs = np.linspace(-1.6, 1.6, 24)
+    yield xs, xs + 0.01
+    yield np.linspace(-1.3, 0.9, 37), np.linspace(-0.4, 1.1, 23)
 
 
-def test_render_escape(poly):
+_NO_TRAPS = (np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.int16))
+
+
+def _basin_pair(c, xs, ys, max_iter, radius, traps, groups, trap_r):
+    """The numpy loop against the scalar reference; returns the steps."""
+    sa, wa = K._render_basin_nb(c, xs, ys, max_iter, radius, traps, groups,
+                                trap_r)
+    sb, wb = K._render_basin_np(c, xs, ys, max_iter, radius, traps, groups,
+                                trap_r)
+    assert sa.shape == (len(ys), len(xs))
+    np.testing.assert_array_equal(sa, sb)
+    np.testing.assert_array_equal(wa, wb)
+    return sa
+
+
+def test_render_escape_is_basin_without_traps(poly):
     c = poly.as_array()
-    xs, ys = _grid()
     radius = escape_radius(poly)
-    np.testing.assert_array_equal(
-        K._render_escape_nb(c, xs, ys, 60, radius),
-        K._render_escape_np(c, xs, ys, 60, radius))
+    for xs, ys in _grids():
+        np.testing.assert_array_equal(
+            K.render_escape_grid(c, xs, ys, 60, radius),
+            K._render_basin_nb(c, xs, ys, 60, radius, *_NO_TRAPS, 0.0)[0])
 
 
 def test_render_basin(poly):
     c = poly.as_array()
-    xs, ys = _grid()
     cls = classify(poly)
     traps = [z for f in (cls.fate_plus, cls.fate_minus) if f.bounded
              for z in f.cycle_points] or [1e6 + 0j]  # beyond escape
     traps = np.asarray(traps, dtype=np.complex128)
     groups = np.arange(len(traps), dtype=np.int16)
     radius = escape_radius(poly)
-    sa, wa = K._render_basin_nb(c, xs, ys, 200, radius, traps, groups, 0.05)
-    sb, wb = K._render_basin_np(c, xs, ys, 200, radius, traps, groups, 0.05)
-    np.testing.assert_array_equal(sa, sb)
-    np.testing.assert_array_equal(wa, wb)
+    for xs, ys in _grids():
+        _basin_pair(c, xs, ys, 200, radius, traps, groups, 0.05)
+        _basin_pair(c, xs, ys, 200, radius, *_NO_TRAPS, 0.0)
+
+
+def test_render_edge_grids():
+    # q2, the section-4 quintic with an attracting 2-cycle
+    q2 = poly_from_roots([-2.0, 3.0], [3, 2], -1 / 54) + 1.0
+    c = q2.as_array()
+    radius = escape_radius(q2)
+    cycle = np.array(classify(q2).fate_plus.cycle_points)
+    # every pixel outside the radius at step 0
+    xs, ys = np.linspace(300, 320, 7), np.linspace(-5, 5, 4)
+    steps = _basin_pair(c, xs, ys, 50, radius, cycle, np.zeros(2, np.int16),
+                        0.01)
+    assert (steps == 0).all()
+    # a small grid inside the cycle's basin: nothing escapes by max_iter,
+    # and with the cycle as traps every pixel enters one
+    z = cycle[0]
+    xs = np.linspace(z.real - 0.05, z.real + 0.05, 9)
+    ys = np.linspace(z.imag - 0.03, z.imag + 0.04, 7)
+    steps = _basin_pair(c, xs, ys, 100, radius, *_NO_TRAPS, 0.0)
+    assert (steps == -1).all()
+    steps = _basin_pair(c, xs, ys, 100, radius, cycle,
+                        np.zeros(2, np.int16), 0.01)
+    assert (steps >= 0).all()
 
 
 def test_backward_tree(poly):

@@ -107,11 +107,30 @@ def test_roots_close_pair_not_merged():
     assert sorted(r.multiplicity for r in roots(p)) == [1, 1, 1]
 
 
+def test_roots_exact_triple_root():
+    # p' of the section-4 quintic q1: p underflows at the triple root -1/3
+    q1 = poly_from_roots([-1 / 3, 4 / 3], [4, 1], 243 / 128) + 1.0
+    found = roots(derivative(q1))
+    assert [r.multiplicity for r in found] == [3, 1]
+    assert abs(found[0].location + 1 / 3) < 1e-9
+    assert abs(found[1].location - 1.0) < 1e-9
+
+
+def test_roots_rejects_non_finite_aberth_output(monkeypatch):
+    import dessinjulia.polynomial as P
+    monkeypatch.setattr(P, "aberth_roots",
+                        lambda c, maxiter: np.array([np.nan, 1.0 + 0j]))
+    with pytest.raises(RootFindingError):
+        roots(ComplexPoly((-1, 0, 1)))
+
+
 def test_roots_rejects_constants():
     with pytest.raises(PolynomialError):
         roots(ComplexPoly((3.0,)))
     with pytest.raises(PolynomialError):
         roots(ComplexPoly((1, 1)), cluster_tol=-1.0)
+    with pytest.raises(PolynomialError):
+        roots(ComplexPoly((-1, 0, 1)), cluster_tol=0.5)
 
 
 def test_root_finding_error_carries_best():
