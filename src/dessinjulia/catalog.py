@@ -36,7 +36,6 @@ DEFAULT_STORE = os.environ.get("DESSIN_STORE", "store")
 @dataclass
 class CatalogConfig:
     rng_seed: int = 0
-    budget: int = None
     max_iter: int = 200_000
     with_dims: bool = False
     with_images: bool = False
@@ -135,7 +134,7 @@ def analyze_tree(tree, cfg=None, store=None):
     rec = CatalogRecord(code, str(passport_of(tree)), symmetry_flags(tree))
     t0 = time.perf_counter()
     try:
-        rec.sz = solve_tree(tree, budget=cfg.budget, rng_seed=cfg.rng_seed)
+        rec.sz = solve_tree(tree)
     except NoZapponiFormError as exc:
         rec.sz_absent_reason = ("symmetric" if rec.symmetry["rotational"]
                                 else "degenerate")

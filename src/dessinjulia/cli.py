@@ -69,15 +69,12 @@ def _build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--tree")
     g.add_argument("--passport")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_positive(int))
 
     p = sub.add_parser("classify", help="taxonomy of the critical orbits")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--poly")
     g.add_argument("--tree")
     p.add_argument("--max-iter", type=_positive(int), default=200_000)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("render", help="write a PPM image")
     g = p.add_mutually_exclusive_group(required=True)
@@ -92,7 +89,6 @@ def _build_parser():
                         "basins)")
     p.add_argument("--trap-radius", type=_positive(float), default=0.01)
     p.add_argument("--escape-bound", type=_positive(float))
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("dim", help="Hausdorff dimension estimate")
     g = p.add_mutually_exclusive_group(required=True)
@@ -160,9 +156,8 @@ def _poly_or_tree(args, out):
     if swapped:
         print(f"note: colors swapped to pair representative "
               f"{plane_code(tree)}", file=out)
-    print(f"seed: {args.seed}", file=out)
     try:
-        return solve_tree(tree, rng_seed=args.seed).poly
+        return solve_tree(tree).poly
     except (NoZapponiFormError, ExhaustedError) as exc:
         raise _CliError(str(exc))
 
@@ -191,7 +186,6 @@ def _print_solution(sz, out):
 
 
 def _cmd_solve(args, out):
-    print(f"seed: {args.seed}", file=out)
     if args.tree is not None:
         tree = _tree_arg(args.tree)
         tree, swapped = pair_representative(tree)
@@ -199,7 +193,7 @@ def _cmd_solve(args, out):
             print(f"note: colors swapped to pair representative "
                   f"{plane_code(tree)}", file=out)
         try:
-            sz = solve_tree(tree, budget=args.budget, rng_seed=args.seed)
+            sz = solve_tree(tree)
         except (NoZapponiFormError, ExhaustedError) as exc:
             raise _CliError(str(exc))
         _print_solution(sz, out)
@@ -209,8 +203,7 @@ def _cmd_solve(args, out):
     except PlaneTreeError as exc:
         raise _CliError(f"bad passport: {exc}")
     try:
-        sols = solve_passport(passport, budget=args.budget,
-                              rng_seed=args.seed)
+        sols = solve_passport(passport)
     except (NoZapponiFormError, ExhaustedError) as exc:
         raise _CliError(str(exc))
     for i, sz in enumerate(sols):

@@ -6,10 +6,13 @@ degrees), black coordinates y_j (l_j), and the leading factor a, tied by
     p - 1 = a * prod (z - x_i)^{k_i},    p + 1 = a * prod (z - y_j)^{l_j},
 
 so a*(B - A) = 2 identically, plus the normalization sum x_i = 1,
-sum y_j = -1.  Damped Newton from geometric tree layouts, leaf-removal
-continuation and random restarts solves the system of one tree; path-lifting
-of p(z(t)) = t over [-1, 1] recovers which plane tree a solution realizes.
-A passport is solved tree by tree.
+sum y_j = -1.  Damped Newton solves the system of one tree in a monic
+normalization, from a finite seed list: the geometric tree layout, then
+leaf-removal continuations.  Each seed's leading factor is fitted by least
+squares and the seed scaled to make it 1, so it lands next to one of the
+monic system's n rotated copies of the solution.  Path-lifting of
+p(z(t)) = t over [-1, 1] recovers which plane tree a solution realizes.  A
+passport is solved tree by tree.
 """
 
 from __future__ import annotations
@@ -360,17 +363,35 @@ def _remove_leaf(tree, leaf):
 
 def _alt_seed(system, wpos, bpos):
     """Alt-system seed vector from positions aligned with the multiplicity
-    layout; translates the first white to the origin."""
+    layout.
+
+    The first white is translated to the origin.  The alt system's
+    solutions are the tree's n copies rotated by the n-th roots of unity
+    about that vertex, at one fixed scale, while a layout or a leaf
+    continuation has arbitrary scale and orientation.  So the leading factor
+    the seed implies is fitted by least squares, a = argmin |a*d - 2e_0|
+    with d = (B - A)[:n], and every position is scaled by 1/mu, mu =
+    (1/a)^(1/n) the principal root: the smallest rotation that makes the
+    implied leading factor 1.  A seed with a fit of 0 or not finite stays
+    unscaled."""
     w = np.asarray(wpos, dtype=np.complex128)
     b = np.asarray(bpos, dtype=np.complex128)
-    shift = w[0]
-    return np.concatenate([w[1:] - shift, b - shift])
+    u = np.concatenate([w[1:], b]) - w[0]
+    x, y, _ = system.split(u)
+    d = (_monic_from(y, system.l) - _monic_from(x, system.k))[: system.n]
+    with np.errstate(all="ignore"):
+        a = 2.0 * np.conj(d[0]) / np.sum(np.abs(d) ** 2)
+        mu = (1.0 / a) ** (1.0 / system.n)
+    if np.isfinite(mu) and mu != 0:
+        u = u / mu
+    return u
 
 
-def _alt_continuation_seeds(system, tree, rng_seed, memo):
+def _alt_continuation_seeds(system, tree, memo):
     """Seeds obtained by solving the tree minus one leaf and re-inserting
-    the leaf near its attachment vertex.  These land in the right Newton
-    basin far more reliably than random restarts."""
+    the leaf near its attachment vertex, at three radii and eight angles
+    about each vertex of the attachment's degree and color.  _alt_seed then
+    fits the whole seed to the alt system's scale and orientation."""
     for leaf in range(tree.n_vertices):
         if tree.degree(leaf) != 1:
             continue
@@ -378,7 +399,7 @@ def _alt_continuation_seeds(system, tree, rng_seed, memo):
         if sub.n_edges < 2:
             continue
         try:
-            xs, ys = _solve_tree_alt(sub, rng_seed, memo)
+            xs, ys = _solve_tree_alt(sub, memo)
         except ShabatError:
             continue
         ks, ls = _degrees(sub)
@@ -420,9 +441,12 @@ def _alt_identify(system, x, y):
     return _identify_from_vertices(poly, white, black)
 
 
-def _solve_tree_alt(tree, rng_seed, memo, budget=2000):
+def _solve_tree_alt(tree, memo):
     """Vertex coordinates (x, y) of the tree's Shabat polynomial in the
-    monic/pinned normalization, ordered by decreasing degree per color."""
+    monic/pinned normalization, ordered by decreasing degree per color.
+
+    Newton runs from a finite seed list: the tree layout, then the leaf
+    continuations; ExhaustedError when none of them reaches the tree."""
     target_code = pt.plane_code(tree)
     if target_code in memo:
         return memo[target_code]
@@ -434,25 +458,17 @@ def _solve_tree_alt(tree, rng_seed, memo, budget=2000):
         return sol
     w, b = _degrees(tree)
     system = _AltSystem(w, b)
-    rng = np.random.default_rng(rng_seed)
 
     def seed_iter():
         pos = _tree_layout(tree)
         whites, blacks = pt.vertices_by_degree(tree)
         yield _alt_seed(system, [pos[v] for v in whites],
                         [pos[v] for v in blacks])
-        yield from _alt_continuation_seeds(system, tree, rng_seed, memo)
-        while True:
-            scale = math.exp(rng.uniform(math.log(0.5), math.log(8.0)))
-            pts = scale * np.sqrt(rng.random(system.n + 1)) * np.exp(
-                2j * np.pi * rng.random(system.n + 1))
-            yield _alt_seed(system, pts[: system.s], pts[system.s:])
+        yield from _alt_continuation_seeds(system, tree, memo)
 
     lifted = []  # white vertices of every solution lifted so far
     tries = 0
     for u0 in seed_iter():
-        if tries >= budget:
-            break
         tries += 1
         u, norm = _newton(system, u0, max_steps=120)
         if not _is_valid_solution(system, u, norm):
@@ -477,11 +493,11 @@ def _solve_tree_alt(tree, rng_seed, memo, budget=2000):
             memo[target_code] = sol
             return sol
     raise ExhaustedError(
-        f"no Shabat polynomial found for tree {target_code} within "
-        f"{tries} restarts")
+        f"no Shabat polynomial found for tree {target_code} after "
+        f"{tries} seeds")
 
 
-def solve_passport(passport, budget=None, rng_seed=0):
+def solve_passport(passport):
     """All SZ solutions of a (normalized) passport: every plane tree that
     realizes it is solved with solve_tree, and those that admit a Zapponi
     form contribute one solution each."""
@@ -493,7 +509,7 @@ def solve_passport(passport, budget=None, rng_seed=0):
     degenerate = 0
     for t in pt.trees_with_passport(passport.white, passport.black):
         try:
-            sol = solve_tree(t, budget=budget, rng_seed=rng_seed, _memo=memo)
+            sol = solve_tree(t, _memo=memo)
         except NoZapponiFormError:
             degenerate += 1
             continue
@@ -510,7 +526,7 @@ def solve_passport(passport, budget=None, rng_seed=0):
     return solutions
 
 
-def solve_tree(tree, budget=None, rng_seed=0, _memo=None):
+def solve_tree(tree, _memo=None):
     """The unique SZ polynomial of a non-symmetric plane tree (colors as
     given: whites are the preimages of +1)."""
     tree.validate()
@@ -519,8 +535,7 @@ def solve_tree(tree, budget=None, rng_seed=0, _memo=None):
     if pt.symmetry_flags(tree)["rotational"]:
         raise NoZapponiFormError("symmetric tree has no Zapponi form")
     memo = {} if _memo is None else _memo
-    x, y = _solve_tree_alt(tree, rng_seed, memo,
-                           budget=budget if budget else 2000)
+    x, y = _solve_tree_alt(tree, memo)
     # affine map into the Zapponi normalization
     s, t = len(x), len(y)
     beta = (x.sum() + y.sum()) / (s + t)

@@ -8,8 +8,10 @@ from dessinjulia.catalog import (CatalogConfig, CatalogRecord, Store,
                                  analyze_tree, big_passport_trees, report,
                                  run_catalog, run_series, series_tree)
 from dessinjulia.dynamics import classify
-from dessinjulia.plane_tree import parse_plane_code, plane_code
-from dessinjulia.shabat import identify_tree, solve_tree
+from dessinjulia.plane_tree import (Passport, parse_plane_code, plane_code,
+                                    trees_with_passport)
+from dessinjulia.shabat import (_same_vertex_set, _whites, identify_tree,
+                                solve_passport, solve_tree)
 
 
 def _cfg(**kw):
@@ -183,6 +185,26 @@ def test_big_passport_separation_one_recomputed():
     sz = solve_tree(tree)
     assert plane_code(identify_tree(sz.poly)) == plane_code(tree)
     assert classify(sz.poly).taxonomy == entry["taxonomy"] == "g4"
+
+
+def test_big_passport_recomputed():
+    # every fixture taxonomy recomputed, and the passport solve returns one
+    # solution per fixture tree
+    data = big_passport_trees()
+    passport = Passport.parse("13,1,1|2,2,1,1,1,1,1,1,1,1,1,1,1")
+    assert data["passport"] == str(passport)
+    solved = {}
+    for e in data["trees"]:
+        tree = parse_plane_code(e["code"])
+        sz = solve_tree(tree)
+        assert classify(sz.poly).taxonomy == e["taxonomy"]
+        solved[plane_code(tree)] = _whites(sz)
+    assert set(solved) == {plane_code(t) for t in
+                           trees_with_passport(passport.white, passport.black)}
+    sols = solve_passport(passport)
+    matches = [[code for code, whites in solved.items()
+                if _same_vertex_set(_whites(sol), whites)] for sol in sols]
+    assert sorted(matches) == sorted([code] for code in solved)
 
 
 # ------------------------------------------------------------------- report

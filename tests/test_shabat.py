@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from dessinjulia import shabat
 from dessinjulia.catalog import series_tree
 from dessinjulia.plane_tree import (enumerate_trees, invert_colors,
                                     parse_plane_code, passport_of, plane_code,
                                     symmetry_flags)
 from dessinjulia.polynomial import ComplexPoly, parse_poly, poly_from_roots
-from dessinjulia.shabat import (NoZapponiFormError, ShabatError, SZSolution,
-                                build_system, identify_tree, pcf_form,
-                                solve_passport, solve_tree, zapponi_normalize)
+from dessinjulia.shabat import (ExhaustedError, NoZapponiFormError,
+                                ShabatError, SZSolution, build_system,
+                                identify_tree, pcf_form, solve_passport,
+                                solve_tree, zapponi_normalize)
 
 
 def _nonsym(n):
@@ -97,6 +99,15 @@ def test_solve_rejects_tiny_trees():
         build_system("2,2|2,2")  # not a tree passport (s + t != n + 1)
 
 
+def test_exhausted_after_a_finite_seed_list(monkeypatch):
+    # with every Newton run failing, the seed list runs out: the layout
+    # seed, then the leaf continuations of sub-trees that cannot be solved
+    monkeypatch.setattr(shabat, "_newton",
+                        lambda system, u0, **kw: (u0, float("inf")))
+    with pytest.raises(ExhaustedError, match=r"after 1 seeds"):
+        solve_tree(parse_plane_code("W((()))()()"))
+
+
 def test_color_inversion_negates():
     # p_inverted(z) = -p(z applied to -z): solve both colorings directly
     tree = parse_plane_code("W(())()()")
@@ -108,9 +119,28 @@ def test_color_inversion_negates():
 
 def test_determinism():
     tree = parse_plane_code("W((()))()()")
-    a = solve_tree(tree, rng_seed=0).poly.as_array()
-    b = solve_tree(tree, rng_seed=0).poly.as_array()
+    a = solve_tree(tree).poly.as_array()
+    b = solve_tree(tree).poly.as_array()
     assert np.array_equal(a, b)
+
+
+def test_aimed_seed_solves_caterpillars_in_one_run(monkeypatch):
+    # the layout seed, fitted to the monic system's scale and orientation,
+    # converges to the tree itself: one alt-system run and the Zapponi polish
+    newton = shabat._newton
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(shabat, "_newton", counted)
+    runs = {}
+    for n in range(10, 14):
+        calls.clear()
+        solve_tree(series_tree(1, n))
+        runs[n] = len(calls)
+    assert max(runs.values()) <= 2, runs
 
 
 # ----------------------------------------------------------- identification
