@@ -7,7 +7,9 @@ the same algorithm so results agree to floating-point noise.  The backward
 tree (``cloud_chains``) is numpy-only: each level is one batched Aberth
 solve over all its rows.  Both renderers run one first-entry loop
 (``render_basin_grid``) over the pixels still live; escape time is that
-loop with no traps.
+loop with no traps.  A pixel whose orbit repeats a value exactly (Brent's
+cycle test on a tortoise copy) is dropped as never entering: from then on it
+only revisits values that already passed every test.
 """
 
 from __future__ import annotations
@@ -229,6 +231,11 @@ def orbit_tail(coeffs, z0, n_iter, keep, radius):
 
 # ---------------------------------------------------------------- rendering
 
+# First tortoise snapshot of the render loop's cycle exit; later ones at
+# twice the step before (Brent).  Most pixels of a grid escape within a few
+# steps, so comparing from step 1 would only slow those grids down.
+CYCLE_START = 32
+
 
 @njit(cache=True)
 def _render_basin_nb(c, xs, ys, max_iter, radius, traps, groups, trap_r):
@@ -241,6 +248,8 @@ def _render_basin_nb(c, xs, ys, max_iter, radius, traps, groups, trap_r):
     for iy in range(h):
         for ix in range(w):
             z = complex(xs[ix], ys[iy])
+            tort = z
+            snap = CYCLE_START
             for it in range(max_iter + 1):
                 az = abs(z)
                 if az > radius or not np.isfinite(az):
@@ -257,6 +266,11 @@ def _render_basin_nb(c, xs, ys, max_iter, radius, traps, groups, trap_r):
                     steps[iy, ix] = it
                     which[iy, ix] = groups[hit] + 1
                     break
+                if it > CYCLE_START and z == tort:
+                    break  # periodic in floating point: never enters
+                if it == snap:
+                    tort = z
+                    snap *= 2
                 if it < max_iter:
                     z = _polyval_scalar(c, z)
     return steps, which
@@ -266,11 +280,15 @@ def _render_basin_np(c, xs, ys, max_iter, radius, traps, groups, trap_r):
     """The first-entry loop over the live pixels only: their values and
     flat pixel indices sit in two 1-D arrays, and a pixel that leaves the
     disc or enters a trap is written through its index and dropped from
-    both."""
+    both.  A pixel whose value equals its tortoise copy (taken at steps
+    CYCLE_START, 2*CYCLE_START, ...) is dropped unwritten: its orbit repeats
+    values that already passed every test."""
     z = (xs[None, :] + 1j * ys[:, None]).astype(np.complex128).ravel()
     steps = np.full(z.shape, -1, dtype=np.int32)
     which = np.zeros(z.shape, dtype=np.int16)
     pix = np.arange(z.size)
+    tort = None
+    snap = CYCLE_START
     for it in range(max_iter + 1):
         with np.errstate(invalid="ignore", over="ignore"):
             done = ~(np.abs(z) <= radius)
@@ -278,12 +296,18 @@ def _render_basin_np(c, xs, ys, max_iter, radius, traps, groups, trap_r):
             hit = ~done & (np.abs(z - traps[t]) <= trap_r)
             which[pix[hit]] = groups[t] + 1
             done |= hit
-        if done.any():
+        drop = done if tort is None else done | (z == tort)
+        if drop.any():
             steps[pix[done]] = it
-            live = ~done
+            live = ~drop
             z, pix = z[live], pix[live]
+            if tort is not None:
+                tort = tort[live]
             if not pix.size:
                 break
+        if it == snap:
+            tort = z
+            snap *= 2
         if it < max_iter:
             acc = np.full_like(z, c[-1])
             for i in range(len(c) - 2, -1, -1):
@@ -297,7 +321,9 @@ def _render_basin_np(c, xs, ys, max_iter, radius, traps, groups, trap_r):
 def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r):
     """Per pixel, the first step at which the orbit leaves the disc of the
     given radius (attractor id 0) or comes within trap_r of traps[t]
-    (attractor id groups[t] + 1); -1 and 0 if neither within max_iter."""
+    (attractor id groups[t] + 1); -1 and 0 if neither within max_iter.
+    An orbit that repeats a value exactly is periodic in floating point and
+    is dropped as never entering, with the same -1 and 0."""
     c = np.asarray(coeffs, dtype=np.complex128)
     traps = np.asarray(traps, dtype=np.complex128)
     groups = np.asarray(groups, dtype=np.int16)

@@ -88,7 +88,8 @@ def _build_parser():
                    help="iteration cap (default 500 for escape, 2000 for "
                         "basins)")
     p.add_argument("--trap-radius", type=_positive(float), default=0.01)
-    p.add_argument("--escape-bound", type=_positive(float))
+    p.add_argument("--escape-bound", type=_positive(float),
+                   help="escape radius of --mode basins")
 
     p = sub.add_parser("dim", help="Hausdorff dimension estimate")
     g = p.add_mutually_exclusive_group(required=True)
@@ -319,7 +320,11 @@ _DISPATCH = {
 
 def run_cli(argv=None, out=None):
     out = out or sys.stdout
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "render" and args.mode == "escape" and \
+            args.escape_bound is not None:
+        parser.error("render: --escape-bound applies to --mode basins only")
     try:
         return _DISPATCH[args.command](args, out)
     except _CliError as exc:

@@ -446,16 +446,24 @@ def _solve_tree_alt(tree, memo):
     monic/pinned normalization, ordered by decreasing degree per color.
 
     Newton runs from a finite seed list: the tree layout, then the leaf
-    continuations; ExhaustedError when none of them reaches the tree."""
+    continuations; ExhaustedError when none of them reaches the tree.
+    memo maps plane codes to solutions, and to None for a tree whose seeds
+    all failed: that tree raises again without a new search, unless an
+    identification has reached it (or its mirror) since."""
     target_code = pt.plane_code(tree)
-    if target_code in memo:
-        return memo[target_code]
+    sol = memo.get(target_code)
+    if sol is not None:
+        return sol
     mirror_code = pt.plane_code(pt.mirror(tree))
-    if mirror_code in memo:
+    if memo.get(mirror_code) is not None:
         xs, ys = memo[mirror_code]
         sol = (np.conj(xs), np.conj(ys))
         memo[target_code] = sol
         return sol
+    if target_code in memo:
+        raise ExhaustedError(
+            f"no Shabat polynomial found for tree {target_code}; its seeds "
+            "failed before")
     w, b = _degrees(tree)
     system = _AltSystem(w, b)
 
@@ -484,7 +492,7 @@ def _solve_tree_alt(tree, memo):
         except PathLiftingError:
             continue
         code = pt.plane_code(found)
-        if code not in memo:
+        if memo.get(code) is None:
             memo[code] = (x.copy(), y.copy())
         if code == target_code:
             return memo[code]
@@ -492,6 +500,7 @@ def _solve_tree_alt(tree, memo):
             sol = (np.conj(x), np.conj(y))
             memo[target_code] = sol
             return sol
+    memo[target_code] = None
     raise ExhaustedError(
         f"no Shabat polynomial found for tree {target_code} after "
         f"{tries} seeds")

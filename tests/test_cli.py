@@ -113,6 +113,16 @@ def test_render_basins(tmp_path):
     assert out.exists()
 
 
+def test_render_escape_rejects_escape_bound(tmp_path):
+    # the escape render has no bound to honour: a usage error, no image
+    out = tmp_path / "img.ppm"
+    with pytest.raises(SystemExit) as exc:
+        run(["render", "--poly=-1,0,1", "--out", str(out), "--size", "8x8",
+             "--escape-bound", "5"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_render_basins_honours_max_iter(tmp_path):
     images = []
     for extra in ([], ["--max-iter", "3"]):

@@ -127,6 +127,79 @@ def test_render_edge_grids():
     assert (steps >= 0).all()
 
 
+def _first_entry_plain(c, xs, ys, max_iter, radius, traps, groups, trap_r):
+    """The first-entry raster in plain Python complex arithmetic, every
+    step up to max_iter with no cycle exit.  Also counts the pixels that
+    enter nothing although their orbit repeats a value exactly."""
+    cl = [complex(a) for a in c]
+    steps = np.full((len(ys), len(xs)), -1, dtype=np.int32)
+    which = np.zeros(steps.shape, dtype=np.int16)
+    repeating = 0
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            z = complex(x, y)
+            seen = set()
+            for it in range(max_iter + 1):
+                if not abs(z) <= radius:
+                    steps[iy, ix] = it
+                    break
+                hit = [t for t, trap in enumerate(traps)
+                       if abs(z - trap) <= trap_r]
+                if hit:
+                    steps[iy, ix] = it
+                    which[iy, ix] = groups[hit[0]] + 1
+                    break
+                seen.add(z)
+                acc = cl[-1]
+                for a in cl[-2::-1]:
+                    acc = acc * z + a
+                z = acc
+            else:
+                repeating += len(seen) <= max_iter
+    return steps, which, repeating
+
+
+@pytest.fixture(scope="module", params=["basilica", "tree7"])
+def periodic_interior(request):
+    """A polynomial whose bounded orbits settle on an exact floating-point
+    cycle, and a half-width that frames its Julia set (for the tree, the
+    catalog's framing)."""
+    if request.param == "basilica":
+        return parse_poly("-1,0,1"), 1.6
+    return solve_tree(parse_plane_code("W((())())()(())")).poly, 49.0
+
+
+def test_render_is_exact_with_the_cycle_exit(periodic_interior, monkeypatch):
+    # both backends against the plain loop, on grids where the exit fires;
+    # the traps are discs around the repelling fixed points
+    p, span = periodic_interior
+    c = p.as_array()
+    radius = escape_radius(p)
+    fixed = np.roots((c - np.eye(len(c))[1])[::-1])
+    fixed = fixed[np.abs(np.polyval(_derivative(c)[::-1], fixed)) > 1]
+    grids = [(np.linspace(-span, span, 24), np.linspace(-span, span, 24)
+              + 0.01 * span),
+             (np.linspace(-0.8 * span, 0.55 * span, 37),
+              np.linspace(-0.25 * span, 0.7 * span, 23))]
+    trap_sets = [(*_NO_TRAPS, 0.0),
+                 (fixed, np.arange(len(fixed), dtype=np.int16), span / 16)]
+    for xs, ys in grids:
+        for traps, groups, trap_r in trap_sets:
+            steps, which, repeating = _first_entry_plain(
+                c, xs, ys, 200, radius, traps, groups, trap_r)
+            assert repeating > 0 and (steps >= 0).any()
+            assert (which > 0).any() == bool(len(traps))
+            for numba in (True, False):
+                monkeypatch.setattr(K, "USE_NUMBA", numba)
+                s, w = K.render_basin_grid(c, xs, ys, 200, radius, traps,
+                                           groups, trap_r)
+                np.testing.assert_array_equal(s, steps)
+                np.testing.assert_array_equal(w, which)
+                if not len(traps):
+                    np.testing.assert_array_equal(
+                        K.render_escape_grid(c, xs, ys, 200, radius), steps)
+
+
 def test_backward_tree(poly):
     c = poly.as_array()
     d = poly.degree

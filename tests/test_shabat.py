@@ -108,6 +108,34 @@ def test_exhausted_after_a_finite_seed_list(monkeypatch):
         solve_tree(parse_plane_code("W((()))()()"))
 
 
+def test_failed_subtrees_are_searched_once(monkeypatch):
+    # every Newton run fails: each sub-tree is searched once per memo, not
+    # once per leaf-removal order that reaches it (3929 runs without that)
+    runs = []
+
+    def newton(system, u0, **kw):
+        runs.append(1)
+        return u0, float("inf")
+
+    monkeypatch.setattr(shabat, "_newton", newton)
+    with pytest.raises(ExhaustedError):
+        solve_tree(parse_plane_code("W((()()))()()()()"))
+    assert len(runs) <= 200
+
+
+def test_a_failed_tree_is_stored_once_identified():
+    # solving B((((())())())) identifies W(((())())(())) on the way; that
+    # solution is stored although the tree is recorded as failed
+    found = "W(((())())(()))"
+    memo = {found: None}
+    with pytest.raises(ExhaustedError, match="failed before"):
+        shabat._solve_tree_alt(parse_plane_code(found), memo)
+    solve_tree(parse_plane_code("B((((())())()))"), _memo=memo)
+    assert memo[found] is not None
+    assert shabat._solve_tree_alt(parse_plane_code(found), memo) is \
+        memo[found]
+
+
 def test_color_inversion_negates():
     # p_inverted(z) = -p(z applied to -z): solve both colorings directly
     tree = parse_plane_code("W(())()()")
