@@ -99,13 +99,19 @@ class ComplexPoly:
         return format_poly(self)
 
 
-def poly_from_roots(roots, mults, leading=1.0):
+def expand_roots(roots, mults, leading=1.0):
+    """Ascending coefficient array of leading * prod (z - r)^m."""
     acc = np.array([complex(leading)], dtype=np.complex128)
+    lin = np.ones(2, dtype=np.complex128)
     for r, m in zip(roots, mults):
-        lin = np.array([-complex(r), 1.0], dtype=np.complex128)
+        lin[0] = -complex(r)
         for _ in range(m):
             acc = np.convolve(acc, lin)
-    return ComplexPoly(tuple(acc))
+    return acc
+
+
+def poly_from_roots(roots, mults, leading=1.0):
+    return ComplexPoly(tuple(expand_roots(roots, mults, leading)))
 
 
 def evaluate(p, z):
@@ -245,8 +251,7 @@ def _cluster_quality(p, clusters):
     """Relative coefficient error of re-expanding the clustered roots."""
     locs = [c.location for c in clusters]
     mults = [c.multiplicity for c in clusters]
-    q = poly_from_roots(locs, mults, p.leading)
-    pa, qa = p.as_array(), q.as_array()
+    pa, qa = p.as_array(), expand_roots(locs, mults, p.leading)
     n = max(len(pa), len(qa))
     pa = np.pad(pa, (0, n - len(pa)))
     qa = np.pad(qa, (0, n - len(qa)))

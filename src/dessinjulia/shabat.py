@@ -5,14 +5,18 @@ degrees), black coordinates y_j (l_j), and the leading factor a, tied by
 
     p - 1 = a * prod (z - x_i)^{k_i},    p + 1 = a * prod (z - y_j)^{l_j},
 
-so a*(B - A) = 2 identically, plus the normalization sum x_i = 1,
-sum y_j = -1.  Damped Newton solves the system of one tree in a monic
-normalization, from a finite seed list: the geometric tree layout, then
-leaf-removal continuations.  Each seed's leading factor is fitted by least
-squares and the seed scaled to make it 1, so it lands next to one of the
-monic system's n rotated copies of the solution.  Path-lifting of
-p(z(t)) = t over [-1, 1] recovers which plane tree a solution realizes.  A
-passport is solved tree by tree.
+so a*(B - A) = 2 identically for the two monic products A and B.  Both
+Newton systems are built on that coefficient block.  The monic one (a = 1,
+first white at 0) solves one tree by damped Newton from a finite seed list:
+the geometric tree layout, then leaf-removal continuations.  Each seed's
+leading factor is fitted by least squares and the seed scaled to make it 1,
+so it lands next to one of the monic system's n rotated copies of the
+solution.  The Zapponi one (a free, sum x_i = 1, sum y_j = -1) polishes the
+solution's affine image.  A passport is solved tree by tree.
+
+The other way, a polynomial's vertices are the clustered roots of p - 1 and
+p + 1, found once and accepted by the Riemann-Hurwitz count s + t = n + 1;
+path-lifting of p(z(t)) = t over [-1, 1] joins them into its plane tree.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import plane_tree as pt
-from .polynomial import (ComplexPoly, RootCluster, derivative, evaluate,
-                         poly_from_roots, roots)
+from .polynomial import (ComplexPoly, PolynomialError, RootCluster, evaluate,
+                         expand_roots, roots)
 
 
 class ShabatError(RuntimeError):
@@ -96,17 +100,12 @@ class SZSolution:
 # ----------------------------------------------------------- residual system
 
 
-def _monic_from(roots_, mults):
-    acc = np.array([1.0 + 0j])
-    for r, m in zip(roots_, mults):
-        lin = np.array([-r, 1.0 + 0j])
-        for _ in range(m):
-            acc = np.convolve(acc, lin)
-    return acc
+class _VertexSystem:
+    """Newton system of one colored tree passport.  Its first n rows are
+    the coefficient block a*(B - A)[:n] - 2e_0 of the monic A and B; a
+    subclass picks the unknowns (split) and adds its own rows and columns."""
 
-
-class ResidualSystem:
-    """Square holomorphic system for one colored passport."""
+    pinned = 0  # leading whites held fixed, without a Jacobian column
 
     def __init__(self, white_degrees, black_degrees):
         w = tuple(white_degrees)
@@ -123,51 +122,67 @@ class ResidualSystem:
         self.n = n
         self.s = len(w)
         self.t = len(b)
+
+    def monics(self, x, y):
+        return expand_roots(x, self.k), expand_roots(y, self.l)
+
+    def residual(self, u):
+        x, y, a = self.split(u)
+        A, B = self.monics(x, y)
+        F = a * (B - A)[: self.n]  # z^0 .. z^{n-1}
+        F[0] -= 2.0
+        return F
+
+    def _vertex_columns(self, x, y, a):
+        """Derivatives of the block by the free x_i, then by every y_j."""
+        for i in range(self.pinned, self.s):
+            mults = list(self.k)
+            mults[i] -= 1
+            yield a * self.k[i] * expand_roots(x, mults)[: self.n]
+        for j in range(self.t):
+            mults = list(self.l)
+            mults[j] -= 1
+            yield -a * self.l[j] * expand_roots(y, mults)[: self.n]
+
+    def jacobian(self, u):
+        x, y, a = self.split(u)
+        J = np.zeros((self.size, self.size), dtype=np.complex128)
+        for c, col in enumerate(self._vertex_columns(x, y, a)):
+            J[: self.n, c] = col
+        return J
+
+    def scale(self, u):
+        x, y, a = self.split(u)
+        A, B = self.monics(x, y)
+        return 1.0 + abs(a) * float(max(np.max(np.abs(A)), np.max(np.abs(B))))
+
+
+class ResidualSystem(_VertexSystem):
+    """Zapponi normalization: unknowns x, y and a, with the rows
+    sum x_i = 1 and sum y_j = -1."""
+
+    def __init__(self, white_degrees, black_degrees):
+        super().__init__(white_degrees, black_degrees)
         self.size = self.s + self.t + 1
 
     def split(self, u):
         return u[:self.s], u[self.s:self.s + self.t], u[-1]
 
     def residual(self, u):
-        x, y, a = self.split(u)
-        A = _monic_from(x, self.k)
-        B = _monic_from(y, self.l)
-        F = np.empty(self.size, dtype=np.complex128)
-        diff = a * (B - A)[: self.n]  # z^0 .. z^{n-1}
-        F[: self.n] = diff
-        F[0] -= 2.0
-        F[self.n] = x.sum() - 1.0
-        F[self.n + 1] = y.sum() + 1.0
-        return F
+        x, y, _ = self.split(u)
+        return np.concatenate([super().residual(u),
+                               [x.sum() - 1.0, y.sum() + 1.0]])
 
     def jacobian(self, u):
-        x, y, a = self.split(u)
-        A = _monic_from(x, self.k)
-        B = _monic_from(y, self.l)
-        J = np.zeros((self.size, self.size), dtype=np.complex128)
-        for i in range(self.s):
-            mults = list(self.k)
-            mults[i] -= 1
-            Ai = _monic_from(x, mults)
-            J[: self.n, i] = a * self.k[i] * Ai[: self.n]
-        for j in range(self.t):
-            mults = list(self.l)
-            mults[j] -= 1
-            Bj = _monic_from(y, mults)
-            J[: self.n, self.s + j] = -a * self.l[j] * Bj[: self.n]
+        J = super().jacobian(u)
+        A, B = self.monics(*self.split(u)[:2])
         J[: self.n, -1] = (B - A)[: self.n]
         J[self.n, : self.s] = 1.0
         J[self.n + 1, self.s: self.s + self.t] = 1.0
         return J
 
-    def scale(self, u):
-        x, y, a = self.split(u)
-        A = _monic_from(x, self.k)
-        B = _monic_from(y, self.l)
-        return 1.0 + abs(a) * float(max(np.max(np.abs(A)), np.max(np.abs(B))))
 
-
-class _AltSystem:
+class _AltSystem(_VertexSystem):
     """Scale-free normalization: monic (a = 1) with the highest-multiplicity
     white vertex pinned at the origin.
 
@@ -176,49 +191,15 @@ class _AltSystem:
     is the internal workhorse; the affine map into Zapponi form is applied
     afterwards when it exists."""
 
+    pinned = 1
+
     def __init__(self, white_degrees, black_degrees):
-        w = tuple(white_degrees)
-        b = tuple(black_degrees)
-        n = sum(w)
-        if sum(b) != n or len(w) + len(b) != n + 1 or n < 2:
-            raise ShabatError("invalid colored tree passport")
-        self.k = w
-        self.l = b
-        self.n = n
-        self.s = len(w)
-        self.t = len(b)
-        self.size = n  # (s - 1) + t
+        super().__init__(white_degrees, black_degrees)
+        self.size = self.n  # (s - 1) + t
 
     def split(self, u):
         x = np.concatenate([[0j], u[: self.s - 1]])
         return x, u[self.s - 1:], 1.0
-
-    def residual(self, u):
-        x, y, _ = self.split(u)
-        A = _monic_from(x, self.k)
-        B = _monic_from(y, self.l)
-        F = (B - A)[: self.n].copy()
-        F[0] -= 2.0
-        return F
-
-    def jacobian(self, u):
-        x, y, _ = self.split(u)
-        J = np.zeros((self.size, self.size), dtype=np.complex128)
-        for i in range(1, self.s):
-            mults = list(self.k)
-            mults[i] -= 1
-            J[:, i - 1] = self.k[i] * _monic_from(x, mults)[: self.n]
-        for j in range(self.t):
-            mults = list(self.l)
-            mults[j] -= 1
-            J[:, self.s - 1 + j] = -self.l[j] * _monic_from(y, mults)[: self.n]
-        return J
-
-    def scale(self, u):
-        x, y, _ = self.split(u)
-        A = _monic_from(x, self.k)
-        B = _monic_from(y, self.l)
-        return 1.0 + float(max(np.max(np.abs(A)), np.max(np.abs(B))))
 
 
 def build_system(passport):
@@ -290,17 +271,19 @@ def _tree_layout(tree, rounds=50):
 # ------------------------------------------------------------ solving
 
 
-def _solution_from_vector(system, u, norm):
-    x, y, a = system.split(u)
-    pa = a * _monic_from(x, system.k)
+def _clusters(poly, points, value):
+    """RootClusters of poly = value at (location, multiplicity) points."""
+    return [RootCluster(complex(z), m, float(abs(evaluate(poly, z) - value)))
+            for z, m in points]
+
+
+def _vertex_polynomial(system, x, y, a):
+    """p = a*prod (z - x_i)^{k_i} + 1 with its white and black vertices."""
+    pa = a * expand_roots(x, system.k)
     pa[0] += 1.0
     poly = ComplexPoly(tuple(pa))
-    white = [RootCluster(complex(xi), k, float(abs(evaluate(poly, xi) - 1.0)))
-             for xi, k in zip(x, system.k)]
-    black = [RootCluster(complex(yj), l, float(abs(evaluate(poly, yj) + 1.0)))
-             for yj, l in zip(y, system.l)]
-    return SZSolution(poly, white, black, complex(a),
-                      float(norm / system.scale(u)))
+    return (poly, _clusters(poly, zip(x, system.k), 1.0),
+            _clusters(poly, zip(y, system.l), -1.0))
 
 
 def _is_valid_solution(system, u, norm):
@@ -377,8 +360,8 @@ def _alt_seed(system, wpos, bpos):
     w = np.asarray(wpos, dtype=np.complex128)
     b = np.asarray(bpos, dtype=np.complex128)
     u = np.concatenate([w[1:], b]) - w[0]
-    x, y, _ = system.split(u)
-    d = (_monic_from(y, system.l) - _monic_from(x, system.k))[: system.n]
+    A, B = system.monics(*system.split(u)[:2])
+    d = (B - A)[: system.n]
     with np.errstate(all="ignore"):
         a = 2.0 * np.conj(d[0]) / np.sum(np.abs(d) ** 2)
         mu = (1.0 / a) ** (1.0 / system.n)
@@ -432,15 +415,6 @@ def _alt_continuation_seeds(system, tree, memo):
                                     [p for p, _ in bm])
 
 
-def _alt_identify(system, x, y):
-    pa = _monic_from(x, system.k)
-    pa[0] += 1.0
-    poly = ComplexPoly(tuple(pa))
-    white = [RootCluster(complex(xi), k, 0.0) for xi, k in zip(x, system.k)]
-    black = [RootCluster(complex(yj), l, 0.0) for yj, l in zip(y, system.l)]
-    return _identify_from_vertices(poly, white, black)
-
-
 def _solve_tree_alt(tree, memo):
     """Vertex coordinates (x, y) of the tree's Shabat polynomial in the
     monic/pinned normalization, ordered by decreasing degree per color.
@@ -488,7 +462,8 @@ def _solve_tree_alt(tree, memo):
             continue
         lifted.append(whites)
         try:
-            found = _alt_identify(system, x, y)
+            found = _identify_from_vertices(
+                *_vertex_polynomial(system, x, y, 1.0))
         except PathLiftingError:
             continue
         code = pt.plane_code(found)
@@ -565,31 +540,31 @@ def solve_tree(tree, _memo=None):
         raise ExhaustedError(
             "could not polish the Zapponi form of tree "
             f"{pt.plane_code(tree)} (residual {norm:.3g})")
-    return _solution_from_vector(system, u, norm)
+    x, y, a = system.split(u)
+    return SZSolution(*_vertex_polynomial(system, x, y, a), complex(a),
+                      float(norm / system.scale(u)))
 
 
 # ------------------------------------------------------------ normalization
 
 
 def zapponi_normalize(p, tol=1e-9):
-    """Unique Zapponi form of a Shabat polynomial via shift + rescale."""
-    from .polynomial import is_shabat
-    if not is_shabat(p, tol=1e-6):
-        raise ShabatError("polynomial is not Shabat (critical values not ±1)")
+    """Unique Zapponi form q(z) = p(X*z - beta) of a Shabat polynomial:
+    beta centres p, X is the centred white sum.  The vertices are found
+    once, in p's coordinates, and carried over as w -> (w + beta)/X."""
+    whites, blacks = _tree_vertices(p)
     c = p.as_array()
-    n = p.degree
-    beta = c[-2] / (n * c[-1])
-    q = p.compose_affine(1.0, -beta)
-    whites = roots(q - ComplexPoly((1.0,)))
-    X = sum(w.location for w in whites)
+    beta = c[-2] / (p.degree * c[-1])
+    X = sum(w.location + beta for w in whites)
     if abs(X) <= tol:
         raise NoZapponiFormError(
             "white vertex coordinate sum is zero after centering; "
             "no Zapponi form exists")
-    q2 = q.compose_affine(X, 0.0)
-    whites = roots(q2 - ComplexPoly((1.0,)))
-    blacks = roots(q2 + ComplexPoly((1.0,)))
-    sol = SZSolution(q2, list(whites), list(blacks), q2.leading, 0.0)
+    q = p.compose_affine(X, -beta)
+    white, black = ([((v.location + beta) / X, v.multiplicity) for v in vs]
+                    for vs in (whites, blacks))
+    sol = SZSolution(q, _clusters(q, white, 1.0), _clusters(q, black, -1.0),
+                     q.leading, 0.0)
     sol.residual = float(max(sol.invariant_deviations()[1:3]))
     return sol
 
@@ -724,14 +699,30 @@ def _identify_from_vertices(p, whites, blacks):
     return tree
 
 
+def _tree_vertices(p):
+    """White and black vertices of a Shabat polynomial of degree n: the
+    clustered roots of p - 1 and p + 1.  With s and t distinct roots they
+    carry 2n - s - t of the n - 1 critical points, so (Riemann-Hurwitz) p
+    is Shabat exactly when s + t = n + 1 and s, t < n; ShabatError
+    otherwise, also when a split multiple root stayed unclustered."""
+    n = p.degree
+    try:
+        whites = roots(p - 1.0)
+        blacks = roots(p + 1.0)
+    except PolynomialError as exc:
+        raise ShabatError(f"polynomial is not Shabat: {exc}") from exc
+    s, t = len(whites), len(blacks)
+    if s + t != n + 1 or s >= n or t >= n:
+        raise ShabatError(
+            f"polynomial is not Shabat: p - 1 and p + 1 have {s} and {t} "
+            f"distinct roots, degree {n}")
+    return whites, blacks
+
+
 def identify_tree(p):
-    """Reconstruct the plane tree p^{-1}([-1, 1]) of a Shabat polynomial."""
-    from .polynomial import is_shabat
-    if not is_shabat(p, tol=1e-6):
-        raise ShabatError("polynomial is not Shabat")
-    whites = roots(p - ComplexPoly((1.0,)))
-    blacks = roots(p + ComplexPoly((1.0,)))
-    return _identify_from_vertices(p, whites, blacks)
+    """Reconstruct the plane tree p^{-1}([-1, 1]) of a Shabat polynomial
+    by path lifting between its vertices."""
+    return _identify_from_vertices(p, *_tree_vertices(p))
 
 
 # ------------------------------------------------------------ pcf form

@@ -163,3 +163,7 @@ def test_is_shabat_examples():
     assert not is_shabat(ComplexPoly((0, 0, 1)))  # critical value 0
     assert not is_shabat(ComplexPoly((0.5, 0, 2)))  # values ±1 shifted
     assert not is_shabat(ComplexPoly((0, 1)))  # degree 1
+    # critical values within tol of +-1 pass, although the double roots of
+    # p -+ 1 are split and shabat's vertex count refuses this polynomial
+    q2 = poly_from_roots([-2.0, 3.0], [3, 2], -1 / 54) + 1.0
+    assert is_shabat(q2 + 1e-9)

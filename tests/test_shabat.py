@@ -3,9 +3,9 @@ import pytest
 
 from dessinjulia import shabat
 from dessinjulia.catalog import series_tree
-from dessinjulia.plane_tree import (enumerate_trees, invert_colors,
-                                    parse_plane_code, passport_of, plane_code,
-                                    symmetry_flags)
+from dessinjulia.plane_tree import (Passport, enumerate_trees,
+                                    invert_colors, parse_plane_code,
+                                    passport_of, plane_code, symmetry_flags)
 from dessinjulia.polynomial import ComplexPoly, parse_poly, poly_from_roots
 from dessinjulia.shabat import (ExhaustedError, NoZapponiFormError,
                                 ShabatError, SZSolution, build_system,
@@ -97,6 +97,25 @@ def test_solve_rejects_tiny_trees():
         solve_tree(parse_plane_code("W()"))
     with pytest.raises(ShabatError):
         build_system("2,2|2,2")  # not a tree passport (s + t != n + 1)
+
+
+@pytest.mark.parametrize("passport",
+                         ["4,1|2,1,1,1", "3,2|2,1,1,1", "3,1,1|3,1,1"])
+def test_jacobians_match_central_differences(passport):
+    # both systems are holomorphic, so a real step gives each column
+    pp = Passport.parse(passport)
+    rng = np.random.default_rng(11)
+    h = 1e-6
+    for system in (build_system(pp), shabat._AltSystem(pp.white, pp.black)):
+        u = rng.normal(size=system.size) + 1j * rng.normal(size=system.size)
+        J = system.jacobian(u)
+        fd = np.empty_like(J)
+        for c in range(system.size):
+            e = np.zeros(system.size)
+            e[c] = h
+            fd[:, c] = (system.residual(u + e) - system.residual(u - e)) \
+                / (2 * h)
+        assert np.max(np.abs(J - fd)) < 1e-6 * np.max(np.abs(J)), system
 
 
 def test_exhausted_after_a_finite_seed_list(monkeypatch):
@@ -196,6 +215,22 @@ def test_identify_round_trip_caterpillars(family):
 def test_identify_rejects_non_shabat():
     with pytest.raises(ShabatError):
         identify_tree(ComplexPoly((0, 0, 1)))
+
+
+def test_near_shabat_input_is_not_a_tree():
+    # p + eps is Shabat within is_shabat's tolerance, but p -+ 1 now have
+    # split double roots: s + t != n + 1 vertices, so no tree is read off
+    sol = solve_tree(parse_plane_code("W((()))()()"))
+    for eps in (1e-10, 1e-9, 1e-8):
+        for read in (identify_tree, zapponi_normalize):
+            with pytest.raises(ShabatError, match="not Shabat") as info:
+                read(sol.poly + eps)
+            assert not isinstance(info.value, NoZapponiFormError)
+    back = zapponi_normalize(sol.poly + 1e-12)
+    assert sorted((w.multiplicity for w in back.white), reverse=True) == \
+        [3, 2]
+    assert sorted((b.multiplicity for b in back.black), reverse=True) == \
+        [2, 1, 1, 1]
 
 
 # ------------------------------------------------------------ normalization
