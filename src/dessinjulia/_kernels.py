@@ -5,7 +5,11 @@ scalar loops, ``*_np`` variants are vectorized numpy fallbacks.  The public
 names dispatch on the backend flag (see _backend).  Both flavors implement
 the same algorithm so results agree to floating-point noise.  The backward
 tree (``cloud_chains``) is numpy-only: each level is one batched Aberth
-solve over all its rows.  Both renderers run one first-entry loop
+solve over all its rows.  A batched Aberth step takes every row's pair sums
+from one (d, rows, d) array of differences, reciprocated in place and added
+in numpy's pairwise order, so the roots are bitwise those of ``.sum``; zero
+differences (two equal points) are repaired only when the sums come out
+non-finite.  Both renderers run one first-entry loop
 (``render_basin_grid``) over the pixels still live; escape time is that
 loop with no traps.  A pixel whose orbit repeats a value exactly (Brent's
 cycle test on a tortoise copy) is dropped as never entering: from then on it
@@ -64,8 +68,9 @@ def _aberth_iterate_nb(c, dc, w, maxiter, tol):
             for j in range(n):
                 if j != i:
                     d = w[i] - w[j]
-                    if d == 0.0:
-                        d = 1e-12 + 1e-12j
+                    if d == 0.0:  # as in _pair_sums
+                        d = ((1e-12 + 1e-12j) * (1.0 + abs(w[i]))
+                             * np.sign(i - j))
                     s += 1.0 / d
             denom = ratio - s
             if denom == 0.0:
@@ -80,34 +85,73 @@ def _aberth_iterate_nb(c, dc, w, maxiter, tol):
     return w
 
 
+def _pairwise_sum(a):
+    """a[0] + a[1] + ... over the leading axis, added in the order of
+    numpy's pairwise summation (four lanes, then ((0 + 1) + (2 + 3)), then
+    the tail; halves above 64 terms), which is what ``.sum()`` does along a
+    contiguous axis: the result is bitwise that reduction's."""
+    m = len(a)
+    if m > 64:
+        h = (m - m % 8) // 2
+        return _pairwise_sum(a[:h]) + _pairwise_sum(a[h:])
+    if m < 4:
+        s = a[0]
+        for x in a[1:]:
+            s = s + x
+        return s
+    q = m - m % 4
+    lanes = a[:4]
+    for i in range(4, q, 4):
+        lanes = lanes + a[i:i + 4]
+    s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+    for x in a[q:]:
+        s += x
+    return s
+
+
+def _pair_sums(w, repair):
+    """s[r, i] = sum over j != i of 1 / (w[r, i] - w[r, j]).  The pair
+    differences are laid out as d (rows, d) blocks, one per j, with 1 on
+    the diagonal (taken off again at the end).  With repair, a zero
+    difference counts as +-(1e-12 + 1e-12j)(1 + |w[r, i]|) with the sign of
+    i - j: a step above the rounding of w[r, i] that pushes the two equal
+    points apart instead of moving them together."""
+    d = w.shape[1]
+    diff = w[None, :, :] - w.T.copy()[:, :, None]
+    for j in range(d):
+        diff[j, :, j] = 1.0
+    if repair:
+        side = np.sign(np.arange(d) - np.arange(d)[:, None])[:, None, :]
+        diff = np.where(diff == 0.0,
+                        (1e-12 + 1e-12j) * (1.0 + np.abs(w)) * side, diff)
+    np.divide(1.0, diff, out=diff)
+    return _pairwise_sum(diff) - 1.0
+
+
 def _aberth_iterate_np(c, dc, w, z, maxiter, tol):
     """Aberth iteration on p(w) = z[r] for every row r of w at once.  A row
-    stops when its largest relative correction falls below tol."""
+    stops when its largest relative correction falls below tol.  Two equal
+    points make their pair sums non-finite; only then are the sums taken
+    again with the zero differences repaired."""
     out = w.copy()
     rows = np.arange(len(w))
-    n = w.shape[1]
-    for _ in range(maxiter):
-        p = _polyval_np(c, w) - z[:, None]
-        dp = _polyval_np(dc, w)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio = dp / np.where(p != 0.0, p, 1.0)
-        # a zero or underflowed p (next to a multiple root) takes no step
-        ok = (p != 0.0) & np.isfinite(ratio)
-        ratio = np.where(ok, ratio, 0.0)
-        diff = w[:, :, None] - w[:, None, :]
-        diff.reshape(len(w), n * n)[:, ::n + 1] = 1.0
-        diff[diff == 0.0] = 1e-12 + 1e-12j
-        s = (1.0 / diff).sum(axis=2) - 1.0  # subtract the diagonal dummy
-        denom = ratio - s
-        good = ok & (denom != 0.0)
-        corr = np.where(good, 1.0 / np.where(good, denom, 1.0), 0.0)
-        w = w - corr
-        done = (np.abs(corr) / (1.0 + np.abs(w))).max(axis=1) < tol
-        if done.any():
-            out[rows[done]] = w[done]
-            rows, w, z = rows[~done], w[~done], z[~done]
-            if not len(rows):
-                break
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(maxiter):
+            p = _polyval_np(c, w) - z[:, None]
+            ratio = _polyval_np(dc, w) / p
+            s = _pair_sums(w, False)
+            if not np.isfinite(s).all():
+                s = _pair_sums(w, True)
+            corr = 1.0 / (ratio - s)
+            # a zero or underflowed p (next to a multiple root) takes no step
+            corr[~(np.isfinite(ratio) & np.isfinite(corr))] = 0.0
+            w = w - corr
+            done = (np.abs(corr) / (1.0 + np.abs(w))).max(axis=1) < tol
+            if done.any():
+                out[rows[done]] = w[done]
+                rows, w, z = rows[~done], w[~done], z[~done]
+                if not len(rows):
+                    break
     out[rows] = w
     return out
 
@@ -236,6 +280,20 @@ def orbit_tail(coeffs, z0, n_iter, keep, radius):
 # steps, so comparing from step 1 would only slow those grids down.
 CYCLE_START = 32
 
+# From this many live pixels on, the cycle test compares z and its tortoise
+# as float64 pairs, reading each pixel's two bools as one uint16: about 3x
+# cheaper than the complex comparison on 18.5k pixels, but its extra calls
+# cost more than they save below about 2k.
+PAIR_COMPARE_MIN = 2048
+
+
+def _repeats(z, tort):
+    """z == tort, elementwise."""
+    if z.size < PAIR_COMPARE_MIN:
+        return z == tort
+    return ((z.view(np.float64) == tort.view(np.float64)).view(np.uint16)
+            == 0x0101)
+
 
 @njit(cache=True)
 def _render_basin_nb(c, xs, ys, max_iter, radius, traps, groups, trap_r):
@@ -296,7 +354,7 @@ def _render_basin_np(c, xs, ys, max_iter, radius, traps, groups, trap_r):
             hit = ~done & (np.abs(z - traps[t]) <= trap_r)
             which[pix[hit]] = groups[t] + 1
             done |= hit
-        drop = done if tort is None else done | (z == tort)
+        drop = done if tort is None else done | _repeats(z, tort)
         if drop.any():
             steps[pix[done]] = it
             live = ~drop

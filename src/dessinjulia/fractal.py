@@ -215,10 +215,66 @@ class DimensionEstimate:
                 "diagnostics": {k: v for k, v in self.diagnostics.items()}}
 
 
+def _morton(ix, iy):
+    """Interleave the bits of two index arrays below 2**32 into one uint64
+    key: x in the even bits, y in the odd ones.  Shifting a key right by 2j
+    gives the key of the indices shifted right by j."""
+    def spread(v):
+        v = v.astype(np.uint64)
+        for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                            (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                            (1, 0x5555555555555555)):
+            v = (v | (v << np.uint64(shift))) & np.uint64(mask)
+        return v
+    return spread(ix) | (spread(iy) << np.uint64(1))
+
+
+def _box_ladder(pts, coarsest_div, finest_div):
+    """(div, N, ratio) for div = coarsest_div, 2 coarsest_div, ... up to
+    finest_div, stopping before the first saturated scale (N >= points/4).
+    N counts the boxes of side extent/div that the cloud meets, ratio is N
+    over the count for the half sample pts[::2].
+
+    Every scale comes from one sort.  The box indices are computed once, at
+    the finest division top; since extent/(2 div) is exactly half of
+    extent/div, the index at division top / 2**j is the finest one shifted
+    right by j, bit for bit.  So the boxes at every scale are runs of the sorted
+    Morton keys shifted right by 2j, and the half sample is the sorted keys
+    whose original index is even."""
+    extent = max(np.ptp(pts.real), np.ptp(pts.imag))
+    if extent <= 0:
+        raise FractalError("degenerate point set")
+    divs = [coarsest_div]
+    while divs[-1] * 2 <= finest_div:
+        divs.append(divs[-1] * 2)
+    e = extent / divs[-1]
+    keys = _morton(np.floor((pts.real - pts.real.min()) / e).astype(np.int64),
+                   np.floor((pts.imag - pts.imag.min()) / e).astype(np.int64))
+    order = np.argsort(keys)
+    keys = keys[order]
+    half = keys[order % 2 == 0]
+
+    def count(k, shift):
+        k = k >> np.uint64(shift)
+        return 1 + int(np.count_nonzero(k[1:] != k[:-1]))
+
+    ladder = []
+    for j, div in enumerate(divs):
+        shift = 2 * (len(divs) - 1 - j)
+        n = count(keys, shift)
+        if n >= len(pts) / 4:
+            break
+        ladder.append((div, n, n / count(half, shift)))
+    return ladder
+
+
 def box_dim(points, coarsest_div=8, finest_div=2 ** 18, disconnected=False,
             completeness_ratio=1.05):
     """Box-counting dimension of a point cloud: slope of log N(eps) against
-    log(1/eps) over a dyadic ladder of box sizes.
+    log(1/eps) over a dyadic ladder of box sizes eps = extent/div, div =
+    coarsest_div, 2 coarsest_div, ... <= finest_div (at most 2**31).  The
+    boxes of every scale are counted from one sort of the cloud's Morton
+    keys at the finest division (see _box_ladder).
 
     Only resolution-complete scales enter the fit: a scale is kept when the
     box count barely moves on halving the sample (ratio below
@@ -228,35 +284,20 @@ def box_dim(points, coarsest_div=8, finest_div=2 ** 18, disconnected=False,
     dropped too.  Confidence is low on a poor fit or when the set is known
     to be totally disconnected (box counting needs unreachable sample
     density on Cantor dusts)."""
+    if coarsest_div < 1:
+        raise ValueError("coarsest_div must be at least 1")
+    if finest_div < coarsest_div:
+        raise ValueError("finest_div must be at least coarsest_div")
+    if finest_div > 2 ** 31:
+        raise ValueError("finest_div must be at most 2**31")
     pts = np.asarray(points, dtype=np.complex128)
     if len(pts) < 10 ** 4:
         raise ValueError("need at least 10^4 points")
-    xr = pts.real.max() - pts.real.min()
-    yr = pts.imag.max() - pts.imag.min()
-    extent = max(xr, yr)
-    if extent <= 0:
-        raise FractalError("degenerate point set")
-    x0, y0 = pts.real.min(), pts.imag.min()
-    half = pts[::2]
-
-    def count(q, e):
-        ix = np.floor((q.real - x0) / e).astype(np.int64)
-        iy = np.floor((q.imag - y0) / e).astype(np.int64)
-        return len(np.unique(ix + (2 ** 32) * iy))
-
     # scan the dyadic ladder, then keep the contiguous resolution-complete
     # run: the ratio can start high (boxes barely touching the set are
     # rarely visited at coarse scales), dips, and rises again past the
     # sampling resolution
-    ladder = []
-    div = coarsest_div
-    while div <= finest_div:
-        e = extent / div
-        n = count(pts, e)
-        if n >= len(pts) / 4:
-            break
-        ladder.append((div, n, n / count(half, e)))
-        div *= 2
+    ladder = _box_ladder(pts, coarsest_div, finest_div)
     logs, counts = [], []
     started = False
     for div, n, ratio in ladder:

@@ -3,7 +3,8 @@ import pytest
 
 from dessinjulia.dynamics import classify
 from dessinjulia.fractal import (BAND_NAMES, DimensionEstimate, FractalError,
-                                 box_dim, julia_cloud, pressure_dim,
+                                 _box_ladder, box_dim, julia_cloud,
+                                 pressure_dim,
                                  render_basins, render_escape,
                                  repelling_fixed_point, save_cloud, write_ppm)
 from dessinjulia.polynomial import ComplexPoly
@@ -150,9 +151,57 @@ def test_box_dim_segment_and_square():
     assert d.method == "box_counting" and "fit_r2" in d.diagnostics
 
 
+def _ladder_by_unique(pts, coarsest_div, finest_div):
+    """The box ladder counted scale by scale: integer box indices at each
+    division, one np.unique of ix + 2**32 iy for the cloud and one for the
+    half sample pts[::2]."""
+    extent = max(np.ptp(pts.real), np.ptp(pts.imag))
+    x0, y0 = pts.real.min(), pts.imag.min()
+
+    def count(q, e):
+        ix = np.floor((q.real - x0) / e).astype(np.int64)
+        iy = np.floor((q.imag - y0) / e).astype(np.int64)
+        return len(np.unique(ix + 2 ** 32 * iy))
+
+    ladder = []
+    div = coarsest_div
+    while div <= finest_div:
+        n = count(pts, extent / div)
+        if n >= len(pts) / 4:
+            break
+        ladder.append((div, n, n / count(pts[::2], extent / div)))
+        div *= 2
+    return ladder
+
+
+def test_box_ladder_is_the_per_scale_count():
+    # the one Morton sort gives every scale's N and half-sample ratio of the
+    # per-scale definition exactly
+    k = np.arange(129 ** 2)
+    lattice = (k % 129 + 1j * (k // 129)) / 32  # extent 4
+    clouds = {
+        "quintic": julia_cloud(QUINTICS[2], 50_000),
+        "segment": RNG.uniform(-3, 5, 30_000).astype(np.complex128),
+        "square": RNG.uniform(0, 1, 30_000) + 1j * RNG.uniform(0, 1, 30_000),
+        # dyadic points on box edges at every scale, the largest on the
+        # last edge (index = div)
+        "edges": lattice,
+    }
+    for name, pts in clouds.items():
+        for coarsest, finest in ((8, 2 ** 18), (3, 1000), (1, 2 ** 31)):
+            want = _ladder_by_unique(pts, coarsest, finest)
+            assert want, name
+            assert _box_ladder(pts, coarsest, finest) == want, (name, coarsest)
+
+
 def test_box_dim_validation():
     with pytest.raises(ValueError):
         box_dim(np.zeros(100, dtype=np.complex128))
+    sq = RNG.uniform(0, 1, 20000) + 1j * RNG.uniform(0, 1, 20000)
+    for bad in ({"coarsest_div": 0}, {"coarsest_div": 8, "finest_div": 4},
+                {"finest_div": 2 ** 31 + 1}):
+        with pytest.raises(ValueError):
+            box_dim(sq, **bad)
     with pytest.raises(FractalError):
         box_dim(np.zeros(20000, dtype=np.complex128))  # degenerate set
     d = box_dim(RNG.uniform(0, 1, 50000).astype(np.complex128),

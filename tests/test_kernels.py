@@ -44,6 +44,34 @@ def test_aberth_iterate(poly):
     _close(np.sort_complex(a), np.sort_complex(b))
 
 
+def test_aberth_repairs_equal_start_points(poly, monkeypatch):
+    # two equal start points make the pair sums non-finite; the zero
+    # differences are then repaired and the iteration still finds every root
+    c = poly.as_array()
+    d = len(c) - 1
+    z = np.array([0.3 + 0.2j, -0.1 + 0.5j, 0.7 - 0.4j])
+    w0 = np.tile(K._aberth_start(c, d), (3, 1))
+    w0[0, 1] = w0[0, 0]
+    w0[1, -1] = w0[1, 0]
+    repairs = []
+    pair_sums = K._pair_sums
+    monkeypatch.setattr(K, "_pair_sums",
+                        lambda w, repair: repairs.append(repair)
+                        or pair_sums(w, repair))
+    got = K._aberth_iterate_np(c, _derivative(c), w0, z, 1000, 1e-14)
+    assert True in repairs
+    for r in range(3):
+        cz = c.copy()
+        cz[0] -= z[r]
+        want = np.roots(cz[::-1])
+        dist = np.abs(got[r][:, None] - want[None, :])
+        assert sorted(dist.argmin(axis=1)) == list(range(d))
+        assert (dist.min(axis=1) <= 1e-10 * (1 + np.abs(want).max())).all()
+        twin = K._aberth_iterate_nb(cz, _derivative(cz), w0[r].copy(), 1000,
+                                    1e-14)
+        _close(np.sort_complex(got[r]), np.sort_complex(twin))
+
+
 def test_orbit_brent_and_tail(poly, monkeypatch):
     c = poly.as_array()
     radius = escape_radius(poly)
@@ -189,8 +217,11 @@ def test_render_is_exact_with_the_cycle_exit(periodic_interior, monkeypatch):
                 c, xs, ys, 200, radius, traps, groups, trap_r)
             assert repeating > 0 and (steps >= 0).any()
             assert (which > 0).any() == bool(len(traps))
-            for numba in (True, False):
+            # pair_min 0 takes the float64-pair comparison on every step
+            for numba, pair_min in ((True, 0), (False, 0),
+                                    (False, K.PAIR_COMPARE_MIN)):
                 monkeypatch.setattr(K, "USE_NUMBA", numba)
+                monkeypatch.setattr(K, "PAIR_COMPARE_MIN", pair_min)
                 s, w = K.render_basin_grid(c, xs, ys, 200, radius, traps,
                                            groups, trap_r)
                 np.testing.assert_array_equal(s, steps)
@@ -198,6 +229,23 @@ def test_render_is_exact_with_the_cycle_exit(periodic_interior, monkeypatch):
                 if not len(traps):
                     np.testing.assert_array_equal(
                         K.render_escape_grid(c, xs, ys, 200, radius), steps)
+
+
+def test_repeats_is_complex_equality(monkeypatch):
+    # the float64-pair comparison agrees with complex == on signed zeros,
+    # NaNs and values equal in one part only
+    rng = np.random.default_rng(2)
+    z = rng.normal(size=3000) + 1j * rng.normal(size=3000)
+    t = z.copy()
+    t.real[::5] = np.nextafter(z.real[::5], np.inf)
+    t.imag[1::5] = np.nextafter(z.imag[1::5], -np.inf)
+    z[2:10] = [0.0, -0.0, 1j * 0.0, -1j * 0.0, np.nan, 1j * np.nan,
+               complex(np.nan, np.nan), np.inf]
+    t[2:10] = [-0.0, 0.0, -1j * 0.0, 1j * 0.0, np.nan, 1j * np.nan,
+               complex(np.nan, np.nan), np.inf]
+    for pair_min in (0, len(z) + 1):
+        monkeypatch.setattr(K, "PAIR_COMPARE_MIN", pair_min)
+        np.testing.assert_array_equal(K._repeats(z, t), z == t)
 
 
 def test_backward_tree(poly):
