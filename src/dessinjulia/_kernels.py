@@ -42,11 +42,22 @@ def _polyval_np(c, z):
 
 # ---------------------------------------------------------------- Aberth
 
+def _start_radius(c, z):
+    """Fujiwara-type start radius of p(w) - z[r] for every r: the largest
+    (|c_i| / |c_d|)^(1/(d - i)), with c_0 - z[r] in place of c_0.  It is
+    at least half the largest root modulus (Fujiwara) and at most d times
+    it."""
+    d = len(c) - 1
+    an = abs(c[-1])
+    bound = max([(abs(c[i]) / an) ** (1.0 / (d - i)) for i in range(1, d)],
+                default=0.0)
+    return np.maximum(bound, (np.abs(c[0] - z) / an) ** (1.0 / d))
+
+
 def _aberth_start(coeffs, n):
-    """Cold-start points: circle at the classical root bound, slightly
-    ellipted and rotated off symmetry axes."""
-    an = abs(coeffs[-1])
-    r = 1.0 + max(abs(coeffs[i]) for i in range(n)) / an
+    """Cold-start points: circle at the start radius, slightly ellipted and
+    rotated off symmetry axes."""
+    r = _start_radius(coeffs, np.zeros(1))[0]
     ang = 2.0 * np.pi * np.arange(n) / n + 0.4 / n + 0.77
     return r * np.exp(1j * ang) * (1.0 + 0.03 * np.cos(3.1 * ang))
 
@@ -408,10 +419,7 @@ def _preimages(c, dc, z):
     whose residual stays above 1e-8(|z| + 1) (a stalled, e.g. symmetric,
     start) is solved again from a rotated circle."""
     d = len(c) - 1
-    an = abs(c[-1])
-    bound = max([(abs(c[i]) / an) ** (1.0 / (d - i)) for i in range(1, d)],
-                default=0.0)
-    r = np.maximum(bound, (np.abs(c[0] - z) / an) ** (1.0 / d))
+    r = _start_radius(c, z)
     ang = 2.0 * np.pi * np.arange(d) / d + 0.77
     w = _aberth_iterate_np(c, dc, r[:, None] * np.exp(1j * ang), z, 80, 1e-13)
     resid = np.abs(_polyval_np(c, w) - z[:, None]).max(axis=1)

@@ -5,6 +5,15 @@ edges around every vertex.  Vertices are properly 2-colored white/black.  The
 canonical code is the minimal balanced-parenthesis walk over all rootings,
 prefixed by the root color; equal codes mean orientation-preserving,
 color-preserving plane isomorphism.
+
+The walks come from one contour walk around the tree: its 2E darts (an edge
+walked one way) in order, dart i followed by the edge after it, ccw, at its
+head, and partner[i] the same edge walked back.  The walk rooted at the
+corner where dart r starts is the contour rotated by r, with "(" at dart i
+exactly when (i - r) mod 2E < (partner[i] - r) mod 2E.  The least walk is
+found one position at a time, keeping only the corners whose next symbol is
+least.  Those corners are one orbit of the tree's rotations, which gives
+the rotational flag; the mirror's contour is the same darts reversed.
 """
 
 from __future__ import annotations
@@ -121,46 +130,69 @@ class Passport:
         return cls(white, black)
 
 
-def _rooted_walk(tree, root, start):
-    """Parenthesis walk rooted at ``root``, subtrees ccw from neighbor slot
-    ``start``.  Iterative to survive path-like trees."""
-    nb = tree.neighbors[root]
-    order = nb[start:] + nb[:start]
-    out = []
-    # stack of (vertex, parent, iterator over remaining children)
-    stack = [(root, None, iter(order))]
-    while stack:
-        v, parent, it = stack[-1]
-        child = next(it, None)
-        if child is None:
-            stack.pop()
-            if parent is not None:
-                out.append(")")
-            continue
-        out.append("(")
-        cnb = tree.neighbors[child]
-        i = cnb.index(v)
-        corder = cnb[i + 1:] + cnb[:i]
-        stack.append((child, v, iter(corder)))
-    return "".join(out)
+def _contour(tree):
+    """The contour walk of the tree: dart i runs from vertex tails[i] to its
+    neighbour, and the next dart leaves that neighbour by the edge after it
+    in ccw order.  partner[i] is the same edge walked back.  A tree has one
+    face, so the 2E darts form one cycle, started at vertex 0's first
+    edge."""
+    if not tree.neighbors[0]:
+        return [], []
+    slot = [{u: j for j, u in enumerate(nb)} for nb in tree.neighbors]
+    index = {}
+    tails = []
+    v, u = 0, tree.neighbors[0][0]
+    while (v, u) not in index:
+        index[v, u] = len(tails)
+        tails.append(v)
+        nb = tree.neighbors[u]
+        v, u = u, nb[(slot[u][v] + 1) % len(nb)]
+    heads = tails[1:] + tails[:1]
+    return tails, [index[w, v] for v, w in zip(tails, heads)]
 
 
-def _code_key(walk, color):
-    return (walk, 0 if color == WHITE else 1)
+def _walk(partner, r):
+    """Parenthesis walk from corner r: dart i opens its edge exactly when
+    the walk meets it before its partner."""
+    m = len(partner)
+    return "".join("(" if j < (partner[(r + j) % m] - r) % m else ")"
+                   for j in range(m))
+
+
+def _least_corners(partner):
+    """The corners whose walk is least: one position at a time, only the
+    corners that open an edge there are kept (when any does)."""
+    m = len(partner)
+    corners = list(range(m))
+    for j in range(m):
+        if len(corners) == 1:
+            break
+        opens = [r for r in corners if (partner[(r + j) % m] - r) % m > j]
+        corners = opens or corners
+    return corners
+
+
+def _code(colors, tails, partner):
+    """Root color plus the least walk; ties go to a white root."""
+    if not tails:
+        return colors[0]
+    corners = _least_corners(partner)
+    r = next((r for r in corners if colors[tails[r]] == WHITE), corners[0])
+    return colors[tails[r]] + _walk(partner, r)
+
+
+def _mirrored(tails, partner):
+    """Contour of the mirror image: the same darts in reverse order, each
+    walked the other way."""
+    m = len(tails)
+    return ([tails[(1 - j) % m] for j in range(m)],
+            [(-partner[-j % m]) % m for j in range(m)])
 
 
 def plane_code(tree):
-    """Canonical code: minimal rooted walk over all (root, start edge)
-    choices; ties between root colors resolved in favor of white."""
-    best = None
-    for v in range(tree.n_vertices):
-        deg = tree.degree(v)
-        for s in range(max(deg, 1)):
-            key = _code_key(_rooted_walk(tree, v, s), tree.colors[v])
-            if best is None or key < best:
-                best = key
-    walk, c = best
-    return (WHITE if c == 0 else BLACK) + walk
+    """Canonical code: the least rooted walk over all 2E corners, prefixed
+    by the root color; ties between root colors go to white."""
+    return _code(tree.colors, *_contour(tree))
 
 
 def parse_plane_code(text):
@@ -224,21 +256,28 @@ def mirror(tree):
                      [list(reversed(nb)) for nb in tree.neighbors])
 
 
+def _rotational(colors, tails, partner):
+    """Whether a nontrivial rotation fixes a vertex.  The corners of least
+    walk are one orbit of the rotations; a rotation about an edge's midpoint
+    swaps the colors of its ends, one about a vertex keeps every color."""
+    corners = _least_corners(partner)
+    return len(corners) > 1 and \
+        len({colors[tails[r]] for r in corners}) == 1
+
+
+def is_rotational(tree):
+    """The rotational flag of symmetry_flags alone."""
+    return _rotational(tree.colors, *_contour(tree))
+
+
 def symmetry_flags(tree):
     """rotational: some vertex admits a nontrivial rotation automorphism;
     mirror: tree is plane-isomorphic to its reflection (colors kept)."""
-    rotational = False
-    for v in range(tree.n_vertices):
-        deg = tree.degree(v)
-        if deg < 2:
-            continue
-        walks = {_rooted_walk(tree, v, s) for s in range(deg)}
-        if len(walks) < deg:
-            rotational = True
-            break
+    tails, partner = _contour(tree)
     return {
-        "rotational": rotational,
-        "mirror": plane_code(mirror(tree)) == plane_code(tree),
+        "rotational": _rotational(tree.colors, tails, partner),
+        "mirror": _code(tree.colors, *_mirrored(tails, partner))
+        == _code(tree.colors, tails, partner),
     }
 
 

@@ -516,7 +516,7 @@ def solve_tree(tree, _memo=None):
     tree.validate()
     if tree.n_edges < 2:
         raise ShabatError("need at least 2 edges")
-    if pt.symmetry_flags(tree)["rotational"]:
+    if pt.is_rotational(tree):
         raise NoZapponiFormError("symmetric tree has no Zapponi form")
     memo = {} if _memo is None else _memo
     x, y = _solve_tree_alt(tree, memo)
@@ -582,20 +582,30 @@ def _lift_edges(whites, blacks, a):
     product form: the dense p loses all precision where p is within
     rounding distance of +-1, next to high-degree vertices.  The offset from
     the critical value (s = 1 - t, then u = 1 + t) is carried as its own
-    variable, since 1 - s rounds to 1.0 for s below 1e-16.  The step guard
-    scales with the distance to the nearest vertex and to the nearest other
-    root: around a degree-k vertex the branches are only ~2*pi*|z - v|/k
-    apart, so a fixed guard would allow hops between them."""
+    variable, since 1 - s rounds to 1.0 for s below 1e-16.
+
+    Every length is local to a vertex, by its spacing: its distance to the
+    nearest other vertex.  A germ starts at 0.05 * spacing from its white
+    vertex, and a root has arrived within 0.05 * spacing of a black vertex.
+    A step is taken only if every root converged and moved less than
+    0.2 * the spacing of the vertex nearest it, 0.5 * its distance to that
+    vertex and 0.3 * its distance to the nearest other root: around a
+    degree-k vertex the branches are only ~2*pi*|z - v|/k apart, so a fixed
+    guard would allow hops between them.  A global spacing would make every
+    root crawl by the closest pair of vertices, however far off."""
     x = np.array([w.location for w in whites], dtype=np.complex128)
     k = np.array([w.multiplicity for w in whites])
     y = np.array([b.location for b in blacks], dtype=np.complex128)
     l = np.array([b.multiplicity for b in blacks])
     n = int(k.sum())
     verts = np.concatenate([x, y])
-    dmin = min(abs(v - verts[i + 1:]).min() for i, v in enumerate(verts[:-1]))
-    if dmin <= 0:
+    gaps = np.abs(verts[:, None] - verts)
+    np.fill_diagonal(gaps, np.inf)
+    spacing = gaps.min(axis=1)  # each vertex's distance to its nearest other
+    if spacing.min() <= 0:
         raise PathLiftingError("coincident vertices")
-    near = 0.05 * dmin  # germ radius, and the arrival radius at a black vertex
+    near = 0.05 * spacing  # germ radius at a white, arrival radius at a black
+    arrival = near[len(x):]
     wi = np.repeat(np.arange(len(x)), k)
     germ = np.arange(n) - np.repeat(np.cumsum(k) - k, k)
 
@@ -619,7 +629,7 @@ def _lift_edges(whites, blacks, a):
     c = a * np.prod(np.where(np.eye(len(x), dtype=bool), 1.0,
                              (x[:, None] - x) ** k), axis=1)[wi]
     kw = k[wi]
-    delta = np.clip(np.abs(c) * near ** kw, 1e-280, 0.5)
+    delta = np.clip(np.abs(c) * near[wi] ** kw, 1e-280, 0.5)
     theta = (np.pi - np.angle(c) + 2.0 * np.pi * germ) / kw
     z = x[wi] + (delta / np.abs(c)) ** (1.0 / kw) * np.exp(1j * theta)
     with np.errstate(all="ignore"):
@@ -637,7 +647,7 @@ def _lift_edges(whites, blacks, a):
             tau, dtau, steps = 0.0, 0.05, 0
             while True:
                 if sign > 0:
-                    live &= np.abs(z[:, None] - y).min(axis=1) >= near
+                    live &= (np.abs(z[:, None] - y) >= arrival).all(axis=1)
                     if not live.any():
                         break
                 elif tau >= tau_end:
@@ -658,9 +668,10 @@ def _lift_edges(whites, blacks, a):
                                      sign)
                 gap = np.abs(z0[:, None] - z)
                 gap[np.arange(len(idx)), idx] = np.inf
+                dv = np.abs(z0[:, None] - verts)
                 guard = np.minimum(
-                    np.minimum(0.2 * dmin,
-                               0.5 * np.abs(z0[:, None] - verts).min(axis=1)),
+                    np.minimum(0.2 * spacing[dv.argmin(axis=1)],
+                               0.5 * dv.min(axis=1)),
                     0.3 * gap.min(axis=1))
                 if ok.all() and np.all(np.abs(z1 - z0) < guard):
                     z[idx], dp[idx], tau = z1, dp1, t1

@@ -44,6 +44,19 @@ def test_aberth_iterate(poly):
     _close(np.sort_complex(a), np.sort_complex(b))
 
 
+def test_aberth_start_radius_fits_the_roots():
+    # the 7-edge anchor tree's Zapponi polynomial leads with 5.5e-10 while
+    # its roots and those of p(w) - z lie within |w| <= 33: the start circle
+    # belongs next to them, not at 1 + max|c_i| / |a_n| (7e8)
+    c = solve_tree(parse_plane_code("W((())())()(())")).poly.as_array()
+    for z in (0.0, 1.0, -1.0, 0.3 + 0.2j):
+        cz = c.copy()
+        cz[0] -= z
+        largest = np.abs(np.roots(cz[::-1])).max()
+        start = np.abs(K._aberth_start(cz, len(c) - 1))
+        assert 0.5 * largest <= start.min() and start.max() <= 2 * largest
+
+
 def test_aberth_repairs_equal_start_points(poly, monkeypatch):
     # two equal start points make the pair sums non-finite; the zero
     # differences are then repaired and the iteration still finds every root

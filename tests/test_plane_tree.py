@@ -3,10 +3,10 @@ from math import factorial
 
 import pytest
 
-from dessinjulia.catalog import big_passport_trees
+from dessinjulia.catalog import big_passport_trees, series_tree
 from dessinjulia.plane_tree import (BLACK, WHITE, Passport, PlaneTree,
-                                    PlaneTreeError, _rooted_walk,
-                                    enumerate_trees, invert_colors, mirror,
+                                    PlaneTreeError, enumerate_trees,
+                                    invert_colors, is_rotational, mirror,
                                     parse_plane_code, passport_of, plane_code,
                                     symmetry_flags, trees_with_passport,
                                     vertices_by_degree)
@@ -56,6 +56,60 @@ def test_nonsymmetric_pair_counts(n):
 
 
 # --------------------------------------------------------- codes and parsing
+
+
+def _rooted_walk(tree, root, start):
+    """Reference walk, written plainly: "(" down each edge and ")" back up,
+    the root's subtrees ccw from its neighbour slot ``start`` and every
+    other vertex's ccw after the edge to its parent."""
+    def down(v, parent):
+        nb = tree.neighbors[v]
+        i = nb.index(parent)
+        return "".join("(" + down(u, v) + ")" for u in nb[i + 1:] + nb[:i])
+
+    nb = tree.neighbors[root]
+    return "".join("(" + down(u, root) + ")" for u in nb[start:] + nb[:start])
+
+
+def _brute_force_code(tree):
+    """The least (walk, white before black) over every root and start."""
+    walk, color = min((_rooted_walk(tree, v, s), tree.colors[v] != WHITE)
+                      for v in range(tree.n_vertices)
+                      for s in range(tree.degree(v)))
+    return (BLACK if color else WHITE) + walk
+
+
+def _reference_trees():
+    """Every tree with up to 9 edges, in both colorings and mirrored, the
+    caterpillars and the 15-edge fixture trees."""
+    for n in range(1, 10):
+        for tree in enumerate_trees(n):
+            for colored in (tree, invert_colors(tree)):
+                yield colored
+                yield mirror(colored)
+    for family in (1, 2, 3):
+        for n in range(3, 14):
+            yield series_tree(family, n)
+    for entry in big_passport_trees()["trees"]:
+        yield parse_plane_code(entry["code"])
+
+
+def test_plane_code_matches_brute_force():
+    for tree in _reference_trees():
+        assert plane_code(tree) == _brute_force_code(tree)
+
+
+def test_symmetry_flags_match_brute_force():
+    # rotational: two starts at one vertex give the same walk; mirror: the
+    # reflection has the same code
+    for tree in _reference_trees():
+        rotational = any(
+            len({_rooted_walk(tree, v, s) for s in range(tree.degree(v))})
+            < tree.degree(v) for v in range(tree.n_vertices))
+        mirrored = _brute_force_code(mirror(tree)) == _brute_force_code(tree)
+        assert symmetry_flags(tree) == {"rotational": rotational,
+                                        "mirror": mirrored}
+        assert is_rotational(tree) == rotational
 
 
 def test_code_round_trip():
