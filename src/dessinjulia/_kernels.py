@@ -1,15 +1,13 @@
 """Numerical hot loops.
 
-Most kernels come in two flavors: ``*_nb`` variants are numba-compiled
-scalar loops, ``*_np`` variants are vectorized numpy fallbacks.  The public
-names dispatch on the backend flag (see _backend).  Both flavors implement
-the same algorithm so results agree to floating-point noise.  The backward
-tree (``cloud_chains``) is numpy-only: each level is one batched Aberth
-solve over all its rows.  A batched Aberth step takes every row's pair sums
-from one (d, rows, d) array of differences, reciprocated in place and added
-in numpy's pairwise order, so the roots are bitwise those of ``.sum``; zero
-differences (two equal points) are repaired only when the sums come out
-non-finite.  Both renderers run one first-entry loop
+Aberth, periodic Newton and the render loop are vectorized numpy; the two
+orbit kernels, which follow one critical value step by step, are plain
+Python complex arithmetic.  Each level of the backward tree
+(``cloud_chains``) is one batched Aberth solve over all its rows.  A batched
+Aberth step takes every row's pair sums from one (d, rows, d) array of
+differences, reciprocated in place and added in numpy's pairwise order, so
+the roots are bitwise those of ``.sum``; zero differences (two equal points)
+are repaired only when the sums come out non-finite.  Both renderers run one first-entry loop
 (``render_basin_grid``) over the pixels still live; escape time is that
 loop with no traps.  A pixel whose orbit repeats a value exactly (Brent's
 cycle test on a tortoise copy) is dropped as never entering: from then on it
@@ -20,23 +18,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._backend import USE_NUMBA, njit
-
 # ---------------------------------------------------------------- polyval
 
 
-@njit(cache=True)
-def _polyval_scalar(c, z):
-    acc = c[-1] + 0j
+def _polyval(c, z):
+    acc = np.full_like(z, c[-1], dtype=np.complex128)
     for i in range(len(c) - 2, -1, -1):
         acc = acc * z + c[i]
     return acc
 
 
-def _polyval_np(c, z):
-    acc = np.full_like(z, c[-1], dtype=np.complex128)
-    for i in range(len(c) - 2, -1, -1):
-        acc = acc * z + c[i]
+def _horner(cl, z):
+    """p(z) for one point, with cl the coefficients as a list of Python
+    complex numbers."""
+    acc = cl[-1]
+    for a in cl[-2::-1]:
+        acc = acc * z + a
     return acc
 
 
@@ -60,40 +57,6 @@ def _aberth_start(coeffs, n):
     r = _start_radius(coeffs, np.zeros(1))[0]
     ang = 2.0 * np.pi * np.arange(n) / n + 0.4 / n + 0.77
     return r * np.exp(1j * ang) * (1.0 + 0.03 * np.cos(3.1 * ang))
-
-
-@njit(cache=True)
-def _aberth_iterate_nb(c, dc, w, maxiter, tol):
-    n = len(w)
-    for _ in range(maxiter):
-        shift = 0.0
-        for i in range(n):
-            p = _polyval_scalar(c, w[i])
-            if p == 0.0:
-                continue
-            dp = _polyval_scalar(dc, w[i])
-            ratio = dp / p
-            if not (np.isfinite(ratio.real) and np.isfinite(ratio.imag)):
-                continue  # p underflowed next to a multiple root: w[i] is one
-            s = 0.0 + 0.0j
-            for j in range(n):
-                if j != i:
-                    d = w[i] - w[j]
-                    if d == 0.0:  # as in _pair_sums
-                        d = ((1e-12 + 1e-12j) * (1.0 + abs(w[i]))
-                             * np.sign(i - j))
-                    s += 1.0 / d
-            denom = ratio - s
-            if denom == 0.0:
-                continue
-            corr = 1.0 / denom
-            w[i] -= corr
-            m = abs(corr) / (1.0 + abs(w[i]))
-            if m > shift:
-                shift = m
-        if shift < tol:
-            break
-    return w
 
 
 def _pairwise_sum(a):
@@ -139,7 +102,7 @@ def _pair_sums(w, repair):
     return _pairwise_sum(diff) - 1.0
 
 
-def _aberth_iterate_np(c, dc, w, z, maxiter, tol):
+def _aberth_iterate(c, dc, w, z, maxiter, tol):
     """Aberth iteration on p(w) = z[r] for every row r of w at once.  A row
     stops when its largest relative correction falls below tol.  Two equal
     points make their pair sums non-finite; only then are the sums taken
@@ -148,8 +111,8 @@ def _aberth_iterate_np(c, dc, w, z, maxiter, tol):
     rows = np.arange(len(w))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(maxiter):
-            p = _polyval_np(c, w) - z[:, None]
-            ratio = _polyval_np(dc, w) / p
+            p = _polyval(c, w) - z[:, None]
+            ratio = _polyval(dc, w) / p
             s = _pair_sums(w, False)
             if not np.isfinite(s).all():
                 s = _pair_sums(w, True)
@@ -178,9 +141,7 @@ def aberth_roots(coeffs, start=None, maxiter=1000, tol=1e-14):
     dc = c[1:] * np.arange(1, n + 1)
     w = np.array(start, dtype=np.complex128) if start is not None \
         else _aberth_start(c, n)
-    if USE_NUMBA:
-        return _aberth_iterate_nb(c, dc, w.copy(), maxiter, tol)
-    return _aberth_iterate_np(c, dc, w[None], np.zeros(1), maxiter, tol)[0]
+    return _aberth_iterate(c, dc, w[None], np.zeros(1), maxiter, tol)[0]
 
 
 # ---------------------------------------------------------------- orbits
@@ -190,44 +151,15 @@ ORBIT_ESCAPE = 1
 ORBIT_CYCLE = 2
 
 
-@njit(cache=True)
-def _orbit_brent_nb(c, z0, max_iter, radius, tol):
-    tortoise = z0
-    hare = z0
-    power = 1
-    lam = 0
-    steps = 0
-    while steps < max_iter:
-        hare = _polyval_scalar(c, hare)
-        steps += 1
-        lam += 1
-        ah = abs(hare)
-        if ah > radius or not np.isfinite(ah):
-            return ORBIT_ESCAPE, 0, hare, steps
-        if abs(hare - tortoise) < tol * (1.0 + ah) and lam > 0:
-            return ORBIT_CYCLE, lam, hare, steps
-        if lam == power:
-            tortoise = hare
-            power *= 2
-            lam = 0
-    return ORBIT_RUNNING, 0, hare, steps
-
-
-def _orbit_brent_np(c, z0, max_iter, radius, tol):
-    # scalar fallback; same control flow as the compiled version
-    tortoise = complex(z0)
-    hare = complex(z0)
-    cl = [complex(x) for x in c]
-
-    def ev(z):
-        acc = cl[-1]
-        for a in cl[-2::-1]:
-            acc = acc * z + a
-        return acc
-
+def orbit_brent(coeffs, z0, max_iter, radius, tol):
+    """Brent's cycle search on the orbit of z0: (ORBIT_ESCAPE, 0, z, steps)
+    once |z| > radius, (ORBIT_CYCLE, lam, z, steps) once z comes within tol
+    of the tortoise lam steps back, else ORBIT_RUNNING after max_iter."""
+    cl = [complex(x) for x in np.asarray(coeffs, dtype=np.complex128)]
+    tortoise = hare = complex(z0)
     power, lam, steps = 1, 0, 0
     while steps < max_iter:
-        hare = ev(hare)
+        hare = _horner(cl, hare)
         steps += 1
         lam += 1
         ah = abs(hare)
@@ -242,46 +174,22 @@ def _orbit_brent_np(c, z0, max_iter, radius, tol):
     return ORBIT_RUNNING, 0, hare, steps
 
 
-def orbit_brent(coeffs, z0, max_iter, radius, tol):
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if USE_NUMBA:
-        return _orbit_brent_nb(c, complex(z0), max_iter, radius, tol)
-    return _orbit_brent_np(c, complex(z0), max_iter, radius, tol)
-
-
-@njit(cache=True)
-def _orbit_tail_nb(c, z0, n_iter, keep, radius):
-    tail = np.empty(keep, dtype=np.complex128)
-    z = z0
-    for i in range(n_iter):
-        z = _polyval_scalar(c, z)
-        az = abs(z)
-        if az > radius or not np.isfinite(az):
-            return True, tail, 0
-        if i >= n_iter - keep:
-            tail[i - (n_iter - keep)] = z
-    return False, tail, keep
-
-
 def orbit_tail(coeffs, z0, n_iter, keep, radius):
-    """Last ``keep`` orbit points after ``n_iter`` steps (or escape flag)."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if USE_NUMBA:
-        return _orbit_tail_nb(c, complex(z0), n_iter, keep, radius)
+    """(escaped, tail): tail holds the orbit points after steps
+    n_iter - len(tail) + 1 .. n_iter, the last min(keep, n_iter) of them;
+    it is empty when the orbit leaves the disc of the given radius."""
+    cl = [complex(x) for x in np.asarray(coeffs, dtype=np.complex128)]
     z = complex(z0)
-    cl = [complex(x) for x in c]
-    tail = np.empty(keep, dtype=np.complex128)
+    first = n_iter - min(keep, n_iter)
+    tail = np.empty(n_iter - first, dtype=np.complex128)
     for i in range(n_iter):
-        acc = cl[-1]
-        for a in cl[-2::-1]:
-            acc = acc * z + a
-        z = acc
+        z = _horner(cl, z)
         az = abs(z)
         if az > radius or not np.isfinite(az):
-            return True, tail, 0
-        if i >= n_iter - keep:
-            tail[i - (n_iter - keep)] = z
-    return False, tail, keep
+            return True, tail[:0]
+        if i >= first:
+            tail[i - first] = z
+    return False, tail
 
 
 # ---------------------------------------------------------------- rendering
@@ -306,52 +214,22 @@ def _repeats(z, tort):
             == 0x0101)
 
 
-@njit(cache=True)
-def _render_basin_nb(c, xs, ys, max_iter, radius, traps, groups, trap_r):
-    h = len(ys)
-    w = len(xs)
-    steps = np.full((h, w), -1, dtype=np.int32)
-    which = np.zeros((h, w), dtype=np.int16)
-    nt = len(traps)
-    r2 = trap_r * trap_r
-    for iy in range(h):
-        for ix in range(w):
-            z = complex(xs[ix], ys[iy])
-            tort = z
-            snap = CYCLE_START
-            for it in range(max_iter + 1):
-                az = abs(z)
-                if az > radius or not np.isfinite(az):
-                    steps[iy, ix] = it
-                    which[iy, ix] = 0
-                    break
-                hit = -1
-                for t in range(nt):
-                    d = z - traps[t]
-                    if d.real * d.real + d.imag * d.imag <= r2:
-                        hit = t
-                        break
-                if hit >= 0:
-                    steps[iy, ix] = it
-                    which[iy, ix] = groups[hit] + 1
-                    break
-                if it > CYCLE_START and z == tort:
-                    break  # periodic in floating point: never enters
-                if it == snap:
-                    tort = z
-                    snap *= 2
-                if it < max_iter:
-                    z = _polyval_scalar(c, z)
-    return steps, which
+def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r):
+    """Per pixel, the first step at which the orbit leaves the disc of the
+    given radius (attractor id 0) or comes within trap_r of traps[t]
+    (attractor id groups[t] + 1); -1 and 0 if neither within max_iter.
+    An orbit that repeats a value exactly is periodic in floating point and
+    is dropped as never entering, with the same -1 and 0.
 
-
-def _render_basin_np(c, xs, ys, max_iter, radius, traps, groups, trap_r):
-    """The first-entry loop over the live pixels only: their values and
-    flat pixel indices sit in two 1-D arrays, and a pixel that leaves the
-    disc or enters a trap is written through its index and dropped from
-    both.  A pixel whose value equals its tortoise copy (taken at steps
-    CYCLE_START, 2*CYCLE_START, ...) is dropped unwritten: its orbit repeats
-    values that already passed every test."""
+    The loop runs over the live pixels only: their values and flat pixel
+    indices sit in two 1-D arrays, and a pixel that leaves the disc or
+    enters a trap is written through its index and dropped from both.  A
+    pixel whose value equals its tortoise copy (taken at steps CYCLE_START,
+    2*CYCLE_START, ...) is dropped unwritten: its orbit repeats values that
+    already passed every test."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    traps = np.asarray(traps, dtype=np.complex128)
+    groups = np.asarray(groups, dtype=np.int16)
     z = (xs[None, :] + 1j * ys[:, None]).astype(np.complex128).ravel()
     steps = np.full(z.shape, -1, dtype=np.int32)
     which = np.zeros(z.shape, dtype=np.int16)
@@ -387,21 +265,6 @@ def _render_basin_np(c, xs, ys, max_iter, radius, traps, groups, trap_r):
     return steps.reshape(shape), which.reshape(shape)
 
 
-def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r):
-    """Per pixel, the first step at which the orbit leaves the disc of the
-    given radius (attractor id 0) or comes within trap_r of traps[t]
-    (attractor id groups[t] + 1); -1 and 0 if neither within max_iter.
-    An orbit that repeats a value exactly is periodic in floating point and
-    is dropped as never entering, with the same -1 and 0."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    traps = np.asarray(traps, dtype=np.complex128)
-    groups = np.asarray(groups, dtype=np.int16)
-    if USE_NUMBA:
-        return _render_basin_nb(c, xs, ys, max_iter, radius, traps, groups,
-                                trap_r)
-    return _render_basin_np(c, xs, ys, max_iter, radius, traps, groups, trap_r)
-
-
 def render_escape_grid(coeffs, xs, ys, max_iter, radius):
     """Escape time: the first-entry loop with no traps."""
     return render_basin_grid(coeffs, xs, ys, max_iter, radius, (), (), 0.0)[0]
@@ -421,13 +284,13 @@ def _preimages(c, dc, z):
     d = len(c) - 1
     r = _start_radius(c, z)
     ang = 2.0 * np.pi * np.arange(d) / d + 0.77
-    w = _aberth_iterate_np(c, dc, r[:, None] * np.exp(1j * ang), z, 80, 1e-13)
-    resid = np.abs(_polyval_np(c, w) - z[:, None]).max(axis=1)
+    w = _aberth_iterate(c, dc, r[:, None] * np.exp(1j * ang), z, 80, 1e-13)
+    resid = np.abs(_polyval(c, w) - z[:, None]).max(axis=1)
     bad = resid > 1e-8 * (np.abs(z) + 1.0)
     if bad.any():
-        w[bad] = _aberth_iterate_np(c, dc,
-                                    r[bad, None] * np.exp(1j * (ang + 0.31)),
-                                    z[bad], 200, 1e-13)
+        w[bad] = _aberth_iterate(c, dc,
+                                 r[bad, None] * np.exp(1j * (ang + 0.31)),
+                                 z[bad], 200, 1e-13)
     return w
 
 
@@ -458,59 +321,20 @@ def cloud_chains(coeffs, z0, depth):
 # ------------------------------------------------- periodic point refinement
 
 
-@njit(cache=True)
-def _newton_periodic_nb(c, dc, seeds, k, maxiter, tol, bound):
-    n = len(seeds)
-    pts = seeds.copy()
-    mult = np.zeros(n, dtype=np.complex128)
-    ok = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        z = pts[i]
-        conv = False
-        for _ in range(maxiter):
-            w = z
-            d = 1.0 + 0.0j
-            bad = False
-            for _ in range(k):
-                d *= _polyval_scalar(dc, w)
-                w = _polyval_scalar(c, w)
-                if abs(w) > bound or not np.isfinite(abs(w)):
-                    bad = True
-                    break
-            if bad:
-                break
-            f = w - z
-            fp = d - 1.0
-            if fp == 0.0:
-                break
-            step = f / fp
-            z -= step
-            if abs(step) < tol * (1.0 + abs(z)):
-                conv = True
-                break
-        if conv:
-            # final multiplier at the converged point
-            w = z
-            d = 1.0 + 0.0j
-            for _ in range(k):
-                d *= _polyval_scalar(dc, w)
-                w = _polyval_scalar(c, w)
-            if abs(w - z) < 1e-6 * (1.0 + abs(z)):
-                pts[i] = z
-                mult[i] = d
-                ok[i] = True
-    return pts, mult, ok
-
-
-def _newton_periodic_np(c, dc, seeds, k, maxiter, tol, bound):
-    z = seeds.copy()
+def newton_periodic(coeffs, seeds, k, maxiter=60, tol=1e-12, bound=1e6):
+    """Newton on p^(k)(z) - z from each seed; returns points, multipliers of
+    the k-fold derivative, and a convergence mask.  A seed whose orbit
+    leaves the disc of radius bound stops and is not converged."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    dc = c[1:] * np.arange(1, len(c))
+    z = np.array(seeds, dtype=np.complex128)
     alive = np.ones(len(z), dtype=bool)
     for _ in range(maxiter):
         w = z.copy()
         d = np.ones(len(z), dtype=np.complex128)
         for _ in range(k):
-            d[alive] *= _polyval_np(dc, w[alive])
-            w[alive] = _polyval_np(c, w[alive])
+            d[alive] *= _polyval(dc, w[alive])
+            w[alive] = _polyval(c, w[alive])
             with np.errstate(invalid="ignore", over="ignore"):
                 gone = alive & ~(np.abs(w) <= bound)
             alive &= ~gone
@@ -528,24 +352,10 @@ def _newton_periodic_np(c, dc, seeds, k, maxiter, tol, bound):
     w = z.copy()
     d = np.ones(len(z), dtype=np.complex128)
     for _ in range(k):
-        d[alive] *= _polyval_np(dc, w[alive])
-        w[alive] = _polyval_np(c, w[alive])
+        d[alive] *= _polyval(dc, w[alive])
+        w[alive] = _polyval(c, w[alive])
         with np.errstate(invalid="ignore", over="ignore"):
             gone = alive & ~(np.abs(w) <= bound)
         alive &= ~gone
     ok = alive & (np.abs(w - z) < 1e-6 * (1.0 + np.abs(z)))
     return z, d, ok
-
-
-def newton_periodic(coeffs, seeds, k, maxiter=60, tol=1e-12, bound=None):
-    """Newton on p^(k)(z) - z from each seed; returns points, multipliers of
-    the k-fold derivative, and a convergence mask."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    deg = len(c) - 1
-    dc = c[1:] * np.arange(1, deg + 1)
-    seeds = np.asarray(seeds, dtype=np.complex128)
-    if bound is None:
-        bound = 1e6
-    if USE_NUMBA:
-        return _newton_periodic_nb(c, dc, seeds, k, maxiter, tol, bound)
-    return _newton_periodic_np(c, dc, seeds, k, maxiter, tol, bound)

@@ -169,11 +169,11 @@ def iterate_orbit(p, z0, max_iter=None, tol=None, cfg=None):
         return _fate_from_candidate(p, lam, z, steps)
     # bounded but undetected: slow (weakly attracting) convergence pass
     keep = 2 * cfg.weak_max_period + 2
-    escaped, tail, got = orbit_tail(c, complex(z0), cfg.max_iter, keep, radius)
+    escaped, tail = orbit_tail(c, complex(z0), cfg.max_iter, keep, radius)
     if escaped:
         return CriticalOrbitFate("escape", [], 1, 0j, cfg.max_iter)
     last = tail[-1]
-    for per in range(1, cfg.weak_max_period + 1):
+    for per in range(1, min(cfg.weak_max_period, len(tail) - 1) + 1):
         if abs(tail[-1 - per] - last) < cfg.weak_tol * (1.0 + abs(last)):
             fate = _fate_from_candidate(p, per, last, cfg.max_iter)
             if fate.kind != "undetermined":

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dessinjulia._kernels import orbit_tail
 from dessinjulia.dynamics import (CycleRefinementError, OrbitConfig, classify,
                                   escape_radius, iterate_orbit, refine_cycle)
 from dessinjulia.plane_tree import parse_plane_code
@@ -59,6 +60,24 @@ def test_orbit_attracting_fixed_point():
     zfix = (1 - np.sqrt(1.8)) / 2
     assert abs(fate.cycle_points[0] - zfix) < 1e-9
     assert abs(fate.multiplier - 2 * zfix) < 1e-8
+
+
+def test_short_orbit_verdict_ignores_earlier_calls():
+    # with max_iter below the weak pass's tail length (130 points), the
+    # tail holds only the points computed, whatever earlier calls left in
+    # memory: z^2 - 0.7 gives one verdict before and after another tail
+    p = ComplexPoly((-0.7, 0, 1))
+    c = p.as_array()
+    verdicts = set()
+    for _ in range(3):
+        verdicts.add(iterate_orbit(p, 1.0, max_iter=20).kind)
+        orbit_tail(c, 1.0, 60, 130, 10.0)
+    assert len(verdicts) == 1
+    escaped, tail = orbit_tail(c, 1.0, 20, 130, 10.0)
+    orbit = [1.0 + 0j]
+    for _ in range(20):
+        orbit.append(p(orbit[-1]))
+    assert not escaped and tail.tolist() == orbit[1:]
 
 
 def test_orbit_config_validation():

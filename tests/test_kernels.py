@@ -1,9 +1,8 @@
-"""Each ``_*_nb`` kernel agrees with its ``_*_np`` twin, and the numpy-only
-backward-tree kernel solves p(w) = z level by level.
-
-Without numba, ``_backend.njit`` is the identity and the ``_nb`` kernels run
-as plain Python, so this compares the two algorithms; with numba installed
-it compares the compiled kernels against numpy."""
+"""Each kernel against an independent reference: Aberth against
+``np.roots``, the orbit kernels against a replay with
+``polynomial.evaluate``, the render loop against a plain-Python first-entry
+loop and periodic Newton against the roots of p(p(z)) - z; and the
+backward-tree kernel solves p(w) = z level by level."""
 
 import numpy as np
 import pytest
@@ -12,7 +11,8 @@ from dessinjulia import _kernels as K
 from dessinjulia.dynamics import classify, escape_radius
 from dessinjulia.fractal import repelling_fixed_point
 from dessinjulia.plane_tree import parse_plane_code
-from dessinjulia.polynomial import ComplexPoly, parse_poly, poly_from_roots
+from dessinjulia.polynomial import (ComplexPoly, derivative, evaluate,
+                                    parse_poly, poly_from_roots)
 from dessinjulia.shabat import solve_tree
 
 
@@ -33,15 +33,22 @@ def _derivative(c):
     return c[1:] * np.arange(1, len(c))
 
 
+def _assert_roots(got, c):
+    """got holds every root of c, one point each, as np.roots finds them."""
+    want = np.roots(c[::-1])
+    dist = np.abs(got[:, None] - want[None, :])
+    assert sorted(dist.argmin(axis=1)) == list(range(len(want)))
+    assert (dist.min(axis=1) <= 1e-10 * (1 + np.abs(want).max())).all()
+
+
 def test_aberth_iterate(poly):
     # roots of p(w) - z at a generic z are simple
     c = poly.as_array().copy()
     c[0] -= 0.3 + 0.2j
     w0 = K._aberth_start(c, len(c) - 1)
-    a = K._aberth_iterate_nb(c, _derivative(c), w0.copy(), 1000, 1e-14)
-    b = K._aberth_iterate_np(c, _derivative(c), w0[None], np.zeros(1), 1000,
-                             1e-14)[0]
-    _close(np.sort_complex(a), np.sort_complex(b))
+    got = K._aberth_iterate(c, _derivative(c), w0[None], np.zeros(1), 1000,
+                            1e-14)[0]
+    _assert_roots(got, c)
 
 
 def test_aberth_start_radius_fits_the_roots():
@@ -71,33 +78,34 @@ def test_aberth_repairs_equal_start_points(poly, monkeypatch):
     monkeypatch.setattr(K, "_pair_sums",
                         lambda w, repair: repairs.append(repair)
                         or pair_sums(w, repair))
-    got = K._aberth_iterate_np(c, _derivative(c), w0, z, 1000, 1e-14)
+    got = K._aberth_iterate(c, _derivative(c), w0, z, 1000, 1e-14)
     assert True in repairs
     for r in range(3):
         cz = c.copy()
         cz[0] -= z[r]
-        want = np.roots(cz[::-1])
-        dist = np.abs(got[r][:, None] - want[None, :])
-        assert sorted(dist.argmin(axis=1)) == list(range(d))
-        assert (dist.min(axis=1) <= 1e-10 * (1 + np.abs(want).max())).all()
-        twin = K._aberth_iterate_nb(cz, _derivative(cz), w0[r].copy(), 1000,
-                                    1e-14)
-        _close(np.sort_complex(got[r]), np.sort_complex(twin))
+        _assert_roots(got[r], cz)
 
 
-def test_orbit_brent_and_tail(poly, monkeypatch):
+def test_orbit_brent_and_tail(poly):
+    # both kernels against the orbit replayed with polynomial.evaluate
     c = poly.as_array()
     radius = escape_radius(poly)
-    monkeypatch.setattr(K, "USE_NUMBA", False)
     for z0 in (1.0 + 0j, -1.0 + 0j, 0.1 + 0.05j):
-        sa, la, za, na = K._orbit_brent_nb(c, z0, 5000, radius, 1e-9)
-        sb, lb, zb, nb = K._orbit_brent_np(c, z0, 5000, radius, 1e-9)
-        assert (sa, la, na) == (sb, lb, nb)
-        _close(za, zb)
-        ea, ta, ka = K._orbit_tail_nb(c, z0, 300, 16, radius)
-        eb, tb, kb = K.orbit_tail(c, z0, 300, 16, radius)
-        assert (ea, ka) == (eb, kb)
-        _close(ta[:ka], tb[:kb])
+        orbit = [z0]
+        for _ in range(300):
+            orbit.append(evaluate(poly, orbit[-1]))
+        inside = [abs(z) <= radius for z in orbit]
+        status, lam, z, steps = K.orbit_brent(c, z0, 5000, radius, 1e-9)
+        assert z == orbit[steps] and all(inside[:steps])
+        if status == K.ORBIT_ESCAPE:
+            assert not inside[steps]
+        else:
+            # the orbit came within tol of its tortoise, lam steps back
+            assert status == K.ORBIT_CYCLE and 1 <= lam <= steps
+            assert abs(z - orbit[steps - lam]) < 1e-9 * (1.0 + abs(z))
+        escaped, tail = K.orbit_tail(c, z0, 300, 16, radius)
+        assert escaped == (not all(inside))
+        assert tail.tolist() == ([] if escaped else orbit[-16:])
 
 
 def _grids():
@@ -112,11 +120,11 @@ _NO_TRAPS = (np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.int16))
 
 
 def _basin_pair(c, xs, ys, max_iter, radius, traps, groups, trap_r):
-    """The numpy loop against the scalar reference; returns the steps."""
-    sa, wa = K._render_basin_nb(c, xs, ys, max_iter, radius, traps, groups,
-                                trap_r)
-    sb, wb = K._render_basin_np(c, xs, ys, max_iter, radius, traps, groups,
-                                trap_r)
+    """The numpy loop against the plain-Python one; returns the steps."""
+    sa, wa = K.render_basin_grid(c, xs, ys, max_iter, radius, traps, groups,
+                                 trap_r)
+    sb, wb, _ = _first_entry_plain(c, xs, ys, max_iter, radius, traps, groups,
+                                   trap_r)
     assert sa.shape == (len(ys), len(xs))
     np.testing.assert_array_equal(sa, sb)
     np.testing.assert_array_equal(wa, wb)
@@ -129,7 +137,7 @@ def test_render_escape_is_basin_without_traps(poly):
     for xs, ys in _grids():
         np.testing.assert_array_equal(
             K.render_escape_grid(c, xs, ys, 60, radius),
-            K._render_basin_nb(c, xs, ys, 60, radius, *_NO_TRAPS, 0.0)[0])
+            _first_entry_plain(c, xs, ys, 60, radius, *_NO_TRAPS, 0.0)[0])
 
 
 def test_render_basin(poly):
@@ -211,8 +219,8 @@ def periodic_interior(request):
 
 
 def test_render_is_exact_with_the_cycle_exit(periodic_interior, monkeypatch):
-    # both backends against the plain loop, on grids where the exit fires;
-    # the traps are discs around the repelling fixed points
+    # both cycle comparisons against the plain loop, on grids where the
+    # exit fires; the traps are discs around the repelling fixed points
     p, span = periodic_interior
     c = p.as_array()
     radius = escape_radius(p)
@@ -231,9 +239,7 @@ def test_render_is_exact_with_the_cycle_exit(periodic_interior, monkeypatch):
             assert repeating > 0 and (steps >= 0).any()
             assert (which > 0).any() == bool(len(traps))
             # pair_min 0 takes the float64-pair comparison on every step
-            for numba, pair_min in ((True, 0), (False, 0),
-                                    (False, K.PAIR_COMPARE_MIN)):
-                monkeypatch.setattr(K, "USE_NUMBA", numba)
+            for pair_min in (0, K.PAIR_COMPARE_MIN):
                 monkeypatch.setattr(K, "PAIR_COMPARE_MIN", pair_min)
                 s, w = K.render_basin_grid(c, xs, ys, 200, radius, traps,
                                            groups, trap_r)
@@ -283,14 +289,19 @@ def test_backward_tree(poly):
 
 
 def test_newton_periodic(poly):
+    # converged points are roots of p(p(z)) - z, and each multiplier is
+    # p'(z) p'(p(z)) there
     c = poly.as_array()
     seeds = np.random.default_rng(1).uniform(-1, 1, (40, 2)) @ [1, 1j]
     bound = 4 * escape_radius(poly)
-    pa, ma, oka = K._newton_periodic_nb(c, _derivative(c), seeds, 2, 80,
-                                        1e-13, bound)
-    pb, mb, okb = K._newton_periodic_np(c, _derivative(c), seeds, 2, 80,
-                                        1e-13, bound)
-    np.testing.assert_array_equal(oka, okb)
-    assert oka.any()
-    _close(pa[oka], pb[okb])
-    _close(ma[oka], mb[okb])
+    pts, mult, ok = K.newton_periodic(c, seeds, 2, 80, 1e-13, bound)
+    assert ok.any()
+    pp = ComplexPoly((c[-1],))
+    for a in c[-2::-1]:
+        pp = pp * poly + a
+    roots = np.roots((pp - ComplexPoly((0, 1))).as_array()[::-1])
+    nearest = roots[np.abs(pts[ok, None] - roots[None, :]).argmin(axis=1)]
+    _close(pts[ok], nearest)
+    dp = derivative(poly)
+    _close(mult[ok], [evaluate(dp, z) * evaluate(dp, evaluate(poly, z))
+                      for z in pts[ok]])
