@@ -15,8 +15,10 @@ solution.  The Zapponi one (a free, sum x_i = 1, sum y_j = -1) polishes the
 solution's affine image.  A passport is solved tree by tree.
 
 The other way, a polynomial's vertices are the clustered roots of p - 1 and
-p + 1, found once and accepted by the Riemann-Hurwitz count s + t = n + 1;
-path-lifting of p(z(t)) = t over [-1, 1] joins them into its plane tree.
+p + 1, found once and accepted by the Riemann-Hurwitz count s + t = n + 1.
+Path lifting joins them into its plane tree: each edge is lifted from both
+ends, p - 1 = -v from its white vertex and p + 1 = +v from its black one,
+as v grows to 1, and the two lifts meet at the edge's zero of p.
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ class ExhaustedError(ShabatError):
 
 
 class PathLiftingError(ShabatError):
-    def __init__(self, message, edge=None):
-        super().__init__(message)
-        self.edge = edge
+    pass
 
 
 @dataclass
@@ -296,11 +296,9 @@ def _is_valid_solution(system, u, norm):
         return False
     pts = np.concatenate([x, y])
     sep = 1e-5 * (1.0 + float(np.max(np.abs(pts))))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < sep:
-                return False
-    return True
+    gaps = np.abs(pts[:, None] - pts)
+    np.fill_diagonal(gaps, np.inf)
+    return not np.any(gaps < sep)
 
 
 def _degrees(tree):
@@ -573,126 +571,119 @@ def zapponi_normalize(p, tol=1e-9):
 
 
 def _lift_edges(whites, blacks, a):
-    """Lift all n edges of p^{-1}([-1, 1]) together: follow the n roots of
-    p(z) = t from t = 1 (germs at the white vertices) to t = -1 (the black
-    vertices) on one shared step schedule.  Returns one tuple (white index,
-    black index, departure angle, arrival angle) per edge.
+    """Lift all n edges of p^{-1}([-1, 1]) from both ends at once: n roots
+    start from germs at the white vertices on p - 1 = -v, n from germs at
+    the black vertices on p + 1 = +v, and all 2n follow one schedule,
+    v = delta^(1 - tau) for tau in [0, 1], to a zero of p.  The two lifts of
+    an edge meet at its zero.  Returns one tuple (white index, black index,
+    departure angle, arrival angle) per edge, both angles those of the germs.
 
     p - 1 = a*prod(z - x)^k and p + 1 = a*prod(z - y)^l are evaluated in
     product form: the dense p loses all precision where p is within
-    rounding distance of +-1, next to high-degree vertices.  The offset from
-    the critical value (s = 1 - t, then u = 1 + t) is carried as its own
-    variable, since 1 - s rounds to 1.0 for s below 1e-16.
+    rounding distance of +-1, next to high-degree vertices.  The offset v
+    from the critical value is carried as its own variable, since 1 - v
+    rounds to 1.0 for v below 1e-16.
 
     Every length is local to a vertex, by its spacing: its distance to the
-    nearest other vertex.  A germ starts at 0.05 * spacing from its white
-    vertex, and a root has arrived within 0.05 * spacing of a black vertex.
-    A step is taken only if every root converged and moved less than
-    0.2 * the spacing of the vertex nearest it, 0.5 * its distance to that
-    vertex and 0.3 * its distance to the nearest other root: around a
-    degree-k vertex the branches are only ~2*pi*|z - v|/k apart, so a fixed
-    guard would allow hops between them.  A global spacing would make every
-    root crawl by the closest pair of vertices, however far off."""
-    x = np.array([w.location for w in whites], dtype=np.complex128)
-    k = np.array([w.multiplicity for w in whites])
-    y = np.array([b.location for b in blacks], dtype=np.complex128)
-    l = np.array([b.multiplicity for b in blacks])
-    n = int(k.sum())
-    verts = np.concatenate([x, y])
-    gaps = np.abs(verts[:, None] - verts)
+    nearest other vertex (a global spacing would make every root crawl by
+    the closest pair of vertices, however far off).  A germ starts at
+    0.05 * spacing from its vertex.  A step is taken only if every root
+    converged and moved less than 0.2 * the spacing of the vertex nearest
+    it, 0.5 * its distance to that vertex and 0.3 * its distance to the
+    nearest other root of its colour (the colours meet at the end): around
+    a degree-k vertex the branches are only ~2*pi*|z - v|/k apart, so a
+    fixed guard would allow hops between them.  Each step is sized
+    beforehand so that every root's predicted move |v1 - v0|/|p'| is at most
+    0.8 * its guard.  At the end each white lift must meet exactly one black lift,
+    within 1e-6 * its distance to the nearest other zero of p."""
+    verts = np.array([v.location for v in (*whites, *blacks)],
+                     dtype=np.complex128)
+    mult = np.array([v.multiplicity for v in (*whites, *blacks)])
+    s, n = len(whites), sum(w.multiplicity for w in whites)
+    diff = verts[:, None] - verts
+    gaps = np.abs(diff)
     np.fill_diagonal(gaps, np.inf)
     spacing = gaps.min(axis=1)  # each vertex's distance to its nearest other
     if spacing.min() <= 0:
         raise PathLiftingError("coincident vertices")
-    near = 0.05 * spacing  # germ radius at a white, arrival radius at a black
-    arrival = near[len(x):]
-    wi = np.repeat(np.arange(len(x)), k)
-    germ = np.arange(n) - np.repeat(np.cumsum(k) - k, k)
+    vi = np.repeat(np.arange(len(verts)), mult)  # the vertex of each germ
+    germ = np.arange(2 * n) - np.repeat(np.cumsum(mult) - mult, mult)
+    col = np.arange(len(verts)) < s  # the white vertices
+    white = col[vi]
+    sign = np.where(white, -1.0, 1.0)  # p -+ 1 = sign * v
 
-    def newton(z, v, sign):
-        """Solve p -+ 1 = -+v (sign -1: white side, +1: black side)."""
+    def newton(z, v):
         for _ in range(12):
-            zx, zy = z[:, None] - x, z[:, None] - y
-            pm = a * np.prod(zx ** k, axis=1)
-            pp = a * np.prod(zy ** l, axis=1)
+            zv = z[:, None] - verts
+            pw = zv ** mult
+            pm = a * np.prod(pw[:, :s], axis=1)
+            pp = a * np.prod(pw[:, s:], axis=1)
+            dz, lg = np.abs(zv), mult / zv
             # p' from the product whose vertex is nearest: there the
             # dominant pole term keeps the logarithmic derivative exact
-            dp = np.where(np.abs(zx).min(axis=1) <= np.abs(zy).min(axis=1),
-                          pm * (k / zx).sum(axis=1), pp * (l / zy).sum(axis=1))
-            f = (pm if sign < 0 else pp) - sign * v
+            dp = np.where(dz[:, :s].min(axis=1) <= dz[:, s:].min(axis=1),
+                          pm * lg[:, :s].sum(axis=1),
+                          pp * lg[:, s:].sum(axis=1))
+            f = np.where(white, pm, pp) - sign * v
             done = np.abs(f) < 1e-12 * v
             if done.all():
                 break
             z = np.where(done, z, z - f / dp)
         return z, dp, done
 
-    c = a * np.prod(np.where(np.eye(len(x), dtype=bool), 1.0,
-                             (x[:, None] - x) ** k), axis=1)[wi]
-    kw = k[wi]
-    delta = np.clip(np.abs(c) * near[wi] ** kw, 1e-280, 0.5)
-    theta = (np.pi - np.angle(c) + 2.0 * np.pi * germ) / kw
-    z = x[wi] + (delta / np.abs(c)) ** (1.0 / kw) * np.exp(1j * theta)
+    # p -+ 1 = c (z - v)^m near a vertex v: the product over its own colour
+    same = np.equal.outer(col, col) & ~np.eye(len(verts), dtype=bool)
+    c = a * np.prod(np.where(same, diff ** mult, 1.0), axis=1)[vi]
+    kv = mult[vi]
+    delta = np.clip(np.abs(c) * (0.05 * spacing[vi]) ** kv, 1e-280, 0.5)
+    theta = (np.angle(sign) - np.angle(c) + 2.0 * np.pi * germ) / kv
+    z = verts[vi] + (delta / np.abs(c)) ** (1.0 / kv) * np.exp(1j * theta)
+    log_delta = np.log(delta)
+    other = np.not_equal.outer(white, white) | np.eye(2 * n, dtype=bool)
     with np.errstate(all="ignore"):
-        z, dp, ok = newton(z, delta, -1)
+        z, dp, ok = newton(z, delta)
         if not ok.all():
-            bad = np.argmin(ok)
-            raise PathLiftingError("could not start continuation",
-                                   edge=(int(wi[bad]), int(germ[bad])))
-        live = np.ones(n, dtype=bool)
-        # white half s = delta^(1 - tau), tau in [0, 1]; black half
-        # u = e^(-tau) until every root has arrived near a black vertex
-        for sign, log_v0, slope, tau_end in (
-                (-1, np.log(delta), -np.log(delta), 1.0),
-                (1, np.zeros(n), -np.ones(n), -math.log(1e-280))):
-            tau, dtau, steps = 0.0, 0.05, 0
-            while True:
-                if sign > 0:
-                    live &= (np.abs(z[:, None] - y) >= arrival).all(axis=1)
-                    if not live.any():
-                        break
-                elif tau >= tau_end:
-                    break
-                idx = np.flatnonzero(live)
-                edge = (int(wi[idx[0]]), int(germ[idx[0]]))
-                steps += 1
-                if steps > 40000 or dtau < 1e-15 or tau >= tau_end:
-                    raise PathLiftingError("stalled continuation", edge=edge)
-                if np.any(dp[idx] == 0):
-                    raise PathLiftingError(
-                        "stalled continuation (p' = 0 on path)", edge=edge)
-                t1 = min(tau + dtau, tau_end)
-                z0 = z[idx]
-                v0 = np.exp(log_v0[idx] + slope[idx] * tau)
-                v1 = np.exp(log_v0[idx] + slope[idx] * t1)
-                z1, dp1, ok = newton(z0 + sign * (v1 - v0) / dp[idx], v1,
-                                     sign)
-                gap = np.abs(z0[:, None] - z)
-                gap[np.arange(len(idx)), idx] = np.inf
-                dv = np.abs(z0[:, None] - verts)
-                guard = np.minimum(
-                    np.minimum(0.2 * spacing[dv.argmin(axis=1)],
-                               0.5 * dv.min(axis=1)),
-                    0.3 * gap.min(axis=1))
-                if ok.all() and np.all(np.abs(z1 - z0) < guard):
-                    z[idx], dp[idx], tau = z1, dp1, t1
-                    dtau *= 1.5
-                else:
-                    dtau *= 0.5
-    bi = np.abs(z[:, None] - y).argmin(axis=1)
-    return list(zip(wi.tolist(), bi.tolist(), theta.tolist(),
-                    np.angle(z - y[bi]).tolist()))
+            raise PathLiftingError("could not start continuation")
+        tau, dtau, steps = 0.0, 0.05, 0
+        while tau < 1.0:
+            steps += 1
+            if steps > 40000 or dtau < 1e-15:
+                raise PathLiftingError("stalled continuation")
+            if np.any(dp == 0):
+                raise PathLiftingError("stalled continuation (p' = 0 on path)")
+            gap = np.where(other, np.inf, np.abs(z[:, None] - z))
+            dv = np.abs(z[:, None] - verts)
+            guard = np.minimum(
+                np.minimum(0.2 * spacing[dv.argmin(axis=1)],
+                           0.5 * dv.min(axis=1)),
+                0.3 * gap.min(axis=1))
+            v0 = np.exp(log_delta * (1.0 - tau))
+            # v0 * (delta^-dtau - 1) / |p'| <= 0.8 * guard for every root
+            dtau = min(dtau, float(np.min(
+                np.log1p(0.8 * guard * np.abs(dp) / v0) / -log_delta)))
+            t1 = min(tau + dtau, 1.0)
+            v1 = np.exp(log_delta * (1.0 - t1))
+            z1, dp1, ok = newton(z + sign * (v1 - v0) / dp, v1)
+            if ok.all() and np.all(np.abs(z1 - z) < guard):
+                z, dp, tau = z1, dp1, t1
+                dtau *= 1.5
+            else:
+                dtau *= 0.5
+    # each white lift meets the black lift of its own edge at a zero of p
+    meet = np.abs(z[:n, None] - z[n:])
+    bi = meet.argmin(axis=1)
+    zero_gap = np.where(other[:n, :n], np.inf, np.abs(z[:n, None] - z[:n]))
+    if len(set(bi.tolist())) < n or not np.all(
+            meet[np.arange(n), bi] < 1e-6 * zero_gap.min(axis=1)):
+        raise PathLiftingError("white and black lifts do not meet pairwise")
+    return list(zip(vi[:n].tolist(), (vi[n:][bi] - s).tolist(),
+                    theta[:n].tolist(), theta[n:][bi].tolist()))
 
 
 def _identify_from_vertices(p, whites, blacks):
     s = len(whites)
     # (white index, black index, angle at white, angle at black)
     edges = _lift_edges(whites, blacks, complex(p.leading))
-    for bi, b in enumerate(blacks):
-        got = sum(1 for e in edges if e[1] == bi)
-        if got != b.multiplicity:
-            raise PathLiftingError(
-                f"black vertex {bi} received {got} paths, expected "
-                f"{b.multiplicity}", edge=bi)
     colors = [pt.WHITE] * s + [pt.BLACK] * len(blacks)
     neighbors = [[] for _ in colors]
     for wi in range(s):

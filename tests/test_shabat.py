@@ -6,11 +6,13 @@ from dessinjulia.catalog import series_tree
 from dessinjulia.plane_tree import (Passport, enumerate_trees,
                                     invert_colors, parse_plane_code,
                                     passport_of, plane_code, symmetry_flags)
-from dessinjulia.polynomial import ComplexPoly, parse_poly, poly_from_roots
+from dessinjulia.polynomial import (ComplexPoly, RootCluster, parse_poly,
+                                    poly_from_roots)
 from dessinjulia.shabat import (ExhaustedError, NoZapponiFormError,
-                                ShabatError, SZSolution, build_system,
-                                identify_tree, pcf_form, solve_passport,
-                                solve_tree, zapponi_normalize)
+                                PathLiftingError, ShabatError, SZSolution,
+                                build_system, identify_tree, pcf_form,
+                                solve_passport, solve_tree,
+                                zapponi_normalize)
 
 
 def _nonsym(n):
@@ -212,6 +214,21 @@ def test_identify_round_trip_caterpillars(family):
             continue
         got = identify_tree(solve_tree(tree).poly)
         assert plane_code(got) == plane_code(tree), n
+
+
+def test_lifts_must_meet_at_the_zeros_of_p():
+    # the lifts from the white and the black vertices meet at the zeros of
+    # p only when both vertex sets belong to the same polynomial; moving
+    # every black vertex by 1e-3 makes each pair miss by about 1e-3 of the
+    # distance to the nearest other zero
+    tree = parse_plane_code("W((()()())())")
+    sol = solve_tree(tree)
+    got = shabat._identify_from_vertices(sol.poly, sol.white, sol.black)
+    assert plane_code(got) == plane_code(tree)
+    moved = [RootCluster(b.location + 1e-3, b.multiplicity, 0.0)
+             for b in sol.black]
+    with pytest.raises(PathLiftingError, match="do not meet"):
+        shabat._identify_from_vertices(sol.poly, sol.white, moved)
 
 
 def test_identify_rejects_non_shabat():
