@@ -2,8 +2,9 @@
 
 Aberth, periodic Newton and the render loop are vectorized numpy; the two
 orbit kernels, which follow one critical value step by step, are plain
-Python complex arithmetic.  Each level of the backward tree
-(``cloud_chains``) is one batched Aberth solve over all its rows.  A batched
+Python complex arithmetic.  There is one Aberth driver, ``preimages``:
+each level of the backward tree (``cloud_chains``) is one batched solve
+over all its rows, and ``aberth_roots`` is its one-row case.  A batched
 Aberth step takes every row's pair sums from one (d, rows, d) array of
 differences, reciprocated in place and added in numpy's pairwise order, so
 the roots are bitwise those of ``.sum``; zero differences (two equal points)
@@ -22,14 +23,16 @@ import numpy as np
 
 
 def _polyval(c, z):
+    """p(z) elementwise for an array z, accumulated in place."""
     acc = np.full_like(z, c[-1], dtype=np.complex128)
     for i in range(len(c) - 2, -1, -1):
-        acc = acc * z + c[i]
+        acc *= z
+        acc += c[i]
     return acc
 
 
 def _horner(cl, z):
-    """p(z) for one point, with cl the coefficients as a list of Python
+    """p(z) for one point, with cl the coefficients as a sequence of Python
     complex numbers."""
     acc = cl[-1]
     for a in cl[-2::-1]:
@@ -49,14 +52,6 @@ def _start_radius(c, z):
     bound = max([(abs(c[i]) / an) ** (1.0 / (d - i)) for i in range(1, d)],
                 default=0.0)
     return np.maximum(bound, (np.abs(c[0] - z) / an) ** (1.0 / d))
-
-
-def _aberth_start(coeffs, n):
-    """Cold-start points: circle at the start radius, slightly ellipted and
-    rotated off symmetry axes."""
-    r = _start_radius(coeffs, np.zeros(1))[0]
-    ang = 2.0 * np.pi * np.arange(n) / n + 0.4 / n + 0.77
-    return r * np.exp(1j * ang) * (1.0 + 0.03 * np.cos(3.1 * ang))
 
 
 def _pairwise_sum(a):
@@ -130,18 +125,16 @@ def _aberth_iterate(c, dc, w, z, maxiter, tol):
     return out
 
 
-def aberth_roots(coeffs, start=None, maxiter=1000, tol=1e-14):
-    """All roots of the dense ascending-coefficient polynomial at once."""
+def aberth_roots(coeffs):
+    """All roots of the dense ascending-coefficient polynomial at once: the
+    one-row case of ``preimages`` (p(w) = 0)."""
     c = np.asarray(coeffs, dtype=np.complex128)
     n = len(c) - 1
     if n < 1:
         return np.empty(0, dtype=np.complex128)
     if n == 1:
         return np.array([-c[0] / c[1]])
-    dc = c[1:] * np.arange(1, n + 1)
-    w = np.array(start, dtype=np.complex128) if start is not None \
-        else _aberth_start(c, n)
-    return _aberth_iterate(c, dc, w[None], np.zeros(1), maxiter, tol)[0]
+    return preimages(c, np.zeros(1))[0]
 
 
 # ---------------------------------------------------------------- orbits
@@ -256,11 +249,7 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r):
             tort = z
             snap *= 2
         if it < max_iter:
-            acc = np.full_like(z, c[-1])
-            for i in range(len(c) - 2, -1, -1):
-                acc *= z
-                acc += c[i]
-            z = acc
+            z = _polyval(c, z)
     shape = (len(ys), len(xs))
     return steps.reshape(shape), which.reshape(shape)
 

@@ -21,7 +21,7 @@ from importlib import resources
 from itertools import repeat
 from pathlib import Path
 
-from .dynamics import DynamicsClassification, OrbitConfig, classify
+from .dynamics import DynamicsClassification, classify
 from .fractal import (FractalError, box_dim, julia_cloud, pressure_dim,
                       render_basins, render_escape)
 from .plane_tree import (Passport, enumerate_trees, parse_plane_code,
@@ -32,17 +32,15 @@ from .shabat import (ExhaustedError, NoZapponiFormError, SZSolution,
 
 DEFAULT_STORE = os.environ.get("DESSIN_STORE", "store")
 
+CLOUD_POINTS = 200_000  # julia_cloud size behind each record's box_dim
+
 
 @dataclass
 class CatalogConfig:
     rng_seed: int = 0
-    max_iter: int = 200_000
     with_dims: bool = False
     with_images: bool = False
-    cloud_points: int = 200_000
     image_size: tuple = (400, 400)
-    trap_radius: float = 0.01
-    thresholds: tuple = (5, 7, 10)
     force: bool = False
 
 
@@ -147,8 +145,7 @@ def analyze_tree(tree, cfg=None, store=None):
         return rec
 
     t0 = time.perf_counter()
-    rec.classification = classify(rec.sz.poly,
-                                  cfg=OrbitConfig(max_iter=cfg.max_iter))
+    rec.classification = classify(rec.sz.poly)
     rec.timings["classify"] = time.perf_counter() - t0
 
     if cfg.with_dims:
@@ -165,7 +162,7 @@ def _attach_dims(rec, cfg):
     disconnected = cls.connectedness == "totally_disconnected"
     t0 = time.perf_counter()
     try:
-        cloud = julia_cloud(p, cfg.cloud_points, rng_seed=cfg.rng_seed)
+        cloud = julia_cloud(p, CLOUD_POINTS, rng_seed=cfg.rng_seed)
         rec.dims.append(box_dim(cloud, disconnected=disconnected))
     except (FractalError, ValueError) as exc:
         rec.error = f"box_dim: {exc}"
@@ -191,8 +188,7 @@ def _attach_images(rec, cfg, store):
     rec.artifacts["escape"] = store.save_image(esc, f"{key}-escape.ppm")
     try:
         bas = render_basins(p, rec.classification, viewport, cfg.image_size,
-                            trap_radius=cfg.trap_radius,
-                            thresholds=cfg.thresholds, max_iter=2000)
+                            max_iter=2000)
         rec.artifacts["basins"] = store.save_image(bas, f"{key}-basins.ppm")
     except FractalError:
         pass

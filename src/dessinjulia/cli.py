@@ -15,7 +15,7 @@ from .dynamics import OrbitConfig, classify
 from .fractal import (FractalError, box_dim, julia_cloud, pressure_dim,
                       render_basins, render_escape)
 from .plane_tree import (PlaneTreeError, Passport, enumerate_trees,
-                         invert_colors, parse_plane_code, passport_of,
+                         pair_representative, parse_plane_code, passport_of,
                          plane_code, symmetry_flags)
 from .polynomial import PolynomialError, format_complex, format_poly, parse_poly
 from .shabat import (ExhaustedError, NoZapponiFormError, solve_passport,
@@ -137,30 +137,22 @@ def _poly_arg(text):
         raise _CliError(f"bad polynomial: {exc}")
 
 
-def pair_representative(tree):
-    """The member of the color-swap pair that the catalog lists: passport
-    with white side lexicographically largest; smaller canonical code on a
-    self-dual passport."""
-    inv = invert_colors(tree)
-    code, icode = plane_code(tree), plane_code(inv)
-    if passport_of(tree).swapped or \
-            (not passport_of(inv).swapped and icode < code):
-        return inv, True
-    return tree, False
+def _solve_tree_arg(args, out):
+    """Solve --tree for the pair representative of the given tree."""
+    tree, swapped = pair_representative(_tree_arg(args.tree))
+    if swapped:
+        print(f"note: colors swapped to pair representative "
+              f"{plane_code(tree)}", file=out)
+    try:
+        return solve_tree(tree)
+    except (NoZapponiFormError, ExhaustedError) as exc:
+        raise _CliError(str(exc))
 
 
 def _poly_or_tree(args, out):
     if args.poly is not None:
         return _poly_arg(args.poly)
-    tree = _tree_arg(args.tree)
-    tree, swapped = pair_representative(tree)
-    if swapped:
-        print(f"note: colors swapped to pair representative "
-              f"{plane_code(tree)}", file=out)
-    try:
-        return solve_tree(tree).poly
-    except (NoZapponiFormError, ExhaustedError) as exc:
-        raise _CliError(str(exc))
+    return _solve_tree_arg(args, out).poly
 
 
 def _cmd_enumerate(args, out):
@@ -188,16 +180,7 @@ def _print_solution(sz, out):
 
 def _cmd_solve(args, out):
     if args.tree is not None:
-        tree = _tree_arg(args.tree)
-        tree, swapped = pair_representative(tree)
-        if swapped:
-            print(f"note: colors swapped to pair representative "
-                  f"{plane_code(tree)}", file=out)
-        try:
-            sz = solve_tree(tree)
-        except (NoZapponiFormError, ExhaustedError) as exc:
-            raise _CliError(str(exc))
-        _print_solution(sz, out)
+        _print_solution(_solve_tree_arg(args, out), out)
         return 0
     try:
         passport = Passport.parse(args.passport)

@@ -250,6 +250,18 @@ def invert_colors(tree):
                      [list(nb) for nb in tree.neighbors])
 
 
+def pair_representative(tree):
+    """(representative, swapped): the member of the color-swap pair that
+    the catalog lists, and whether it is the inverted tree.  It has the
+    passport with the white side lexicographically largest, and the
+    smaller canonical code on a self-dual passport."""
+    inv = invert_colors(tree)
+    if passport_of(tree).swapped or (not passport_of(inv).swapped
+                                     and plane_code(inv) < plane_code(tree)):
+        return inv, True
+    return tree, False
+
+
 def mirror(tree):
     """Reflection: all cyclic orders reversed."""
     return PlaneTree(list(tree.colors),
@@ -312,17 +324,8 @@ def enumerate_trees(n_edges, dedup_color_swap=True):
             if code not in canon:
                 canon[code] = tree
     if dedup_color_swap:
-        keep = {}
-        for code, tree in canon.items():
-            icode = plane_code(invert_colors(tree))
-            pp = passport_of(tree)
-            if pp.swapped:
-                continue
-            if not passport_of(canon[icode]).swapped and icode < code:
-                # self-dual passport: keep the smaller code of the pair
-                continue
-            keep[code] = tree
-        canon = keep
+        canon = {code: tree for code, tree in canon.items()
+                 if not pair_representative(tree)[1]}
     return [parse_plane_code(code) for code in sorted(canon)]
 
 

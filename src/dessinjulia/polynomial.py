@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import aberth_roots
+from ._kernels import _horner, _polyval, aberth_roots
 
 
 class PolynomialError(ValueError):
@@ -84,9 +84,6 @@ class ComplexPoly:
 
     __rmul__ = __mul__
 
-    def monic(self):
-        return ComplexPoly(tuple(self.as_array() / self.leading))
-
     def compose_affine(self, alpha, beta):
         """Coefficients of p(alpha*z + beta)."""
         lin = ComplexPoly((beta, alpha))
@@ -116,17 +113,9 @@ def poly_from_roots(roots, mults, leading=1.0):
 
 def evaluate(p, z):
     """Horner evaluation; accepts scalars or arrays."""
-    c = p.coeffs
     if np.isscalar(z) or isinstance(z, complex):
-        acc = c[-1]
-        for a in c[-2::-1]:
-            acc = acc * z + a
-        return acc
-    z = np.asarray(z, dtype=np.complex128)
-    acc = np.full_like(z, c[-1])
-    for a in c[-2::-1]:
-        acc = acc * z + a
-    return acc
+        return _horner(p.coeffs, z)
+    return _polyval(p.coeffs, np.asarray(z, dtype=np.complex128))
 
 
 def derivative(p):
@@ -258,7 +247,7 @@ def _cluster_quality(p, clusters):
     return float(np.max(np.abs(pa - qa)) / np.max(np.abs(pa)))
 
 
-def roots(p, cluster_tol=1e-6, maxiter=2000):
+def roots(p, cluster_tol=1e-6):
     """All roots with multiplicities via simultaneous (Aberth-style)
     iteration followed by adaptive clustering.
 
@@ -270,7 +259,7 @@ def roots(p, cluster_tol=1e-6, maxiter=2000):
         raise PolynomialError("degree must be >= 1")
     if not 0 < cluster_tol < 0.45:  # the ladder below must try one rung
         raise PolynomialError("cluster_tol must be in (0, 0.45)")
-    raw = aberth_roots(p.as_array(), maxiter=maxiter)
+    raw = aberth_roots(p.as_array())
     resid = np.abs(evaluate(p, raw))
     scale = float(np.max(np.abs(raw))) + 1.0
     coeff_scale = float(np.max(np.abs(p.as_array())))

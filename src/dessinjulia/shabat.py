@@ -289,7 +289,7 @@ def _vertex_polynomial(system, x, y, a):
 def _is_valid_solution(system, u, norm):
     """Converged (scaled residual <= 1e-9), nonzero leading factor and
     pairwise distinct vertices."""
-    if norm / system.scale(u) > 1e-9:
+    if not norm / system.scale(u) <= 1e-9:  # NaN fails too
         return False
     x, y, a = system.split(u)
     if abs(a) < 1e-10:

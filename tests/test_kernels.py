@@ -33,6 +33,13 @@ def _derivative(c):
     return c[1:] * np.arange(1, len(c))
 
 
+def _start_circle(c, z):
+    """The start circle of _preimages: d points at the start radius."""
+    d = len(c) - 1
+    r = K._start_radius(c, np.asarray(z, dtype=np.complex128))
+    return r[:, None] * np.exp(1j * (2 * np.pi * np.arange(d) / d + 0.77))
+
+
 def _assert_roots(got, c):
     """got holds every root of c, one point each, as np.roots finds them."""
     want = np.roots(c[::-1])
@@ -45,8 +52,8 @@ def test_aberth_iterate(poly):
     # roots of p(w) - z at a generic z are simple
     c = poly.as_array().copy()
     c[0] -= 0.3 + 0.2j
-    w0 = K._aberth_start(c, len(c) - 1)
-    got = K._aberth_iterate(c, _derivative(c), w0[None], np.zeros(1), 1000,
+    w0 = _start_circle(c, [0.0])
+    got = K._aberth_iterate(c, _derivative(c), w0, np.zeros(1), 1000,
                             1e-14)[0]
     _assert_roots(got, c)
 
@@ -60,17 +67,16 @@ def test_aberth_start_radius_fits_the_roots():
         cz = c.copy()
         cz[0] -= z
         largest = np.abs(np.roots(cz[::-1])).max()
-        start = np.abs(K._aberth_start(cz, len(c) - 1))
-        assert 0.5 * largest <= start.min() and start.max() <= 2 * largest
+        start = K._start_radius(c, np.array([z], dtype=np.complex128))[0]
+        assert 0.5 * largest <= start <= 2 * largest
 
 
 def test_aberth_repairs_equal_start_points(poly, monkeypatch):
     # two equal start points make the pair sums non-finite; the zero
     # differences are then repaired and the iteration still finds every root
     c = poly.as_array()
-    d = len(c) - 1
     z = np.array([0.3 + 0.2j, -0.1 + 0.5j, 0.7 - 0.4j])
-    w0 = np.tile(K._aberth_start(c, d), (3, 1))
+    w0 = _start_circle(c, z)
     w0[0, 1] = w0[0, 0]
     w0[1, -1] = w0[1, 0]
     repairs = []

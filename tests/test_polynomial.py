@@ -119,7 +119,7 @@ def test_roots_exact_triple_root():
 def test_roots_rejects_non_finite_aberth_output(monkeypatch):
     import dessinjulia.polynomial as P
     monkeypatch.setattr(P, "aberth_roots",
-                        lambda c, maxiter: np.array([np.nan, 1.0 + 0j]))
+                        lambda c: np.array([np.nan, 1.0 + 0j]))
     with pytest.raises(RootFindingError):
         roots(ComplexPoly((-1, 0, 1)))
 

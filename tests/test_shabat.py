@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from dessinjulia import shabat
+from dessinjulia import _kernels, shabat
 from dessinjulia.catalog import series_tree
 from dessinjulia.plane_tree import (Passport, enumerate_trees,
                                     invert_colors, parse_plane_code,
                                     passport_of, plane_code, symmetry_flags)
 from dessinjulia.polynomial import (ComplexPoly, RootCluster, parse_poly,
-                                    poly_from_roots)
+                                    poly_from_roots, roots)
 from dessinjulia.shabat import (ExhaustedError, NoZapponiFormError,
                                 PathLiftingError, ShabatError, SZSolution,
                                 build_system, identify_tree, pcf_form,
@@ -120,6 +120,12 @@ def test_jacobians_match_central_differences(passport):
         assert np.max(np.abs(J - fd)) < 1e-6 * np.max(np.abs(J)), system
 
 
+def test_nan_solution_is_not_valid():
+    system = shabat._AltSystem((3, 2), (2, 1, 1, 1))
+    u = np.full(system.size, np.nan + 0j)
+    assert not shabat._is_valid_solution(system, u, float("nan"))
+
+
 def test_exhausted_after_a_finite_seed_list(monkeypatch):
     # with every Newton run failing, the seed list runs out: the layout
     # seed, then the leaf continuations of sub-trees that cannot be solved
@@ -214,6 +220,28 @@ def test_identify_round_trip_caterpillars(family):
             continue
         got = identify_tree(solve_tree(tree).poly)
         assert plane_code(got) == plane_code(tree), n
+
+
+def test_roots_of_p_minus_1_cost_one_capped_solve(monkeypatch):
+    # the white vertices of the caterpillar <13,1|2,1,...,1> are a 13-fold
+    # and a simple root of p - 1: the split copies of the 13-fold root never
+    # pass a relative-correction test, so the solve is bounded by the
+    # iteration cap (80) plus at most one restart (200)
+    tree = series_tree(1, 13)
+    p = solve_tree(tree).poly
+    asked = []
+    iterate = _kernels._aberth_iterate
+
+    def counted(c, dc, w, z, maxiter, tol):
+        asked.append(maxiter)
+        return iterate(c, dc, w, z, maxiter, tol)
+
+    monkeypatch.setattr(_kernels, "_aberth_iterate", counted)
+    whites = roots(p - 1.0)
+    assert sum(asked) <= 280, asked
+    want, _ = shabat._degrees(tree)
+    assert sorted((w.multiplicity for w in whites), reverse=True) \
+        == list(want)
 
 
 def test_lifts_must_meet_at_the_zeros_of_p():
