@@ -20,8 +20,8 @@ from .polynomial import (ComplexPoly, PolynomialError, RootCluster,
                          evaluate, format_poly, is_shabat, parse_poly,
                          poly_from_roots, roots)
 from .shabat import (ExhaustedError, NoZapponiFormError, PathLiftingError,
-                     ShabatError, SZSolution, build_system, identify_tree,
-                     pcf_form, solve_passport, solve_tree, zapponi_normalize)
+                     ShabatError, SZSolution, identify_tree, pcf_form,
+                     solve_passport, solve_tree, zapponi_normalize)
 
 __version__ = "0.1.0"
 

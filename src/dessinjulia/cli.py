@@ -2,7 +2,8 @@
 
 Subcommands: enumerate, solve, classify, render, dim, catalog, series,
 report.  Exit status 0 on success, 1 on a domain failure (no Zapponi form,
-search exhausted, estimator failure), 2 on usage errors.
+search exhausted, not a tree passport, estimator failure), 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from .plane_tree import (PlaneTreeError, Passport, enumerate_trees,
                          pair_representative, parse_plane_code, passport_of,
                          plane_code, symmetry_flags)
 from .polynomial import PolynomialError, format_complex, format_poly, parse_poly
-from .shabat import (ExhaustedError, NoZapponiFormError, solve_passport,
-                     solve_tree)
+from .shabat import ShabatError, solve_passport, solve_tree
 
 
 class _CliError(Exception):
@@ -145,7 +145,7 @@ def _solve_tree_arg(args, out):
               f"{plane_code(tree)}", file=out)
     try:
         return solve_tree(tree)
-    except (NoZapponiFormError, ExhaustedError) as exc:
+    except ShabatError as exc:
         raise _CliError(str(exc))
 
 
@@ -188,7 +188,7 @@ def _cmd_solve(args, out):
         raise _CliError(f"bad passport: {exc}")
     try:
         sols = solve_passport(passport)
-    except (NoZapponiFormError, ExhaustedError) as exc:
+    except ShabatError as exc:
         raise _CliError(str(exc))
     for i, sz in enumerate(sols):
         print(f"-- solution {i + 1} of {len(sols)}", file=out)

@@ -5,14 +5,15 @@ degrees), black coordinates y_j (l_j), and the leading factor a, tied by
 
     p - 1 = a * prod (z - x_i)^{k_i},    p + 1 = a * prod (z - y_j)^{l_j},
 
-so a*(B - A) = 2 identically for the two monic products A and B.  Both
-Newton systems are built on that coefficient block.  The monic one (a = 1,
-first white at 0) solves one tree by damped Newton from a finite seed list:
-the geometric tree layout, then leaf-removal continuations.  Each seed's
-leading factor is fitted by least squares and the seed scaled to make it 1,
-so it lands next to one of the monic system's n rotated copies of the
-solution.  The Zapponi one (a free, sum x_i = 1, sum y_j = -1) polishes the
-solution's affine image.  A passport is solved tree by tree.
+so a*(B - A) = 2 identically for the two monic products A and B.  One
+Newton system is built on that coefficient block, in a monic normalization
+(a = 1, first white at 0).  It solves one tree by damped Newton from a
+finite seed list: the geometric tree layout, then leaf-removal
+continuations.  Each seed's leading factor is fitted by least squares and
+the seed scaled to make it 1, so it lands next to one of the system's n
+rotated copies of the solution.  Its affine image with sum x_i = 1 and
+sum y_j = -1, leading factor a = alpha^n for the scale alpha of the map, is
+the Zapponi form, which is unique.  A passport is solved tree by tree.
 
 The other way, a polynomial's vertices are the clustered roots of p - 1 and
 p + 1, found once and accepted by the Riemann-Hurwitz count s + t = n + 1.
@@ -56,7 +57,12 @@ class SZSolution:
     white: list  # RootCluster per white vertex
     black: list
     leading: complex
-    residual: float
+
+    @property
+    def residual(self):
+        """Largest deviation of the Zapponi sums, |sum x - 1| and
+        |sum y + 1|."""
+        return float(max(self.invariant_deviations()[1:3]))
 
     def invariant_deviations(self):
         """(subleading/an, |sum x - 1|, |sum y + 1|, |sum k x - sum l y|)."""
@@ -93,127 +99,70 @@ class SZSolution:
         black = [RootCluster(complex(b["re"], b["im"]), b["mult"], 0.0)
                  for b in rec["black"]]
         return cls(poly, white, black,
-                   complex(rec["leading"][0], rec["leading"][1]),
-                   rec["residual"])
+                   complex(rec["leading"][0], rec["leading"][1]))
 
 
-# ----------------------------------------------------------- residual system
+# ----------------------------------------------------------- newton system
 
 
-class _VertexSystem:
-    """Newton system of one colored tree passport.  Its first n rows are
-    the coefficient block a*(B - A)[:n] - 2e_0 of the monic A and B; a
-    subclass picks the unknowns (split) and adds its own rows and columns."""
+class _AltSystem:
+    """Newton system of one colored tree passport in the scale-free
+    normalization: monic (a = 1) with the highest-multiplicity white vertex
+    pinned at the origin.  The unknowns are the other s - 1 whites, then
+    every black; the n rows are the coefficient block (B - A)[:n] - 2e_0 of
+    the monic A and B.
 
-    pinned = 0  # leading whites held fixed, without a Jacobian column
+    Unlike the Zapponi normalization this system has solutions for every
+    plane tree (the Zapponi one degenerates when t*sum(x) = s*sum(y)), so
+    solve_tree maps its solution into Zapponi form afterwards, when that
+    exists."""
 
     def __init__(self, white_degrees, black_degrees):
-        w = tuple(white_degrees)
-        b = tuple(black_degrees)
-        n = sum(w)
-        if sum(b) != n:
-            raise ShabatError("degree sums differ")
-        if len(w) + len(b) != n + 1:
-            raise ShabatError("not a tree passport (s + t must be n + 1)")
-        if n < 2:
-            raise ShabatError("need at least 2 edges")
-        self.k = w
-        self.l = b
-        self.n = n
-        self.s = len(w)
-        self.t = len(b)
+        self.k = tuple(white_degrees)
+        self.l = tuple(black_degrees)
+        self.n = sum(self.k)  # (s - 1) + t unknowns
+        self.s = len(self.k)
+        self.t = len(self.l)
+
+    def split(self, u):
+        return np.concatenate([[0j], u[: self.s - 1]]), u[self.s - 1:]
 
     def monics(self, x, y):
         return expand_roots(x, self.k), expand_roots(y, self.l)
 
     def residual(self, u):
-        x, y, a = self.split(u)
-        A, B = self.monics(x, y)
-        F = a * (B - A)[: self.n]  # z^0 .. z^{n-1}
+        A, B = self.monics(*self.split(u))
+        F = (B - A)[: self.n]  # z^0 .. z^{n-1}
         F[0] -= 2.0
         return F
 
-    def _vertex_columns(self, x, y, a):
+    def jacobian(self, u):
         """Derivatives of the block by the free x_i, then by every y_j."""
-        for i in range(self.pinned, self.s):
+        x, y = self.split(u)
+        J = np.empty((self.n, self.n), dtype=np.complex128)
+        for i in range(1, self.s):
             mults = list(self.k)
             mults[i] -= 1
-            yield a * self.k[i] * expand_roots(x, mults)[: self.n]
+            J[:, i - 1] = self.k[i] * expand_roots(x, mults)[: self.n]
         for j in range(self.t):
             mults = list(self.l)
             mults[j] -= 1
-            yield -a * self.l[j] * expand_roots(y, mults)[: self.n]
-
-    def jacobian(self, u):
-        x, y, a = self.split(u)
-        J = np.zeros((self.size, self.size), dtype=np.complex128)
-        for c, col in enumerate(self._vertex_columns(x, y, a)):
-            J[: self.n, c] = col
+            J[:, self.s - 1 + j] = \
+                -self.l[j] * expand_roots(y, mults)[: self.n]
         return J
 
     def scale(self, u):
-        x, y, a = self.split(u)
-        A, B = self.monics(x, y)
-        return 1.0 + abs(a) * float(max(np.max(np.abs(A)), np.max(np.abs(B))))
+        A, B = self.monics(*self.split(u))
+        return 1.0 + float(max(np.max(np.abs(A)), np.max(np.abs(B))))
 
 
-class ResidualSystem(_VertexSystem):
-    """Zapponi normalization: unknowns x, y and a, with the rows
-    sum x_i = 1 and sum y_j = -1."""
-
-    def __init__(self, white_degrees, black_degrees):
-        super().__init__(white_degrees, black_degrees)
-        self.size = self.s + self.t + 1
-
-    def split(self, u):
-        return u[:self.s], u[self.s:self.s + self.t], u[-1]
-
-    def residual(self, u):
-        x, y, _ = self.split(u)
-        return np.concatenate([super().residual(u),
-                               [x.sum() - 1.0, y.sum() + 1.0]])
-
-    def jacobian(self, u):
-        J = super().jacobian(u)
-        A, B = self.monics(*self.split(u)[:2])
-        J[: self.n, -1] = (B - A)[: self.n]
-        J[self.n, : self.s] = 1.0
-        J[self.n + 1, self.s: self.s + self.t] = 1.0
-        return J
-
-
-class _AltSystem(_VertexSystem):
-    """Scale-free normalization: monic (a = 1) with the highest-multiplicity
-    white vertex pinned at the origin.
-
-    Unlike the Zapponi normalization this system has solutions for every
-    plane tree (the Zapponi one degenerates when t*sum(x) = s*sum(y)), so it
-    is the internal workhorse; the affine map into Zapponi form is applied
-    afterwards when it exists."""
-
-    pinned = 1
-
-    def __init__(self, white_degrees, black_degrees):
-        super().__init__(white_degrees, black_degrees)
-        self.size = self.n  # (s - 1) + t
-
-    def split(self, u):
-        x = np.concatenate([[0j], u[: self.s - 1]])
-        return x, u[self.s - 1:], 1.0
-
-
-def build_system(passport):
-    """Residual system of a normalized passport (whites on the +1 side)."""
-    if isinstance(passport, str):
-        passport = pt.Passport.parse(passport)
-    return ResidualSystem(passport.white, passport.black)
-
-
-def _newton(system, u0, max_steps=60):
+def _newton(system, u0):
+    """Damped Newton, at most 120 steps, each halved until the residual
+    drops; stops at a scaled residual below 1e-13."""
     u = u0.astype(np.complex128).copy()
     F = system.residual(u)
     norm = float(np.max(np.abs(F)))
-    for _ in range(max_steps):
+    for _ in range(120):
         if not np.isfinite(norm):
             return u, norm
         try:
@@ -277,24 +226,20 @@ def _clusters(poly, points, value):
             for z, m in points]
 
 
-def _vertex_polynomial(system, x, y, a):
+def _vertex_polynomial(k, l, x, y, a):
     """p = a*prod (z - x_i)^{k_i} + 1 with its white and black vertices."""
-    pa = a * expand_roots(x, system.k)
+    pa = a * expand_roots(x, k)
     pa[0] += 1.0
     poly = ComplexPoly(tuple(pa))
-    return (poly, _clusters(poly, zip(x, system.k), 1.0),
-            _clusters(poly, zip(y, system.l), -1.0))
+    return (poly, _clusters(poly, zip(x, k), 1.0),
+            _clusters(poly, zip(y, l), -1.0))
 
 
 def _is_valid_solution(system, u, norm):
-    """Converged (scaled residual <= 1e-9), nonzero leading factor and
-    pairwise distinct vertices."""
+    """Converged (scaled residual <= 1e-9) and pairwise distinct vertices."""
     if not norm / system.scale(u) <= 1e-9:  # NaN fails too
         return False
-    x, y, a = system.split(u)
-    if abs(a) < 1e-10:
-        return False
-    pts = np.concatenate([x, y])
+    pts = np.concatenate(system.split(u))
     sep = 1e-5 * (1.0 + float(np.max(np.abs(pts))))
     gaps = np.abs(pts[:, None] - pts)
     np.fill_diagonal(gaps, np.inf)
@@ -358,7 +303,7 @@ def _alt_seed(system, wpos, bpos):
     w = np.asarray(wpos, dtype=np.complex128)
     b = np.asarray(bpos, dtype=np.complex128)
     u = np.concatenate([w[1:], b]) - w[0]
-    A, B = system.monics(*system.split(u)[:2])
+    A, B = system.monics(*system.split(u))
     d = (B - A)[: system.n]
     with np.errstate(all="ignore"):
         a = 2.0 * np.conj(d[0]) / np.sum(np.abs(d) ** 2)
@@ -450,10 +395,10 @@ def _solve_tree_alt(tree, memo):
     tries = 0
     for u0 in seed_iter():
         tries += 1
-        u, norm = _newton(system, u0, max_steps=120)
+        u, norm = _newton(system, u0)
         if not _is_valid_solution(system, u, norm):
             continue
-        x, y, _ = system.split(u)
+        x, y = system.split(u)
         # a repeat already lifted to a tree that is neither target nor mirror
         whites = list(zip(x, system.k))
         if any(_same_vertex_set(whites, seen) for seen in lifted):
@@ -461,7 +406,7 @@ def _solve_tree_alt(tree, memo):
         lifted.append(whites)
         try:
             found = _identify_from_vertices(
-                *_vertex_polynomial(system, x, y, 1.0))
+                *_vertex_polynomial(system.k, system.l, x, y, 1.0))
         except PathLiftingError:
             continue
         code = pt.plane_code(found)
@@ -485,7 +430,11 @@ def solve_passport(passport):
     form contribute one solution each."""
     if isinstance(passport, str):
         passport = pt.Passport.parse(passport)
-    build_system(passport)  # validates
+    n = passport.n_edges
+    if len(passport.white) + len(passport.black) != n + 1:
+        raise ShabatError("not a tree passport (s + t must be n + 1)")
+    if n < 2:
+        raise ShabatError("need at least 2 edges")
     memo = {}
     solutions = []
     degenerate = 0
@@ -510,7 +459,8 @@ def solve_passport(passport):
 
 def solve_tree(tree, _memo=None):
     """The unique SZ polynomial of a non-symmetric plane tree (colors as
-    given: whites are the preimages of +1)."""
+    given: whites are the preimages of +1).  The monic solution is moved by
+    z -> (z - beta)/alpha to white sum 1 and black sum -1."""
     tree.validate()
     if tree.n_edges < 2:
         raise ShabatError("need at least 2 edges")
@@ -527,20 +477,10 @@ def solve_tree(tree, _memo=None):
         raise NoZapponiFormError(
             "degenerate vertex sums (t*sum(x) = s*sum(y)); tree has no "
             "Zapponi form")
-    xz = (x - beta) / alpha
-    yz = (y - beta) / alpha
     w, b = _degrees(tree)
-    a = alpha ** sum(w)
-    system = ResidualSystem(w, b)
-    u0 = np.concatenate([xz, yz, [a]])
-    u, norm = _newton(system, u0, max_steps=40)
-    if not _is_valid_solution(system, u, norm):
-        raise ExhaustedError(
-            "could not polish the Zapponi form of tree "
-            f"{pt.plane_code(tree)} (residual {norm:.3g})")
-    x, y, a = system.split(u)
-    return SZSolution(*_vertex_polynomial(system, x, y, a), complex(a),
-                      float(norm / system.scale(u)))
+    a = complex(alpha ** sum(w))
+    return SZSolution(*_vertex_polynomial(w, b, (x - beta) / alpha,
+                                          (y - beta) / alpha, a), a)
 
 
 # ------------------------------------------------------------ normalization
@@ -561,10 +501,8 @@ def zapponi_normalize(p, tol=1e-9):
     q = p.compose_affine(X, -beta)
     white, black = ([((v.location + beta) / X, v.multiplicity) for v in vs]
                     for vs in (whites, blacks))
-    sol = SZSolution(q, _clusters(q, white, 1.0), _clusters(q, black, -1.0),
-                     q.leading, 0.0)
-    sol.residual = float(max(sol.invariant_deviations()[1:3]))
-    return sol
+    return SZSolution(q, _clusters(q, white, 1.0), _clusters(q, black, -1.0),
+                      q.leading)
 
 
 # ------------------------------------------------------------ identification

@@ -62,6 +62,16 @@ def test_solve_symmetric_tree_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--passport", "2,2|2,2"],
+                                  ["--passport", "1|1"],
+                                  ["--tree", "W()"]])
+def test_solve_unsolvable_input_fails(argv, capsys):
+    # not a tree passport, or fewer than 2 edges: an error line, no traceback
+    code, _ = run(["solve", *argv])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_solve_bad_code(capsys):
     code, _ = run(["solve", "--tree", "W((("])
     assert code == 1

@@ -10,9 +10,8 @@ from dessinjulia.polynomial import (ComplexPoly, RootCluster, parse_poly,
                                     poly_from_roots, roots)
 from dessinjulia.shabat import (ExhaustedError, NoZapponiFormError,
                                 PathLiftingError, ShabatError, SZSolution,
-                                build_system, identify_tree, pcf_form,
-                                solve_passport, solve_tree,
-                                zapponi_normalize)
+                                identify_tree, pcf_form, solve_passport,
+                                solve_tree, zapponi_normalize)
 
 
 def _nonsym(n):
@@ -29,6 +28,7 @@ def test_solve_known_quartic():
     ref = poly_from_roots([-1 / 3, 4 / 3], [4, 1], 243 / 128) + 1.0
     assert np.allclose(sol.poly.as_array(), ref.as_array(), atol=1e-8)
     assert max(sol.invariant_deviations()) < 1e-9
+    assert sol.residual == max(sol.invariant_deviations()[1:3]) < 1e-8
 
 
 def test_solve_known_quintic():
@@ -36,6 +36,7 @@ def test_solve_known_quintic():
     sol = solve_tree(parse_plane_code("W((()))()()"))
     ref = poly_from_roots([-2.0, 3.0], [3, 2], -1 / 54) + 1.0
     assert np.allclose(sol.poly.as_array(), ref.as_array(), atol=1e-8)
+    assert sol.residual == max(sol.invariant_deviations()[1:3]) < 1e-8
 
 
 def test_solve_passport_self_dual_quintic():
@@ -97,32 +98,31 @@ def test_no_zapponi_form_degenerate_nonsymmetric():
 def test_solve_rejects_tiny_trees():
     with pytest.raises(ShabatError):
         solve_tree(parse_plane_code("W()"))
-    with pytest.raises(ShabatError):
-        build_system("2,2|2,2")  # not a tree passport (s + t != n + 1)
+    with pytest.raises(ShabatError, match="not a tree passport"):
+        solve_passport("2,2|2,2")  # s + t != n + 1
 
 
 @pytest.mark.parametrize("passport",
                          ["4,1|2,1,1,1", "3,2|2,1,1,1", "3,1,1|3,1,1"])
 def test_jacobians_match_central_differences(passport):
-    # both systems are holomorphic, so a real step gives each column
+    # the system is holomorphic, so a real step gives each column
     pp = Passport.parse(passport)
     rng = np.random.default_rng(11)
     h = 1e-6
-    for system in (build_system(pp), shabat._AltSystem(pp.white, pp.black)):
-        u = rng.normal(size=system.size) + 1j * rng.normal(size=system.size)
-        J = system.jacobian(u)
-        fd = np.empty_like(J)
-        for c in range(system.size):
-            e = np.zeros(system.size)
-            e[c] = h
-            fd[:, c] = (system.residual(u + e) - system.residual(u - e)) \
-                / (2 * h)
-        assert np.max(np.abs(J - fd)) < 1e-6 * np.max(np.abs(J)), system
+    system = shabat._AltSystem(pp.white, pp.black)
+    u = rng.normal(size=system.n) + 1j * rng.normal(size=system.n)
+    J = system.jacobian(u)
+    fd = np.empty_like(J)
+    for c in range(system.n):
+        e = np.zeros(system.n)
+        e[c] = h
+        fd[:, c] = (system.residual(u + e) - system.residual(u - e)) / (2 * h)
+    assert np.max(np.abs(J - fd)) < 1e-6 * np.max(np.abs(J))
 
 
 def test_nan_solution_is_not_valid():
     system = shabat._AltSystem((3, 2), (2, 1, 1, 1))
-    u = np.full(system.size, np.nan + 0j)
+    u = np.full(system.n, np.nan + 0j)
     assert not shabat._is_valid_solution(system, u, float("nan"))
 
 
@@ -181,7 +181,7 @@ def test_determinism():
 
 def test_aimed_seed_solves_caterpillars_in_one_run(monkeypatch):
     # the layout seed, fitted to the monic system's scale and orientation,
-    # converges to the tree itself: one alt-system run and the Zapponi polish
+    # converges to the tree itself: one Newton run per tree
     newton = shabat._newton
     calls = []
 
@@ -191,11 +191,12 @@ def test_aimed_seed_solves_caterpillars_in_one_run(monkeypatch):
 
     monkeypatch.setattr(shabat, "_newton", counted)
     runs = {}
-    for n in range(10, 14):
-        calls.clear()
-        solve_tree(series_tree(1, n))
-        runs[n] = len(calls)
-    assert max(runs.values()) <= 2, runs
+    for family in (1, 2, 3):
+        for n in range(10, 14):
+            calls.clear()
+            solve_tree(series_tree(family, n))
+            runs[family, n] = len(calls)
+    assert set(runs.values()) == {1}, runs
 
 
 # ----------------------------------------------------------- identification
@@ -314,4 +315,5 @@ def test_solution_json_round_trip():
     rec = sol.to_json(passport="4,1|2,1,1,1", tree_code="W(())()()()")
     back = SZSolution.from_json(rec)
     assert np.allclose(back.poly.as_array(), sol.poly.as_array())
+    assert back.residual == rec["residual"] == sol.residual
     assert rec["passport"] == "4,1|2,1,1,1"
