@@ -6,8 +6,8 @@ from .catalog import (CatalogConfig, CatalogRecord, Store, analyze_tree,
                       big_passport_trees, report, run_catalog, run_series,
                       series_tree)
 from .dynamics import (CriticalOrbitFate, CycleRefinementError,
-                       DynamicsClassification, OrbitConfig, classify,
-                       escape_radius, iterate_orbit, refine_cycle)
+                       DynamicsClassification, classify, escape_radius,
+                       iterate_orbit, refine_cycle)
 from .fractal import (DimensionEstimate, FractalError, Raster, box_dim,
                       julia_cloud, pressure_dim, render_basins, render_escape,
                       repelling_fixed_point, save_cloud, write_ppm)

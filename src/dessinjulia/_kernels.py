@@ -1,18 +1,20 @@
 """Numerical hot loops.
 
-Aberth, periodic Newton and the render loop are vectorized numpy; the two
-orbit kernels, which follow one critical value step by step, are plain
-Python complex arithmetic.  There is one Aberth driver, ``preimages``:
+Aberth and the render loop are vectorized numpy.  The orbit kernels follow
+one point in plain Python complex arithmetic, one ``_horner`` step at a
+time: Brent's cycle search (``orbit_brent``) and Newton on p^k(z) - z from
+one seed (``newton_periodic``).  There is one Aberth driver, ``preimages``:
 each level of the backward tree (``cloud_chains``) is one batched solve
 over all its rows, and ``aberth_roots`` is its one-row case.  A batched
 Aberth step takes every row's pair sums from one (d, rows, d) array of
 differences, reciprocated in place and added in numpy's pairwise order, so
 the roots are bitwise those of ``.sum``; zero differences (two equal points)
-are repaired only when the sums come out non-finite.  Both renderers run one first-entry loop
-(``render_basin_grid``) over the pixels still live; escape time is that
-loop with no traps.  A pixel whose orbit repeats a value exactly (Brent's
-cycle test on a tortoise copy) is dropped as never entering: from then on it
-only revisits values that already passed every test.
+are repaired only when the sums come out non-finite.  Both renderers run
+one first-entry loop (``render_basin_grid``) over the pixels still live;
+escape time is that loop with no traps.  A pixel whose orbit repeats a
+value exactly (Brent's cycle test on a tortoise copy) is dropped as never
+entering: from then on it only revisits values that already passed every
+test.
 """
 
 from __future__ import annotations
@@ -167,24 +169,6 @@ def orbit_brent(coeffs, z0, max_iter, radius, tol):
     return ORBIT_RUNNING, 0, hare, steps
 
 
-def orbit_tail(coeffs, z0, n_iter, keep, radius):
-    """(escaped, tail): tail holds the orbit points after steps
-    n_iter - len(tail) + 1 .. n_iter, the last min(keep, n_iter) of them;
-    it is empty when the orbit leaves the disc of the given radius."""
-    cl = [complex(x) for x in np.asarray(coeffs, dtype=np.complex128)]
-    z = complex(z0)
-    first = n_iter - min(keep, n_iter)
-    tail = np.empty(n_iter - first, dtype=np.complex128)
-    for i in range(n_iter):
-        z = _horner(cl, z)
-        az = abs(z)
-        if az > radius or not np.isfinite(az):
-            return True, tail[:0]
-        if i >= first:
-            tail[i - first] = z
-    return False, tail
-
-
 # ---------------------------------------------------------------- rendering
 
 # First tortoise snapshot of the render loop's cycle exit; later ones at
@@ -310,41 +294,31 @@ def cloud_chains(coeffs, z0, depth):
 # ------------------------------------------------- periodic point refinement
 
 
-def newton_periodic(coeffs, seeds, k, maxiter=60, tol=1e-12, bound=1e6):
-    """Newton on p^(k)(z) - z from each seed; returns points, multipliers of
-    the k-fold derivative, and a convergence mask.  A seed whose orbit
-    leaves the disc of radius bound stops and is not converged."""
+def newton_periodic(coeffs, z, k, maxiter=100, tol=1e-12, bound=1e6):
+    """Newton on p^(k)(z) - z from the one seed z, in ``_horner`` steps.
+
+    Returns (points, multiplier, converged) from the walk of k steps that
+    follows the last Newton step: the orbit points z, p(z), ..., p^(k-1)(z),
+    the multiplier (p^k)'(z) and whether p^k(z) is within 1e-6(1 + |z|) of
+    z.  Newton stops once a step is below tol(1 + |z|) or after maxiter
+    steps.  A walk that leaves the disc of radius bound ends the run,
+    unconverged, with the points it reached.  Where (p^k)'(z) = 1 the step
+    is zero, which ends Newton there."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    dc = c[1:] * np.arange(1, len(c))
-    z = np.array(seeds, dtype=np.complex128)
-    alive = np.ones(len(z), dtype=bool)
-    for _ in range(maxiter):
-        w = z.copy()
-        d = np.ones(len(z), dtype=np.complex128)
+    cl = [complex(x) for x in c]
+    dcl = [complex(x) for x in c[1:] * np.arange(1, len(c))]
+    z = complex(z)
+    done = False
+    for it in range(maxiter + 1):
+        points, w, mult = [], z, 1.0 + 0j
         for _ in range(k):
-            d[alive] *= _polyval(dc, w[alive])
-            w[alive] = _polyval(c, w[alive])
-            with np.errstate(invalid="ignore", over="ignore"):
-                gone = alive & ~(np.abs(w) <= bound)
-            alive &= ~gone
-        f = w - z
-        fp = d - 1.0
-        good = alive & (fp != 0.0)
-        step = np.zeros_like(z)
-        step[good] = f[good] / fp[good]
-        z = z - step
-        if not alive.any():
-            break
-        if np.max(np.abs(step[alive]) / (1.0 + np.abs(z[alive]))) < tol:
-            break
-    # verify and compute multipliers
-    w = z.copy()
-    d = np.ones(len(z), dtype=np.complex128)
-    for _ in range(k):
-        d[alive] *= _polyval(dc, w[alive])
-        w[alive] = _polyval(c, w[alive])
-        with np.errstate(invalid="ignore", over="ignore"):
-            gone = alive & ~(np.abs(w) <= bound)
-        alive &= ~gone
-    ok = alive & (np.abs(w - z) < 1e-6 * (1.0 + np.abs(z)))
-    return z, d, ok
+            points.append(w)
+            mult *= _horner(dcl, w)
+            w = _horner(cl, w)
+            if not abs(w) <= bound:
+                return points, mult, False
+        if done or it == maxiter:
+            return points, mult, abs(w - z) < 1e-6 * (1.0 + abs(z))
+        step = (w - z) / (mult - 1.0) if mult != 1.0 else 0j
+        z -= step
+        done = abs(step) / (1.0 + abs(z)) < tol

@@ -24,8 +24,8 @@ from pathlib import Path
 from .dynamics import DynamicsClassification, classify
 from .fractal import (FractalError, box_dim, julia_cloud, pressure_dim,
                       render_basins, render_escape)
-from .plane_tree import (Passport, enumerate_trees, parse_plane_code,
-                         passport_of, plane_code, symmetry_flags)
+from .plane_tree import (enumerate_trees, parse_plane_code, passport_of,
+                         plane_code, symmetry_flags)
 from .shabat import (ExhaustedError, NoZapponiFormError, SZSolution,
                      solve_tree)
 

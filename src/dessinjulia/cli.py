@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import catalog as cat
-from .dynamics import OrbitConfig, classify
+from .dynamics import MAX_ITER, classify
 from .fractal import (FractalError, box_dim, julia_cloud, pressure_dim,
                       render_basins, render_escape)
 from .plane_tree import (PlaneTreeError, Passport, enumerate_trees,
@@ -74,7 +74,7 @@ def _build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--poly")
     g.add_argument("--tree")
-    p.add_argument("--max-iter", type=_positive(int), default=200_000)
+    p.add_argument("--max-iter", type=_positive(int), default=MAX_ITER)
 
     p = sub.add_parser("render", help="write a PPM image")
     g = p.add_mutually_exclusive_group(required=True)
@@ -198,7 +198,7 @@ def _cmd_solve(args, out):
 
 def _cmd_classify(args, out):
     p = _poly_or_tree(args, out)
-    cls = classify(p, cfg=OrbitConfig(max_iter=args.max_iter))
+    cls = classify(p, args.max_iter)
     print(f"{cls.taxonomy} {cls.connectedness}", file=out)
     for name, fate in (("+1", cls.fate_plus), ("-1", cls.fate_minus)):
         if fate.kind == "escape":

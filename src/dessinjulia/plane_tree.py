@@ -19,7 +19,7 @@ the rotational flag; the mirror's contour is the same darts reversed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 WHITE = "W"

@@ -11,7 +11,7 @@ import pytest
 
 import _acceptance_report
 
-from dessinjulia.dynamics import OrbitConfig, classify, escape_radius
+from dessinjulia.dynamics import classify, escape_radius
 from dessinjulia.fractal import (box_dim, julia_cloud, pressure_dim,
                                  render_basins)
 from dessinjulia.plane_tree import (BLACK, WHITE, PlaneTree, enumerate_trees,

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dessinjulia._kernels import orbit_tail
-from dessinjulia.dynamics import (CycleRefinementError, OrbitConfig, classify,
-                                  escape_radius, iterate_orbit, refine_cycle)
+from dessinjulia.dynamics import (MAX_ITER, WEAK_MAX_PERIOD,
+                                  CycleRefinementError, _fate_from_candidate,
+                                  classify, escape_radius, iterate_orbit,
+                                  refine_cycle)
 from dessinjulia.plane_tree import parse_plane_code
 from dessinjulia.polynomial import ComplexPoly, parse_poly, poly_from_roots
 from dessinjulia.shabat import solve_tree
@@ -63,21 +64,41 @@ def test_orbit_attracting_fixed_point():
 
 
 def test_short_orbit_verdict_ignores_earlier_calls():
-    # with max_iter below the weak pass's tail length (130 points), the
-    # tail holds only the points computed, whatever earlier calls left in
-    # memory: z^2 - 0.7 gives one verdict before and after another tail
+    # z^2 - 0.7 with max_iter=20: a short orbit and its weak pass give
+    # one verdict on every call
     p = ComplexPoly((-0.7, 0, 1))
-    c = p.as_array()
     verdicts = set()
     for _ in range(3):
         verdicts.add(iterate_orbit(p, 1.0, max_iter=20).kind)
-        orbit_tail(c, 1.0, 60, 130, 10.0)
     assert len(verdicts) == 1
-    escaped, tail = orbit_tail(c, 1.0, 20, 130, 10.0)
-    orbit = [1.0 + 0j]
-    for _ in range(20):
-        orbit.append(p(orbit[-1]))
-    assert not escaped and tail.tolist() == orbit[1:]
+
+
+def test_weak_pass_finds_a_weakly_attracting_cycle():
+    # z^2 + c with a 2-cycle of multiplier 4(c + 1) = 1 - 1e-5: the orbit
+    # of 0 is still too far from it after MAX_ITER steps for Brent's test,
+    # and the weak pass, which continues that orbit, finds it
+    c = (1 - 1e-5) / 4 - 1
+    fate = iterate_orbit(ComplexPoly((c, 0, 1)), 0.0)
+    assert fate.kind == "attracting_cycle" and fate.period == 2
+    assert abs(abs(fate.multiplier) - (1 - 1e-5)) < 1e-8
+    extra = fate.iterations_used - MAX_ITER
+    assert 0 < extra <= 2 * WEAK_MAX_PERIOD + 1
+
+
+def test_least_period_is_read_from_the_refined_orbit():
+    # a candidate period that is a multiple of the cycle's
+    fate = _fate_from_candidate(ComplexPoly((-1, 0, 1)), 6, 1e-3, 0)
+    assert fate.kind == "attracting_cycle" and fate.period == 2
+    assert sorted(round(z.real) for z in fate.cycle_points) == [-1, 0]
+    assert max(abs(z - round(z.real)) for z in fate.cycle_points) < 1e-12
+    assert abs(fate.multiplier) < 1e-12
+    p = ComplexPoly((-0.2, 0, 1))
+    fate = _fate_from_candidate(p, 4, 1e-3, 0)
+    zfix = (1 - np.sqrt(1.8)) / 2
+    assert fate.kind == "attracting_point" and fate.period == 1
+    assert len(fate.cycle_points) == 1
+    assert abs(fate.cycle_points[0] - zfix) < 1e-12
+    assert abs(fate.multiplier - 2 * zfix) < 1e-12
 
 
 def test_orbit_config_validation():

@@ -1,5 +1,5 @@
 """Each kernel against an independent reference: Aberth against
-``np.roots``, the orbit kernels against a replay with
+``np.roots``, Brent's orbit kernel against a replay with
 ``polynomial.evaluate``, the render loop against a plain-Python first-entry
 loop and periodic Newton against the roots of p(p(z)) - z; and the
 backward-tree kernel solves p(w) = z level by level."""
@@ -92,8 +92,8 @@ def test_aberth_repairs_equal_start_points(poly, monkeypatch):
         _assert_roots(got[r], cz)
 
 
-def test_orbit_brent_and_tail(poly):
-    # both kernels against the orbit replayed with polynomial.evaluate
+def test_orbit_brent(poly):
+    # the kernel against the orbit replayed with polynomial.evaluate
     c = poly.as_array()
     radius = escape_radius(poly)
     for z0 in (1.0 + 0j, -1.0 + 0j, 0.1 + 0.05j):
@@ -109,9 +109,6 @@ def test_orbit_brent_and_tail(poly):
             # the orbit came within tol of its tortoise, lam steps back
             assert status == K.ORBIT_CYCLE and 1 <= lam <= steps
             assert abs(z - orbit[steps - lam]) < 1e-9 * (1.0 + abs(z))
-        escaped, tail = K.orbit_tail(c, z0, 300, 16, radius)
-        assert escaped == (not all(inside))
-        assert tail.tolist() == ([] if escaped else orbit[-16:])
 
 
 def _grids():
@@ -295,19 +292,31 @@ def test_backward_tree(poly):
 
 
 def test_newton_periodic(poly):
-    # converged points are roots of p(p(z)) - z, and each multiplier is
-    # p'(z) p'(p(z)) there
+    # converged points are roots of p(p(z)) - z, the walk's second point is
+    # p(z), and each multiplier is p'(z) p'(p(z)) there
     c = poly.as_array()
     seeds = np.random.default_rng(1).uniform(-1, 1, (40, 2)) @ [1, 1j]
     bound = 4 * escape_radius(poly)
-    pts, mult, ok = K.newton_periodic(c, seeds, 2, 80, 1e-13, bound)
-    assert ok.any()
     pp = ComplexPoly((c[-1],))
     for a in c[-2::-1]:
         pp = pp * poly + a
     roots = np.roots((pp - ComplexPoly((0, 1))).as_array()[::-1])
-    nearest = roots[np.abs(pts[ok, None] - roots[None, :]).argmin(axis=1)]
-    _close(pts[ok], nearest)
     dp = derivative(poly)
-    _close(mult[ok], [evaluate(dp, z) * evaluate(dp, evaluate(poly, z))
-                      for z in pts[ok]])
+    converged = 0
+    for seed in seeds:
+        pts, mult, ok = K.newton_periodic(c, seed, 2, 80, 1e-13, bound)
+        if not ok:
+            continue
+        converged += 1
+        z = pts[0]
+        _close(z, roots[np.abs(z - roots).argmin()])
+        _close(pts[1], evaluate(poly, z))
+        _close(mult, evaluate(dp, z) * evaluate(dp, evaluate(poly, z)))
+    assert converged
+
+
+def test_newton_periodic_parabolic_point():
+    # z^2 + 1/4 has the fixed point 1/2 with multiplier exactly 1, where
+    # the Newton step (p(z) - z) / (p'(z) - 1) would divide by zero
+    pts, mult, ok = K.newton_periodic([0.25, 0, 1], 0.5, 1)
+    assert pts == [0.5] and mult == 1.0 and ok
