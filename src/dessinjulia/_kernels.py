@@ -5,16 +5,19 @@ one point in plain Python complex arithmetic, one ``_horner`` step at a
 time: Brent's cycle search (``orbit_brent``) and Newton on p^k(z) - z from
 one seed (``newton_periodic``).  There is one Aberth driver, ``preimages``:
 each level of the backward tree (``cloud_chains``) is one batched solve
-over all its rows, and ``aberth_roots`` is its one-row case.  A batched
-Aberth step takes every row's pair sums from one (d, rows, d) array of
-differences, reciprocated in place and added in numpy's pairwise order, so
-the roots are bitwise those of ``.sum``; zero differences (two equal points)
-are repaired only when the sums come out non-finite.  Both renderers run
-one first-entry loop (``render_basin_grid``) over the pixels still live;
-escape time is that loop with no traps.  A pixel whose orbit repeats a
-value exactly (Brent's cycle test on a tortoise copy) is dropped as never
-entering: from then on it only revisits values that already passed every
-test.
+over all its rows, and ``aberth_roots`` is its one-row case.  A solve of
+_CHUNK rows or more is warm-started: its rows are sorted along a Morton
+curve, every _STRIDE-th is solved cold from the Fujiwara circle, and the
+others start from their leader's roots moved by one predictor step.  A
+batched Aberth step takes every row's pair sums from one (d, rows, d) array
+of differences, reciprocated in place and added in numpy's pairwise order,
+so the roots are bitwise those of ``.sum``; zero differences (two equal
+points) are repaired only when the sums come out non-finite.  Both
+renderers run one first-entry loop (``render_basin_grid``) over the pixels
+still live; escape time is that loop with no traps.  A pixel whose orbit
+repeats a value exactly (Brent's cycle test on a tortoise copy) is dropped
+as never entering: from then on it only revisits values that already
+passed every test.
 """
 
 from __future__ import annotations
@@ -245,7 +248,22 @@ def render_escape_grid(coeffs, xs, ys, max_iter, radius):
 
 # ------------------------------------------------------------ backward tree
 
-_CHUNK = 1024  # rows per batched Aberth solve; bounds its (rows, d, d) arrays
+_CHUNK = 1024  # rows per batched Aberth solve; bounds its (d, rows, d) arrays
+_STRIDE = 16   # a warm solve takes every _STRIDE-th Morton-sorted row cold
+
+
+def _morton(ix, iy):
+    """Interleave the bits of two index arrays below 2**32 into one uint64
+    key: x in the even bits, y in the odd ones.  Shifting a key right by 2j
+    gives the key of the indices shifted right by j."""
+    def spread(v):
+        v = v.astype(np.uint64)
+        for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                            (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                            (1, 0x5555555555555555)):
+            v = (v | (v << np.uint64(shift))) & np.uint64(mask)
+        return v
+    return spread(ix) | (spread(iy) << np.uint64(1))
 
 
 def _preimages(c, dc, z):
@@ -267,15 +285,58 @@ def _preimages(c, dc, z):
     return w
 
 
+def _cold(c, dc, z):
+    """``_preimages`` in batches of _CHUNK rows."""
+    out = np.empty((len(z), len(c) - 1), dtype=np.complex128)
+    for i in range(0, len(z), _CHUNK):
+        out[i:i + _CHUNK] = _preimages(c, dc, z[i:i + _CHUNK])
+    return out
+
+
 def preimages(coeffs, z):
-    """All d roots of p(w) = z[r] for every r, as a (len(z), d) array,
-    solved in batches of _CHUNK rows."""
+    """All d roots of p(w) = z[r] for every r, as a (len(z), d) array.
+
+    Fewer than _CHUNK rows are one cold ``_preimages`` solve.  From _CHUNK
+    rows on the solve is warm-started: the rows are sorted by the Morton
+    key of z, every _STRIDE-th sorted row (a leader) is solved cold, and
+    each other row starts from the roots w of its leader z_lead, moved by
+    one predictor step (z - z_lead) / p'(w), since nearby targets have
+    nearby preimage sets.  Those rows take the same Aberth iteration and
+    stop rule, in batches of _CHUNK; a row left with a residual above
+    1e-8(|z| + 1) is solved again cold.  Only the order of the d roots
+    inside a row depends on the path taken."""
     c = np.asarray(coeffs, dtype=np.complex128)
     deg = len(c) - 1
     dc = c[1:] * np.arange(1, deg + 1)
-    out = np.empty((len(z), deg), dtype=np.complex128)
-    for i in range(0, len(z), _CHUNK):
-        out[i:i + _CHUNK] = _preimages(c, dc, z[i:i + _CHUNK])
+    n = len(z)
+    if n < _CHUNK:
+        return _preimages(c, dc, z)
+    x, y = z.real - z.real.min(), z.imag - z.imag.min()
+    extent = max(x.max(), y.max())
+    scale = (2 ** 20 - 1) / extent if extent > 0 else 0.0
+    order = np.argsort(_morton(np.floor(x * scale).astype(np.int64),
+                               np.floor(y * scale).astype(np.int64)))
+    zs = z[order]
+    out = np.empty((n, deg), dtype=np.complex128)
+    lead = _cold(c, dc, zs[::_STRIDE])
+    out[order[::_STRIDE]] = lead
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = 1.0 / _polyval(dc, lead)
+    # a leader root at a critical point takes no predictor step
+    step[~np.isfinite(step)] = 0.0
+    rows = np.flatnonzero(np.arange(n) % _STRIDE)
+    bad = []
+    for i in range(0, len(rows), _CHUNK):
+        r = rows[i:i + _CHUNK]
+        k = r // _STRIDE
+        start = lead[k] + (zs[r] - zs[k * _STRIDE])[:, None] * step[k]
+        w = _aberth_iterate(c, dc, start, zs[r], 80, 1e-13)
+        resid = np.abs(_polyval(c, w) - zs[r, None]).max(axis=1)
+        bad.append(r[~(resid <= 1e-8 * (np.abs(zs[r]) + 1.0))])
+        out[order[r]] = w
+    bad = np.concatenate(bad)
+    if len(bad):
+        out[order[bad]] = _cold(c, dc, zs[bad])
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import (aberth_roots, cloud_chains, preimages,
+from ._kernels import (_morton, aberth_roots, cloud_chains, preimages,
                        render_basin_grid, render_escape_grid)
 from .dynamics import escape_radius
 from .polynomial import derivative, evaluate
@@ -213,20 +213,6 @@ class DimensionEstimate:
         return {"value": self.value, "method": self.method,
                 "confidence": self.confidence,
                 "diagnostics": {k: v for k, v in self.diagnostics.items()}}
-
-
-def _morton(ix, iy):
-    """Interleave the bits of two index arrays below 2**32 into one uint64
-    key: x in the even bits, y in the odd ones.  Shifting a key right by 2j
-    gives the key of the indices shifted right by j."""
-    def spread(v):
-        v = v.astype(np.uint64)
-        for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
-                            (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
-                            (1, 0x5555555555555555)):
-            v = (v | (v << np.uint64(shift))) & np.uint64(mask)
-        return v
-    return spread(ix) | (spread(iy) << np.uint64(1))
 
 
 def _box_ladder(pts, coarsest_div, finest_div):

@@ -2,12 +2,13 @@
 ``np.roots``, Brent's orbit kernel against a replay with
 ``polynomial.evaluate``, the render loop against a plain-Python first-entry
 loop and periodic Newton against the roots of p(p(z)) - z; and the
-backward-tree kernel solves p(w) = z level by level."""
+backward-tree kernel solves p(w) = z level by level, its warm-started
+solve against the cold one."""
 
 import numpy as np
 import pytest
 
-from dessinjulia import _kernels as K
+from dessinjulia import _kernels as K, fractal
 from dessinjulia.dynamics import classify, escape_radius
 from dessinjulia.fractal import repelling_fixed_point
 from dessinjulia.plane_tree import parse_plane_code
@@ -271,10 +272,13 @@ def test_repeats_is_complex_equality(monkeypatch):
 
 
 def test_backward_tree(poly):
+    # the deepest level of each polynomial solves at least 2 * _CHUNK rows,
+    # so it takes the warm-started path of preimages
     c = poly.as_array()
     d = poly.degree
     z0 = repelling_fixed_point(poly)
-    depth = {2: 10, 5: 4}.get(d, 3)
+    depth = {2: 12, 5: 6}.get(d, 5)
+    assert d ** (depth - 1) >= 2 * K._CHUNK
     levels = K.cloud_chains(c, z0, depth)
     assert len(levels) == depth
     parents = np.array([z0])
@@ -284,11 +288,121 @@ def test_backward_tree(poly):
         want = parents[np.arange(d ** k) // d]
         assert np.all(np.abs(poly(level) - want) <= 1e-8 * (np.abs(want) + 1))
         if d == 2:
-            roots = np.exp(2j * np.pi * np.arange(2 ** k) / 2 ** k)
-            dist = np.abs(level[:, None] - roots[None, :])
-            assert dist.min(axis=1).max() < 1e-12
-            assert len(set(dist.argmin(axis=1))) == 2 ** k
+            # level k is every 2^k-th root of unity, each once
+            near = np.round(np.angle(level) * 2 ** k / (2 * np.pi))
+            near = near.astype(np.int64) % 2 ** k
+            roots = np.exp(2j * np.pi * near / 2 ** k)
+            assert np.abs(level - roots).max() < 1e-12
+            assert len(set(near)) == 2 ** k
         parents = level
+
+
+def _warm_targets(poly):
+    """More than two chunks of targets, shuffled: uniform ones over a square
+    around the roots of p, some repeated, and the critical values of p and
+    +-1, each exactly and at 1e-9 and 1e-10 in eight directions.  Returns
+    the targets and the critical values."""
+    c = poly.as_array()
+    rng = np.random.default_rng(11)
+    half = np.abs(K.aberth_roots(c)).max() + 1.0
+    z = rng.uniform(-half, half, (2 * K._CHUNK + 300, 2)) @ [1, 1j]
+    crit = poly(np.roots(_derivative(c)[::-1]))
+    special = np.concatenate([crit, [1.0, -1.0]])
+    ring = np.exp(2j * np.pi * np.arange(8) / 8)
+    near = (special[:, None] + np.concatenate([[0], 1e-9 * ring, 1e-10 * ring])
+            [None, :]).ravel()
+    z = np.concatenate([z, z[:64], z[:32], near]).astype(np.complex128)
+    return rng.permutation(z), crit
+
+
+def _assert_solved(c, w, z):
+    """Every row holds finite roots with residual <= 1e-8(|z| + 1)."""
+    assert np.isfinite(w).all()
+    resid = np.abs(np.polyval(c[::-1], w) - z[:, None]).max(axis=1)
+    assert (resid <= 1e-8 * (np.abs(z) + 1)).all()
+
+
+def test_warm_preimages_match_cold(poly):
+    # the warm path against a cold solve of every row: generic rows hold
+    # the cold root set one to one, rows at or next to a critical value
+    # (multiple roots, split by ~1e-6 on both paths) are held to the residual
+    c = poly.as_array()
+    z, crit = _warm_targets(poly)
+    warm = K.preimages(c, z)
+    cold = K._preimages(c, _derivative(c), z)
+    _assert_solved(c, warm, z)
+    _assert_solved(c, cold, z)
+    generic = np.abs(z[:, None] - crit[None, :]).min(axis=1) > 1e-3
+    assert generic.sum() >= 2 * K._CHUNK
+    dist = np.abs(warm[generic][:, :, None] - cold[generic][:, None, :])
+    pair = dist.argmin(axis=2)
+    assert (np.sort(pair, axis=1) == np.arange(poly.degree)).all()
+    assert (dist.min(axis=2) <= 1e-12 * (1 + np.abs(warm[generic]))).all()
+
+
+def test_warm_rows_that_fail_are_solved_cold(poly, monkeypatch):
+    # a warm row left above the residual bound (here: every warm row is cut
+    # to one Aberth step) is solved again by the cold solve
+    c = poly.as_array()
+    z, _ = _warm_targets(poly)
+    cold, iterate = K._preimages, K._aberth_iterate
+    inside, again = [], []
+
+    def flagged(c, dc, z):
+        inside.append(True)
+        try:
+            return cold(c, dc, z)
+        finally:
+            inside.pop()
+
+    def cut(c, dc, w, z, maxiter, tol):
+        return iterate(c, dc, w, z, maxiter if inside else 1, tol)
+
+    monkeypatch.setattr(K, "_preimages", flagged)
+    monkeypatch.setattr(K, "_aberth_iterate", cut)
+    solved = K._cold
+    monkeypatch.setattr(K, "_cold",
+                        lambda c, dc, z: again.append(len(z))
+                        or solved(c, dc, z))
+    w = K.preimages(c, z)
+    # the leaders, then the failed rows
+    assert len(again) == 2 and again[1] > 0
+    _assert_solved(c, w, z)
+
+
+def test_small_solves_stay_cold(poly):
+    # below _CHUNK rows preimages is one cold _preimages solve, bit for bit,
+    # and aberth_roots is its one-row case at z = 0
+    c = poly.as_array()
+    dc = _derivative(c)
+    z, _ = _warm_targets(poly)
+    z = z[:K._CHUNK - 1]
+    np.testing.assert_array_equal(K.preimages(c, z), K._preimages(c, dc, z))
+    np.testing.assert_array_equal(K.aberth_roots(c),
+                                  K._preimages(c, dc, np.zeros(1))[0])
+
+
+def test_warm_cloud_takes_fewer_iterations(monkeypatch):
+    # a regression guard on the warm start: the 50k-point cloud of the
+    # 7-edge anchor tree takes 2.4 Aberth row-iterations per solved row,
+    # 3.2 without the predictor step and 5.7 when every row starts cold
+    p = solve_tree(parse_plane_code("W((())())()(())")).poly
+    iterations, rows = [0], [0]
+    pair_sums, preimages = K._pair_sums, K.preimages
+
+    def counted_sums(w, repair):
+        iterations[0] += len(w)
+        return pair_sums(w, repair)
+
+    def counted_rows(c, z):
+        rows[0] += len(z)
+        return preimages(c, z)
+
+    monkeypatch.setattr(K, "_pair_sums", counted_sums)
+    monkeypatch.setattr(K, "preimages", counted_rows)
+    monkeypatch.setattr(fractal, "preimages", counted_rows)
+    fractal.julia_cloud(p, 50_000)
+    assert iterations[0] <= 3 * rows[0]
 
 
 def test_newton_periodic(poly):
