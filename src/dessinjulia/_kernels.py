@@ -14,10 +14,11 @@ of differences, reciprocated in place and added in numpy's pairwise order,
 so the roots are bitwise those of ``.sum``; zero differences (two equal
 points) are repaired only when the sums come out non-finite.  Both
 renderers run one first-entry loop (``render_basin_grid``) over the pixels
-still live; escape time is that loop with no traps.  A pixel whose orbit
-repeats a value exactly (Brent's cycle test on a tortoise copy) is dropped
-as never entering: from then on it only revisits values that already
-passed every test.
+still live, testing trap distances only inside the traps' bounding box;
+escape time is that loop with no traps.  An escape raster drops a pixel
+unwritten once it lies in a disc that p provably maps into a chain of
+discs around an attracting cycle, inside the escape disc: its orbit can
+never escape.
 """
 
 from __future__ import annotations
@@ -174,76 +175,66 @@ def orbit_brent(coeffs, z0, max_iter, radius, tol):
 
 # ---------------------------------------------------------------- rendering
 
-# First tortoise snapshot of the render loop's cycle exit; later ones at
-# twice the step before (Brent).  Most pixels of a grid escape within a few
-# steps, so comparing from step 1 would only slow those grids down.
-CYCLE_START = 32
 
-# From this many live pixels on, the cycle test compares z and its tortoise
-# as float64 pairs, reading each pixel's two bools as one uint16: about 3x
-# cheaper than the complex comparison on 18.5k pixels, but its extra calls
-# cost more than they save below about 2k.
-PAIR_COMPARE_MIN = 2048
-
-
-def _repeats(z, tort):
-    """z == tort, elementwise."""
-    if z.size < PAIR_COMPARE_MIN:
-        return z == tort
-    return ((z.view(np.float64) == tort.view(np.float64)).view(np.uint16)
-            == 0x0101)
-
-
-def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r):
+def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
+                      interior=()):
     """Per pixel, the first step at which the orbit leaves the disc of the
     given radius (attractor id 0) or comes within trap_r of traps[t]
     (attractor id groups[t] + 1); -1 and 0 if neither within max_iter.
-    An orbit that repeats a value exactly is periodic in floating point and
-    is dropped as never entering, with the same -1 and 0.
 
     The loop runs over the live pixels only: their values and flat pixel
     indices sit in two 1-D arrays, and a pixel that leaves the disc or
-    enters a trap is written through its index and dropped from both.  A
-    pixel whose value equals its tortoise copy (taken at steps CYCLE_START,
-    2*CYCLE_START, ...) is dropped unwritten: its orbit repeats values that
-    already passed every test."""
+    enters a trap is written through its index and dropped from both.  The
+    trap distances are taken only for the live pixels inside the traps'
+    bounding box widened by 2 trap_r, whose corners are compared with
+    directly: every pixel within trap_r of a trap in floating point passes
+    that test.  ``interior`` is a list of (centre, rho) discs whose orbits
+    provably never leave the escape disc (``dynamics.trapping_radius``); a
+    pixel with |z - centre| <= rho(1 - 1e-9) is dropped unwritten, as the
+    full loop would also leave it at -1.  Only an escape raster may pass
+    discs: a basin pixel inside one would still enter a trap later."""
     c = np.asarray(coeffs, dtype=np.complex128)
     traps = np.asarray(traps, dtype=np.complex128)
     groups = np.asarray(groups, dtype=np.int16)
+    if len(traps):
+        x0, x1 = traps.real.min() - 2 * trap_r, traps.real.max() + 2 * trap_r
+        y0, y1 = traps.imag.min() - 2 * trap_r, traps.imag.max() + 2 * trap_r
+    discs = [(complex(centre), rho * (1.0 - 1e-9)) for centre, rho in interior]
     z = (xs[None, :] + 1j * ys[:, None]).astype(np.complex128).ravel()
     steps = np.full(z.shape, -1, dtype=np.int32)
     which = np.zeros(z.shape, dtype=np.int16)
     pix = np.arange(z.size)
-    tort = None
-    snap = CYCLE_START
     for it in range(max_iter + 1):
         with np.errstate(invalid="ignore", over="ignore"):
             done = ~(np.abs(z) <= radius)
-        for t in range(len(traps)):
-            hit = ~done & (np.abs(z - traps[t]) <= trap_r)
-            which[pix[hit]] = groups[t] + 1
-            done |= hit
-        drop = done if tort is None else done | _repeats(z, tort)
+        if len(traps):
+            near = np.flatnonzero(~done & (z.real >= x0) & (z.real <= x1)
+                                  & (z.imag >= y0) & (z.imag <= y1))
+            zn = z[near]
+            for t in range(len(traps)):
+                hit = near[np.abs(zn - traps[t]) <= trap_r]
+                hit = hit[~done[hit]]
+                which[pix[hit]] = groups[t] + 1
+                done[hit] = True
+        drop = done
+        for centre, rho in discs:
+            drop = drop | (np.abs(z - centre) <= rho)
         if drop.any():
             steps[pix[done]] = it
-            live = ~drop
-            z, pix = z[live], pix[live]
-            if tort is not None:
-                tort = tort[live]
+            z, pix = z[~drop], pix[~drop]
             if not pix.size:
                 break
-        if it == snap:
-            tort = z
-            snap *= 2
         if it < max_iter:
             z = _polyval(c, z)
     shape = (len(ys), len(xs))
     return steps.reshape(shape), which.reshape(shape)
 
 
-def render_escape_grid(coeffs, xs, ys, max_iter, radius):
-    """Escape time: the first-entry loop with no traps."""
-    return render_basin_grid(coeffs, xs, ys, max_iter, radius, (), (), 0.0)[0]
+def render_escape_grid(coeffs, xs, ys, max_iter, radius, interior=()):
+    """Escape time: the first-entry loop with no traps, dropping the pixels
+    that reach an ``interior`` disc as never escaping."""
+    return render_basin_grid(coeffs, xs, ys, max_iter, radius, (), (), 0.0,
+                             interior)[0]
 
 
 # ------------------------------------------------------------ backward tree

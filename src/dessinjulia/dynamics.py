@@ -82,6 +82,42 @@ def escape_radius(p):
     return max(1.0, (2.0 + float(np.sum(np.abs(c[:-1])))) / abs(c[-1]))
 
 
+def trapping_radius(p, cycle_points, bound):
+    """Radii rho_0, ..., rho_(m-1) of discs D(c_j, rho_j) around the points
+    of a cycle c_0 -> c_1 -> ... -> c_(m-1) -> c_0 of p such that p, in
+    double-precision Horner steps, maps each disc into the next and the
+    last into D(c_0, rho_0), and every disc lies in |z| < bound: an orbit
+    that enters a disc never escapes.  None when no rho_0 in 2^0, 2^-1,
+    ..., 2^-60 gives such a chain (repelling, neutral and too weakly
+    attracting cycles, or points not on a cycle).
+
+    With b_jk the Taylor coefficients of p at c_j, |p(z) - c_(j+1)| is at
+    most |b_j0 - c_(j+1)| + sum_(k>=1) |b_jk| rho_j^k on D(c_j, rho_j).
+    rho_(j+1) is that sum times 1 + 1e-12, plus
+    1e-13 sum_i |a_i| (|c_j| + rho_j)^i for the rounding of the Taylor
+    coefficients and of Horner's rule; the chain closes when
+    rho_m <= 0.999 rho_0.  All 61 candidates for rho_0 run at once, and the
+    largest that closes is taken."""
+    pts = [complex(z) for z in cycle_points]
+    mags = np.abs(p.as_array())[::-1]
+    rho0 = 2.0 ** -np.arange(61.0)
+    rho, ok, radii = rho0, np.ones(len(rho0), dtype=bool), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, z in enumerate(pts):
+            b = p.compose_affine(1.0, z).as_array()
+            ok &= (abs(z) + rho) * (1.0 + 1e-12) < bound
+            radii.append(rho)
+            tail = np.polyval(np.append(np.abs(b[:0:-1]), 0.0), rho)
+            rho = ((abs(b[0] - pts[(j + 1) % len(pts)]) + tail)
+                   * (1.0 + 1e-12)
+                   + 1e-13 * np.polyval(mags, abs(z) + rho))
+        ok &= rho <= 0.999 * rho0
+    if not ok.any():
+        return None
+    k = int(np.argmax(ok))
+    return [float(r[k]) for r in radii]
+
+
 def refine_cycle(p, period, guess, tol=1e-12):
     """Newton-polish a periodic point; returns cycle points and multiplier."""
     if period < 1:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import (_morton, aberth_roots, cloud_chains, preimages,
                        render_basin_grid, render_escape_grid)
-from .dynamics import escape_radius
+from .dynamics import classify, escape_radius, trapping_radius
 from .polynomial import derivative, evaluate
 
 
@@ -92,14 +92,42 @@ def write_ppm(rgb, path):
         fh.write(rgb[::-1].tobytes())
 
 
+def _cycles(classification):
+    """The distinct attracting cycles of +1 and -1 (g2/g3 share one)."""
+    cycles = []
+    for fate in (classification.fate_plus, classification.fate_minus):
+        pts = fate.cycle_points
+        if fate.bounded and not any(
+                all(min(abs(z - t) for t in cyc) < 1e-9 for z in pts)
+                for cyc in cycles):
+            cycles.append(pts)
+    return cycles
+
+
 def render_escape(p, viewport=(0.0, 0.0, 2.0, 2.0), size=(400, 400),
                   max_iter=200):
     """Escape-time raster: per pixel, iterations until |z| exceeds the
-    escape radius (-1 if still bounded after max_iter)."""
+    escape radius (-1 if still bounded after max_iter).
+
+    The attracting cycles that the orbits of +1 and -1 reach within
+    max_iter steps (``classify``) each get a certified trapping disc
+    (``trapping_radius``) where one exists, and a pixel whose orbit enters
+    one stops there, unescaped: the raster is that of the full loop.  On a
+    polynomial whose cycles attract neither +1 nor -1 every bounded pixel
+    runs max_iter steps."""
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     raster = Raster(int(size[0]), int(size[1]), tuple(viewport), None)
     xs, ys = raster.pixel_axes()
+    radius = escape_radius(p)
+    interior = []
+    if max_iter >= 1:
+        for cyc in _cycles(classify(p, max_iter)):
+            rho = trapping_radius(p, cyc, radius)
+            if rho is not None:
+                interior.append((cyc[0], rho[0]))
     raster.escaped_at = render_escape_grid(p.as_array(), xs, ys, max_iter,
-                                           escape_radius(p))
+                                           radius, interior)
     return raster
 
 
@@ -109,21 +137,15 @@ def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
     """First-entry raster into the trap set
     {|z| > escape_bound} union trap_radius-balls around every attractor
     point, banded by the entry-time thresholds."""
-    fates = [classification.fate_plus, classification.fate_minus]
-    traps, groups = [], []
-    gid = 0
-    for fate in fates:
-        if not fate.bounded:
-            continue
-        pts = fate.cycle_points
-        # skip a cycle already present (g2/g3 share one attractor)
-        if traps and all(min(abs(z - t) for t in traps) < 1e-9 for z in pts):
-            continue
-        traps.extend(pts)
-        groups.extend([gid] * len(pts))
-        gid += 1
-    has_escape = any(f.kind == "escape" for f in fates)
-    if not traps and not has_escape:
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
+    if not trap_radius >= 0:
+        raise ValueError("trap_radius must be >= 0")
+    cycles = _cycles(classification)
+    traps = [z for cyc in cycles for z in cyc]
+    groups = [gid for gid, cyc in enumerate(cycles) for _ in cyc]
+    if not traps and "escape" not in (classification.fate_plus.kind,
+                                      classification.fate_minus.kind):
         raise FractalError("no attractor and no escaping critical orbit; "
                            "nothing to trap on")
     if escape_bound is None:

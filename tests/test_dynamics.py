@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from dessinjulia._kernels import _polyval
 from dessinjulia.dynamics import (MAX_ITER, WEAK_MAX_PERIOD,
                                   CycleRefinementError, _fate_from_candidate,
                                   classify, escape_radius, iterate_orbit,
-                                  refine_cycle)
+                                  refine_cycle, trapping_radius)
 from dessinjulia.plane_tree import parse_plane_code
 from dessinjulia.polynomial import ComplexPoly, parse_poly, poly_from_roots
 from dessinjulia.shabat import solve_tree
+from test_acceptance import QUINTICS
 
 RNG = np.random.default_rng(20240818)
 
@@ -186,3 +188,44 @@ def test_known_two_cycle_values():
     assert cls.taxonomy == "g2"
     got = sorted(z.real for z in cls.fate_plus.cycle_points)
     assert np.allclose(got, [-0.879463661, 0.607872363], atol=1e-6)
+
+
+# --------------------------------------------------------- trapping discs
+
+
+@pytest.mark.parametrize("name", ["basilica", "tree7", "q1", "q2", "q5",
+                                  "t7s3"])
+def test_trapping_radius_maps_each_disc_into_the_next(name):
+    # points on the boundary of and inside D(c_j, rho_j), mapped by the
+    # render loop's own Horner step, land in D(c_(j+1), rho_(j+1)); the
+    # discs lie inside the escape disc
+    p = {"basilica": parse_poly("-1,0,1"),
+         "tree7": _solve("W((())())()(())"), "q1": QUINTICS[0],
+         "q2": QUINTICS[1], "q5": QUINTICS[4],
+         "t7s3": _solve("W(())((()))(())")}[name]
+    c = p.as_array()
+    radius = escape_radius(p)
+    cls = classify(p)
+    for fate in (cls.fate_plus, cls.fate_minus):
+        if not fate.bounded:
+            continue
+        pts = fate.cycle_points
+        rho = trapping_radius(p, pts, radius)
+        assert rho is not None and len(rho) == len(pts)
+        for j, (z, r) in enumerate(zip(pts, rho)):
+            assert 0 < r and abs(z) + r < radius
+            ang = np.exp(2j * np.pi * RNG.uniform(size=2000))
+            scale = np.concatenate([np.ones(1000),
+                                    np.sqrt(RNG.uniform(size=1000))])
+            image = _polyval(c, z + r * scale * ang)
+            k = (j + 1) % len(pts)
+            assert np.all(np.abs(image - pts[k]) <= rho[k])
+
+
+def test_trapping_radius_refuses_non_attracting_points():
+    # the repelling fixed point 1 of z^2, the parabolic fixed point 1/2 of
+    # z^2 + 1/4 and a point on no cycle get no disc
+    for p, pts in ((ComplexPoly((0, 0, 1)), [1.0]),
+                   (ComplexPoly((0.25, 0, 1)), [0.5]),
+                   (ComplexPoly((0, 0, 1)), [0.3])):
+        assert trapping_radius(p, pts, escape_radius(p)) is None

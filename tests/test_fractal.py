@@ -58,6 +58,25 @@ def test_raster_validation():
         render_escape(BASILICA, size=(0, 10))
 
 
+def test_render_rejects_out_of_range_arguments():
+    # a negative budget or trap radius would give a raster that is wrong,
+    # not empty: every pixel "never escaped", or no trap ever entered
+    cls = classify(BASILICA)
+    with pytest.raises(ValueError):
+        render_escape(BASILICA, size=(8, 8), max_iter=-1)
+    for bad in ({"max_iter": -1}, {"trap_radius": -0.01},
+                {"trap_radius": float("nan")}):
+        with pytest.raises(ValueError):
+            render_basins(BASILICA, cls, size=(8, 8), **bad)
+    # a zero budget tests step 0 only: the corners lie beyond the escape
+    # radius 3
+    r = render_escape(BASILICA, (0, 0, 4, 4), (8, 8), 0)
+    assert set(np.unique(r.escaped_at)) == {-1, 0}
+    r = render_basins(BASILICA, cls, (0, 0, 4, 4), (8, 8), max_iter=0,
+                      trap_radius=0.0)
+    assert set(np.unique(r.escaped_at)) == {-1, 0}
+
+
 def test_render_basins_bands():
     cls = classify(BASILICA)
     r = render_basins(BASILICA, cls, (0, 0, 2, 2), (80, 80),

@@ -15,6 +15,7 @@ from dessinjulia.plane_tree import parse_plane_code
 from dessinjulia.polynomial import (ComplexPoly, derivative, evaluate,
                                     parse_poly, poly_from_roots)
 from dessinjulia.shabat import solve_tree
+from test_acceptance import QUINTICS
 
 
 def _close(a, b):
@@ -127,8 +128,8 @@ def _basin_pair(c, xs, ys, max_iter, radius, traps, groups, trap_r):
     """The numpy loop against the plain-Python one; returns the steps."""
     sa, wa = K.render_basin_grid(c, xs, ys, max_iter, radius, traps, groups,
                                  trap_r)
-    sb, wb, _ = _first_entry_plain(c, xs, ys, max_iter, radius, traps, groups,
-                                   trap_r)
+    sb, wb = _first_entry_plain(c, xs, ys, max_iter, radius, traps, groups,
+                                trap_r)
     assert sa.shape == (len(ys), len(xs))
     np.testing.assert_array_equal(sa, sb)
     np.testing.assert_array_equal(wa, wb)
@@ -155,6 +156,11 @@ def test_render_basin(poly):
     for xs, ys in _grids():
         _basin_pair(c, xs, ys, 200, radius, traps, groups, 0.05)
         _basin_pair(c, xs, ys, 200, radius, *_NO_TRAPS, 0.0)
+        # traps whose bounding box holds the whole grid: the box test
+        # passes every live pixel
+        corners = np.array([-9 - 9j, 9 + 9j, 9 - 9j])
+        _basin_pair(c, xs, ys, 100, radius, corners,
+                    np.arange(3, dtype=np.int16), 0.5)
 
 
 def test_render_edge_grids():
@@ -178,20 +184,34 @@ def test_render_edge_grids():
     steps = _basin_pair(c, xs, ys, 100, radius, cycle,
                         np.zeros(2, np.int16), 0.01)
     assert (steps >= 0).all()
+    # trap radius 0: only a pixel exactly on a trap enters it
+    xs, ys = np.linspace(-3, 3, 13), np.linspace(-2, 2, 9)
+    exact = np.array([xs[4] + 1j * ys[6], cycle[0]])
+    steps = _basin_pair(c, xs, ys, 60, radius, exact,
+                        np.arange(2, dtype=np.int16), 0.0)
+    assert steps[6, 4] == 0
+    # q1's 48 traps: the 24-cycle of +1 and again of -1 (g3)
+    q1 = QUINTICS[0]
+    cls = classify(q1)
+    traps = np.array(cls.fate_plus.cycle_points + cls.fate_minus.cycle_points)
+    groups = np.repeat(np.arange(2, dtype=np.int16), 24)
+    assert len(traps) == 48
+    xs, ys = np.linspace(-2, 2, 31), np.linspace(-0.6, 0.8, 17)
+    for trap_r in (0.01, 0.2):
+        steps = _basin_pair(q1.as_array(), xs, ys, 200, escape_radius(q1),
+                            traps, groups, trap_r)
+        assert (steps > 0).any()
 
 
 def _first_entry_plain(c, xs, ys, max_iter, radius, traps, groups, trap_r):
     """The first-entry raster in plain Python complex arithmetic, every
-    step up to max_iter with no cycle exit.  Also counts the pixels that
-    enter nothing although their orbit repeats a value exactly."""
+    step up to max_iter with no early exit."""
     cl = [complex(a) for a in c]
     steps = np.full((len(ys), len(xs)), -1, dtype=np.int32)
     which = np.zeros(steps.shape, dtype=np.int16)
-    repeating = 0
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
             z = complex(x, y)
-            seen = set()
             for it in range(max_iter + 1):
                 if not abs(z) <= radius:
                     steps[iy, ix] = it
@@ -202,73 +222,98 @@ def _first_entry_plain(c, xs, ys, max_iter, radius, traps, groups, trap_r):
                     steps[iy, ix] = it
                     which[iy, ix] = groups[hit[0]] + 1
                     break
-                seen.add(z)
                 acc = cl[-1]
                 for a in cl[-2::-1]:
                     acc = acc * z + a
                 z = acc
-            else:
-                repeating += len(seen) <= max_iter
-    return steps, which, repeating
+    return steps, which
 
 
-@pytest.fixture(scope="module", params=["basilica", "tree7"])
-def periodic_interior(request):
-    """A polynomial whose bounded orbits settle on an exact floating-point
-    cycle, and a half-width that frames its Julia set (for the tree, the
-    catalog's framing)."""
-    if request.param == "basilica":
-        return parse_poly("-1,0,1"), 1.6
-    return solve_tree(parse_plane_code("W((())())()(())")).poly, 49.0
+def _counting_polyval(monkeypatch):
+    """Patch the render loop's Horner step to record the size of each
+    array it evaluates; returns the list of sizes."""
+    sizes = []
+    polyval = K._polyval
+
+    def counting(c, z):
+        sizes.append(z.size)
+        return polyval(c, z)
+
+    monkeypatch.setattr(K, "_polyval", counting)
+    return sizes
 
 
-def test_render_is_exact_with_the_cycle_exit(periodic_interior, monkeypatch):
-    # both cycle comparisons against the plain loop, on grids where the
-    # exit fires; the traps are discs around the repelling fixed points
-    p, span = periodic_interior
+def _full_steps(steps, max_iter):
+    """The Horner steps of the loop with no early exit: a pixel escaping at
+    step s takes s, one that never escapes max_iter."""
+    return int(np.where(steps >= 0, steps, max_iter).sum())
+
+
+@pytest.fixture(scope="module",
+                params=["basilica", "tree7", "q1", "q2", "t7s3", "ex1"])
+def interior_case(request):
+    """A polynomial, a half-width that frames its Julia set (the catalog's
+    framing), an escape budget and whether an attracting cycle of the
+    polynomial gets a trapping disc at that budget: ex1's 10-cycle
+    (|multiplier| 0.9944) is still undetermined after 500 steps."""
+    name = request.param
+    span, max_iter = {"basilica": (1.6, 200), "tree7": (49.0, 200),
+                      "q1": (2.0, 200), "q2": (5.63, 200),
+                      "t7s3": (3.0, 200), "ex1": (2.25, 500)}[name]
+    trees = {"tree7": "W((())())()(())", "t7s3": "W(())((()))(())",
+             "ex1": "W((()()))"}
+    if name in trees:
+        p = solve_tree(parse_plane_code(trees[name])).poly
+    elif name == "basilica":
+        p = parse_poly("-1,0,1")
+    else:
+        p = QUINTICS[int(name[1]) - 1]
+    return p, span, max_iter, name != "ex1"
+
+
+def test_render_is_exact_with_the_interior_exit(interior_case, monkeypatch):
+    # the escape raster against the plain loop on grids where the interior
+    # exit fires: the same raster from fewer Horner steps
+    p, span, max_iter, has_disc = interior_case
     c = p.as_array()
     radius = escape_radius(p)
-    fixed = np.roots((c - np.eye(len(c))[1])[::-1])
-    fixed = fixed[np.abs(np.polyval(_derivative(c)[::-1], fixed)) > 1]
-    grids = [(np.linspace(-span, span, 24), np.linspace(-span, span, 24)
-              + 0.01 * span),
-             (np.linspace(-0.8 * span, 0.55 * span, 37),
-              np.linspace(-0.25 * span, 0.7 * span, 23))]
-    trap_sets = [(*_NO_TRAPS, 0.0),
-                 (fixed, np.arange(len(fixed), dtype=np.int16), span / 16)]
-    for xs, ys in grids:
-        for traps, groups, trap_r in trap_sets:
-            steps, which, repeating = _first_entry_plain(
-                c, xs, ys, 200, radius, traps, groups, trap_r)
-            assert repeating > 0 and (steps >= 0).any()
-            assert (which > 0).any() == bool(len(traps))
-            # pair_min 0 takes the float64-pair comparison on every step
-            for pair_min in (0, K.PAIR_COMPARE_MIN):
-                monkeypatch.setattr(K, "PAIR_COMPARE_MIN", pair_min)
-                s, w = K.render_basin_grid(c, xs, ys, 200, radius, traps,
-                                           groups, trap_r)
-                np.testing.assert_array_equal(s, steps)
-                np.testing.assert_array_equal(w, which)
-                if not len(traps):
-                    np.testing.assert_array_equal(
-                        K.render_escape_grid(c, xs, ys, 200, radius), steps)
+    sizes = _counting_polyval(monkeypatch)
+    views = [((0.0, 0.01 * span, span, span), (24, 24)),
+             ((-0.125 * span, 0.225 * span, 0.675 * span, 0.475 * span),
+              (37, 23))]
+    for viewport, size in views:
+        sizes.clear()
+        r = fractal.render_escape(p, viewport, size, max_iter)
+        xs, ys = r.pixel_axes()
+        steps = _first_entry_plain(c, xs, ys, max_iter, radius,
+                                   *_NO_TRAPS, 0.0)[0]
+        np.testing.assert_array_equal(r.escaped_at, steps)
+        if has_disc:
+            assert sum(sizes) < _full_steps(steps, max_iter)
+        else:
+            assert sum(sizes) == _full_steps(steps, max_iter)
+
+    # max_iter 0 takes no step and classifies nothing
+    def refuse(*args):
+        raise AssertionError("classify called")
+
+    monkeypatch.setattr(fractal, "classify", refuse)
+    viewport, size = views[1]
+    r = fractal.render_escape(p, viewport, size, 0)
+    xs, ys = r.pixel_axes()
+    np.testing.assert_array_equal(
+        r.escaped_at,
+        _first_entry_plain(c, xs, ys, 0, radius, *_NO_TRAPS, 0.0)[0])
 
 
-def test_repeats_is_complex_equality(monkeypatch):
-    # the float64-pair comparison agrees with complex == on signed zeros,
-    # NaNs and values equal in one part only
-    rng = np.random.default_rng(2)
-    z = rng.normal(size=3000) + 1j * rng.normal(size=3000)
-    t = z.copy()
-    t.real[::5] = np.nextafter(z.real[::5], np.inf)
-    t.imag[1::5] = np.nextafter(z.imag[1::5], -np.inf)
-    z[2:10] = [0.0, -0.0, 1j * 0.0, -1j * 0.0, np.nan, 1j * np.nan,
-               complex(np.nan, np.nan), np.inf]
-    t[2:10] = [-0.0, 0.0, -1j * 0.0, 1j * 0.0, np.nan, 1j * np.nan,
-               complex(np.nan, np.nan), np.inf]
-    for pair_min in (0, len(z) + 1):
-        monkeypatch.setattr(K, "PAIR_COMPARE_MIN", pair_min)
-        np.testing.assert_array_equal(K._repeats(z, t), z == t)
+def test_interior_exit_saves_most_steps_on_q2(monkeypatch):
+    # the bounded orbits of q2 settle on its real 2-cycle without repeating
+    # a value exactly; the trapping disc stops them within a few steps
+    q2 = QUINTICS[1]
+    sizes = _counting_polyval(monkeypatch)
+    r = fractal.render_escape(q2, (0.0, 0.0, 5.63, 5.63), (60, 60), 500)
+    assert (r.escaped_at == -1).sum() > 400
+    assert 4 * sum(sizes) <= _full_steps(r.escaped_at, 500)
 
 
 def test_backward_tree(poly):
