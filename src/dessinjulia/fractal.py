@@ -150,6 +150,8 @@ def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
                            "nothing to trap on")
     if escape_bound is None:
         escape_bound = escape_radius(p)
+    elif not escape_bound > 0:
+        raise ValueError("escape_bound must be > 0")
     raster = Raster(int(size[0]), int(size[1]), tuple(viewport), None)
     xs, ys = raster.pixel_axes()
     steps, which = render_basin_grid(p.as_array(), xs, ys, max_iter,

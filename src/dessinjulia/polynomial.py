@@ -97,14 +97,18 @@ class ComplexPoly:
 
 
 def expand_roots(roots, mults, leading=1.0):
-    """Ascending coefficient array of leading * prod (z - r)^m."""
-    acc = np.array([complex(leading)], dtype=np.complex128)
-    lin = np.ones(2, dtype=np.complex128)
+    """Ascending coefficient array of leading * prod (z - r)^m, multiplied
+    out one linear factor at a time in place, in descending order and
+    Python complex arithmetic: the degrees used here are too small for a
+    numpy call per factor to pay."""
+    acc = [complex(leading)]
     for r, m in zip(roots, mults):
-        lin[0] = -complex(r)
+        r = complex(r)
         for _ in range(m):
-            acc = np.convolve(acc, lin)
-    return acc
+            acc.append(0j)
+            for j in range(len(acc) - 1, 0, -1):
+                acc[j] -= r * acc[j - 1]
+    return np.array(acc[::-1], dtype=np.complex128)
 
 
 def poly_from_roots(roots, mults, leading=1.0):

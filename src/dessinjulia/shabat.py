@@ -123,64 +123,87 @@ class _AltSystem:
         self.n = sum(self.k)  # (s - 1) + t unknowns
         self.s = len(self.k)
         self.t = len(self.l)
+        self.free_white = np.arange(self.n) < self.s - 1  # columns by x_i
+        self.weights = np.array(self.k[1:] + tuple(-m for m in self.l),
+                                dtype=np.complex128)
+        self.powers = np.arange(self.n + 1)[:, None]
+        self.rows = self.powers[:-1]
 
     def split(self, u):
         return np.concatenate([[0j], u[: self.s - 1]]), u[self.s - 1:]
 
-    def monics(self, x, y):
+    def monics(self, u):
+        """The monic products A and B at u."""
+        x, y = self.split(u)
         return expand_roots(x, self.k), expand_roots(y, self.l)
 
-    def residual(self, u):
-        A, B = self.monics(*self.split(u))
+    def residual(self, A, B):
         F = (B - A)[: self.n]  # z^0 .. z^{n-1}
         F[0] -= 2.0
         return F
 
-    def jacobian(self, u):
-        """Derivatives of the block by the free x_i, then by every y_j."""
-        x, y = self.split(u)
-        J = np.empty((self.n, self.n), dtype=np.complex128)
-        for i in range(1, self.s):
-            mults = list(self.k)
-            mults[i] -= 1
-            J[:, i - 1] = self.k[i] * expand_roots(x, mults)[: self.n]
-        for j in range(self.t):
-            mults = list(self.l)
-            mults[j] -= 1
-            J[:, self.s - 1 + j] = \
-                -self.l[j] * expand_roots(y, mults)[: self.n]
-        return J
+    def jacobian(self, u, A, B):
+        """Derivatives of the block by the free x_i, then by every y_j, at u
+        with its products A and B: column i is k_i*A/(z - x_i) and column j
+        is -l_j*B/(z - y_j).  The unknowns u are those roots, so all columns
+        are deflated at once by synthetic division with c the column's
+        product: q_(m-1) = c_m + r*q_m from the leading coefficient down,
+        and q_m = (q_(m-1) - c_m)/r from the constant up.  Row m takes the
+        direction whose sum leaves out the largest term |c_j r^j| (j > m
+        down, j <= m up): either one alone loses up to |r|^n of the
+        accuracy when r is far from the scale of the other roots."""
+        n = self.n
+        C = np.where(self.free_white, A[:, None], B[:, None])
+        down = np.empty((n, n), dtype=np.complex128)
+        down[-1] = 1.0  # A and B are monic
+        for m in range(n - 1, 0, -1):
+            np.multiply(u, down[m], out=down[m - 1])
+            down[m - 1] += C[m]
+        up = np.empty((n, n), dtype=np.complex128)
+        # r = 0 divides by zero here, but its largest term is j = 0, so all
+        # its rows are taken from down
+        with np.errstate(all="ignore"):
+            np.divide(-C[0], u, out=up[0])
+            for m in range(1, n):
+                np.subtract(up[m - 1], C[m], out=up[m])
+                up[m] /= u
+            top = np.argmax(np.abs(C) * np.abs(u) ** self.powers, axis=0)
+        return np.where(self.rows >= top, down, up) * self.weights
 
-    def scale(self, u):
-        A, B = self.monics(*self.split(u))
+    @staticmethod
+    def scale(A, B):
         return 1.0 + float(max(np.max(np.abs(A)), np.max(np.abs(B))))
 
 
 def _newton(system, u0):
     """Damped Newton, at most 120 steps, each halved until the residual
-    drops; stops at a scaled residual below 1e-13."""
+    drops; stops at a scaled residual below 1e-13.  The products A and B
+    are expanded once per point, for the residual, the Jacobian and the
+    scale."""
     u = u0.astype(np.complex128).copy()
-    F = system.residual(u)
+    A, B = system.monics(u)
+    F = system.residual(A, B)
     norm = float(np.max(np.abs(F)))
     for _ in range(120):
         if not np.isfinite(norm):
             return u, norm
         try:
-            step = np.linalg.solve(system.jacobian(u), F)
+            step = np.linalg.solve(system.jacobian(u, A, B), F)
         except np.linalg.LinAlgError:
             return u, norm
         lam = 1.0
         while lam > 1e-4:
             u2 = u - lam * step
-            F2 = system.residual(u2)
+            A2, B2 = system.monics(u2)
+            F2 = system.residual(A2, B2)
             n2 = float(np.max(np.abs(F2)))
             if n2 < norm:
-                u, F, norm = u2, F2, n2
+                u, A, B, F, norm = u2, A2, B2, F2, n2
                 break
             lam *= 0.5
         else:
             break
-        if norm < 1e-13 * system.scale(u):
+        if norm < 1e-13 * system.scale(A, B):
             break
     return u, norm
 
@@ -237,7 +260,7 @@ def _vertex_polynomial(k, l, x, y, a):
 
 def _is_valid_solution(system, u, norm):
     """Converged (scaled residual <= 1e-9) and pairwise distinct vertices."""
-    if not norm / system.scale(u) <= 1e-9:  # NaN fails too
+    if not norm / system.scale(*system.monics(u)) <= 1e-9:  # NaN fails too
         return False
     pts = np.concatenate(system.split(u))
     sep = 1e-5 * (1.0 + float(np.max(np.abs(pts))))
@@ -303,7 +326,7 @@ def _alt_seed(system, wpos, bpos):
     w = np.asarray(wpos, dtype=np.complex128)
     b = np.asarray(bpos, dtype=np.complex128)
     u = np.concatenate([w[1:], b]) - w[0]
-    A, B = system.monics(*system.split(u))
+    A, B = system.monics(u)
     d = (B - A)[: system.n]
     with np.errstate(all="ignore"):
         a = 2.0 * np.conj(d[0]) / np.sum(np.abs(d) ** 2)
@@ -508,6 +531,21 @@ def zapponi_normalize(p, tol=1e-9):
 # ------------------------------------------------------------ identification
 
 
+def _product_form(z, verts, mult, s, a):
+    """p - 1 = a*prod(z - x)^k and p + 1 = a*prod(z - y)^l at every point z,
+    as the two columns of one array (the first s vertices are the whites),
+    and p' from the product whose vertex is nearest: there the dominant
+    pole term keeps the logarithmic derivative exact."""
+    zv = z[:, None] - verts
+    cut = (0, s)
+    pq = a * np.multiply.reduceat(zv ** mult, cut, axis=1)
+    lg = np.add.reduceat(mult / zv, cut, axis=1)
+    near = np.minimum.reduceat(np.abs(zv), cut, axis=1)
+    dp = np.where(near[:, 0] <= near[:, 1], pq[:, 0] * lg[:, 0],
+                  pq[:, 1] * lg[:, 1])
+    return pq, dp
+
+
 def _lift_edges(whites, blacks, a):
     """Lift all n edges of p^{-1}([-1, 1]) from both ends at once: n roots
     start from germs at the white vertices on p - 1 = -v, n from germs at
@@ -532,7 +570,9 @@ def _lift_edges(whites, blacks, a):
     a degree-k vertex the branches are only ~2*pi*|z - v|/k apart, so a
     fixed guard would allow hops between them.  Each step is sized
     beforehand so that every root's predicted move |v1 - v0|/|p'| is at most
-    0.8 * its guard.  At the end each white lift must meet exactly one black lift,
+    0.8 * its guard.  Newton then starts from a power-law predictor about
+    the vertex nearest each root, exact where p -+ 1 is a pure power of
+    z - c.  At the end each white lift must meet exactly one black lift,
     within 1e-6 * its distance to the nearest other zero of p."""
     verts = np.array([v.location for v in (*whites, *blacks)],
                      dtype=np.complex128)
@@ -552,17 +592,8 @@ def _lift_edges(whites, blacks, a):
 
     def newton(z, v):
         for _ in range(12):
-            zv = z[:, None] - verts
-            pw = zv ** mult
-            pm = a * np.prod(pw[:, :s], axis=1)
-            pp = a * np.prod(pw[:, s:], axis=1)
-            dz, lg = np.abs(zv), mult / zv
-            # p' from the product whose vertex is nearest: there the
-            # dominant pole term keeps the logarithmic derivative exact
-            dp = np.where(dz[:, :s].min(axis=1) <= dz[:, s:].min(axis=1),
-                          pm * lg[:, :s].sum(axis=1),
-                          pp * lg[:, s:].sum(axis=1))
-            f = np.where(white, pm, pp) - sign * v
+            pq, dp = _product_form(z, verts, mult, s, a)
+            f = np.where(white, pq[:, 0], pq[:, 1]) - sign * v
             done = np.abs(f) < 1e-12 * v
             if done.all():
                 break
@@ -591,17 +622,24 @@ def _lift_edges(whites, blacks, a):
                 raise PathLiftingError("stalled continuation (p' = 0 on path)")
             gap = np.where(other, np.inf, np.abs(z[:, None] - z))
             dv = np.abs(z[:, None] - verts)
+            near = dv.argmin(axis=1)
             guard = np.minimum(
-                np.minimum(0.2 * spacing[dv.argmin(axis=1)],
-                           0.5 * dv.min(axis=1)),
-                0.3 * gap.min(axis=1))
+                np.minimum(0.2 * spacing[near],
+                           0.5 * np.minimum.reduce(dv, axis=1)),
+                0.3 * np.minimum.reduce(gap, axis=1))
             v0 = np.exp(log_delta * (1.0 - tau))
             # v0 * (delta^-dtau - 1) / |p'| <= 0.8 * guard for every root
-            dtau = min(dtau, float(np.min(
+            dtau = min(dtau, float(np.minimum.reduce(
                 np.log1p(0.8 * guard * np.abs(dp) / v0) / -log_delta)))
             t1 = min(tau + dtau, 1.0)
             v1 = np.exp(log_delta * (1.0 - t1))
-            z1, dp1, ok = newton(z + sign * (v1 - v0) / dp, v1)
+            # power-law predictor about the nearest vertex c: z - c grows
+            # like v^g with g = (sign*v0/p')/(z - c), which is 1/k where
+            # p -+ 1 = C (z - c)^k, and to first order the Euler step
+            zc = z - verts[near]
+            g = sign * v0 / (dp * zc)
+            z1, dp1, ok = newton(
+                verts[near] + zc * np.exp(g * (log_delta * (tau - t1))), v1)
             if ok.all() and np.all(np.abs(z1 - z) < guard):
                 z, dp, tau = z1, dp1, t1
                 dtau *= 1.5

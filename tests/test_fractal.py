@@ -60,12 +60,14 @@ def test_raster_validation():
 
 def test_render_rejects_out_of_range_arguments():
     # a negative budget or trap radius would give a raster that is wrong,
-    # not empty: every pixel "never escaped", or no trap ever entered
+    # not empty: every pixel "never escaped", or no trap ever entered; an
+    # escape bound that is not positive lets every pixel escape at step 0
     cls = classify(BASILICA)
     with pytest.raises(ValueError):
         render_escape(BASILICA, size=(8, 8), max_iter=-1)
     for bad in ({"max_iter": -1}, {"trap_radius": -0.01},
-                {"trap_radius": float("nan")}):
+                {"trap_radius": float("nan")}, {"escape_bound": 0.0},
+                {"escape_bound": -1.0}, {"escape_bound": float("nan")}):
         with pytest.raises(ValueError):
             render_basins(BASILICA, cls, size=(8, 8), **bad)
     # a zero budget tests step 0 only: the corners lie beyond the escape

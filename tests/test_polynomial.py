@@ -3,9 +3,9 @@ import pytest
 
 from dessinjulia.polynomial import (ComplexPoly, PolynomialError,
                                     RootFindingError, critical_data,
-                                    derivative, evaluate, format_poly,
-                                    is_shabat, parse_poly, poly_from_roots,
-                                    roots)
+                                    derivative, evaluate, expand_roots,
+                                    format_poly, is_shabat, parse_poly,
+                                    poly_from_roots, roots)
 
 RNG = np.random.default_rng(20240817)
 
@@ -58,6 +58,29 @@ def test_compose_affine():
 def test_poly_from_roots():
     p = poly_from_roots([1, -1], [2, 1], 3.0)  # 3(z-1)^2(z+1)
     assert np.allclose(p.as_array(), [3, -3, -3, 3])
+
+
+@pytest.mark.parametrize("top", [1, 2, 5, 13])
+def test_expand_roots_matches_polyfromroots_on_repeated_roots(top):
+    # multiplying out n linear factors errs by at most ~n*eps times the
+    # coefficients of prod (z + |r|), which have no cancellation
+    rng = np.random.default_rng(top)
+    fromroots = np.polynomial.polynomial.polyfromroots
+    for _ in range(40):
+        k = int(rng.integers(1, 5))
+        r = rng.normal(size=k) + 1j * rng.normal(size=k)
+        r *= rng.choice([0.1, 1.0, 3.0])
+        m = rng.integers(1, top + 1, size=k)
+        m[0] = top
+        lead = complex(rng.normal(), rng.normal())
+        got = expand_roots(r, m.tolist(), lead)
+        rep = np.repeat(r, m)
+        ref = lead * fromroots(rep)
+        bound = abs(lead) * fromroots(-np.abs(rep))
+        assert len(got) == m.sum() + 1
+        assert np.all(np.abs(got - ref) <= 4 * m.sum() * 2.3e-16 * bound)
+    assert np.array_equal(expand_roots([], [], 2.5), [2.5])
+    assert np.array_equal(expand_roots([3.0], [0]), [1.0])
 
 
 # -------------------------------------------------------------- text format
