@@ -8,6 +8,7 @@ from dessinjulia.polynomial import (ComplexPoly, PolynomialError,
                                     poly_from_roots, roots)
 
 RNG = np.random.default_rng(20240817)
+EPS = np.finfo(float).eps
 
 
 # --------------------------------------------------------------- arithmetic
@@ -62,7 +63,7 @@ def test_poly_from_roots():
 
 @pytest.mark.parametrize("top", [1, 2, 5, 13])
 def test_expand_roots_matches_polyfromroots_on_repeated_roots(top):
-    # multiplying out n linear factors errs by at most ~n*eps times the
+    # multiplying out n linear factors errs by at most ~4*n*eps times the
     # coefficients of prod (z + |r|), which have no cancellation
     rng = np.random.default_rng(top)
     fromroots = np.polynomial.polynomial.polyfromroots
@@ -78,7 +79,7 @@ def test_expand_roots_matches_polyfromroots_on_repeated_roots(top):
         ref = lead * fromroots(rep)
         bound = abs(lead) * fromroots(-np.abs(rep))
         assert len(got) == m.sum() + 1
-        assert np.all(np.abs(got - ref) <= 4 * m.sum() * 2.3e-16 * bound)
+        assert np.all(np.abs(got - ref) <= 4 * m.sum() * EPS * bound)
     assert np.array_equal(expand_roots([], [], 2.5), [2.5])
     assert np.array_equal(expand_roots([3.0], [0]), [1.0])
 
