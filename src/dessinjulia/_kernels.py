@@ -10,15 +10,14 @@ _CHUNK rows or more is warm-started: its rows are sorted along a Morton
 curve, every _STRIDE-th is solved cold from the Fujiwara circle, and the
 others start from their leader's roots moved by one predictor step.  A
 batched Aberth step takes every row's pair sums from one (d, rows, d) array
-of differences, reciprocated in place and added in numpy's pairwise order,
-so the roots are bitwise those of ``.sum``; zero differences (two equal
-points) are repaired only when the sums come out non-finite.  Both
-renderers run one first-entry loop (``render_basin_grid``) over the pixels
-still live, testing trap distances only inside the traps' bounding box;
-escape time is that loop with no traps.  An escape raster drops a pixel
-unwritten once it lies in a disc that p provably maps into a chain of
-discs around an attracting cycle, inside the escape disc: its orbit can
-never escape.
+of differences, reciprocated in place and reduced over its leading axis;
+zero differences (two equal points) are repaired only when the sums come
+out non-finite.  Both renderers run one first-entry loop
+(``render_basin_grid``) over the pixels still live, testing trap distances
+only inside the traps' bounding box; escape time is that loop with no
+traps.  An escape raster drops a pixel unwritten once it lies in a disc
+that p provably maps into a chain of discs around an attracting cycle,
+inside the escape disc: its orbit can never escape.
 """
 
 from __future__ import annotations
@@ -60,30 +59,6 @@ def _start_radius(c, z):
     return np.maximum(bound, (np.abs(c[0] - z) / an) ** (1.0 / d))
 
 
-def _pairwise_sum(a):
-    """a[0] + a[1] + ... over the leading axis, added in the order of
-    numpy's pairwise summation (four lanes, then ((0 + 1) + (2 + 3)), then
-    the tail; halves above 64 terms), which is what ``.sum()`` does along a
-    contiguous axis: the result is bitwise that reduction's."""
-    m = len(a)
-    if m > 64:
-        h = (m - m % 8) // 2
-        return _pairwise_sum(a[:h]) + _pairwise_sum(a[h:])
-    if m < 4:
-        s = a[0]
-        for x in a[1:]:
-            s = s + x
-        return s
-    q = m - m % 4
-    lanes = a[:4]
-    for i in range(4, q, 4):
-        lanes = lanes + a[i:i + 4]
-    s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-    for x in a[q:]:
-        s += x
-    return s
-
-
 def _pair_sums(w, repair):
     """s[r, i] = sum over j != i of 1 / (w[r, i] - w[r, j]).  The pair
     differences are laid out as d (rows, d) blocks, one per j, with 1 on
@@ -100,7 +75,7 @@ def _pair_sums(w, repair):
         diff = np.where(diff == 0.0,
                         (1e-12 + 1e-12j) * (1.0 + np.abs(w)) * side, diff)
     np.divide(1.0, diff, out=diff)
-    return _pairwise_sum(diff) - 1.0
+    return np.add.reduce(diff, axis=0) - 1.0
 
 
 def _aberth_iterate(c, dc, w, z, maxiter, tol):
@@ -257,41 +232,28 @@ def _morton(ix, iy):
     return spread(ix) | (spread(iy) << np.uint64(1))
 
 
-def _preimages(c, dc, z):
-    """All d roots of p(w) = z[r] for every row r, as a (len(z), d) array.
-
-    Each row starts on a circle at the Fujiwara bound of p(w) - z[r]; a row
-    whose residual stays above 1e-8(|z| + 1) (a stalled, e.g. symmetric,
-    start) is solved again from a rotated circle."""
-    d = len(c) - 1
-    r = _start_radius(c, z)
-    ang = 2.0 * np.pi * np.arange(d) / d + 0.77
-    w = _aberth_iterate(c, dc, r[:, None] * np.exp(1j * ang), z, 80, 1e-13)
-    resid = np.abs(_polyval(c, w) - z[:, None]).max(axis=1)
-    bad = resid > 1e-8 * (np.abs(z) + 1.0)
-    if bad.any():
-        w[bad] = _aberth_iterate(c, dc,
-                                 r[bad, None] * np.exp(1j * (ang + 0.31)),
-                                 z[bad], 200, 1e-13)
-    return w
-
-
 def _cold(c, dc, z):
-    """``_preimages`` in batches of _CHUNK rows."""
-    out = np.empty((len(z), len(c) - 1), dtype=np.complex128)
+    """All d roots of p(w) = z[r] for every row r, as a (len(z), d) array,
+    in batches of _CHUNK rows.  Each row starts on a circle at the Fujiwara
+    bound of p(w) - z[r]."""
+    d = len(c) - 1
+    circle = np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.77))
+    out = np.empty((len(z), d), dtype=np.complex128)
     for i in range(0, len(z), _CHUNK):
-        out[i:i + _CHUNK] = _preimages(c, dc, z[i:i + _CHUNK])
+        zi = z[i:i + _CHUNK]
+        out[i:i + _CHUNK] = _aberth_iterate(
+            c, dc, _start_radius(c, zi)[:, None] * circle, zi, 80, 1e-13)
     return out
 
 
 def preimages(coeffs, z):
     """All d roots of p(w) = z[r] for every r, as a (len(z), d) array.
 
-    Fewer than _CHUNK rows are one cold ``_preimages`` solve.  From _CHUNK
-    rows on the solve is warm-started: the rows are sorted by the Morton
-    key of z, every _STRIDE-th sorted row (a leader) is solved cold, and
-    each other row starts from the roots w of its leader z_lead, moved by
-    one predictor step (z - z_lead) / p'(w), since nearby targets have
+    Fewer than _CHUNK rows are one ``_cold`` solve.  From _CHUNK rows on
+    the solve is warm-started: the rows are sorted by the Morton key of z,
+    every _STRIDE-th sorted row (a leader) is solved cold, and each other
+    row starts from the roots w of its leader z_lead, moved by one
+    predictor step (z - z_lead) / p'(w), since nearby targets have
     nearby preimage sets.  Those rows take the same Aberth iteration and
     stop rule, in batches of _CHUNK; a row left with a residual above
     1e-8(|z| + 1) is solved again cold.  Only the order of the d roots
@@ -301,7 +263,7 @@ def preimages(coeffs, z):
     dc = c[1:] * np.arange(1, deg + 1)
     n = len(z)
     if n < _CHUNK:
-        return _preimages(c, dc, z)
+        return _cold(c, dc, z)
     x, y = z.real - z.real.min(), z.imag - z.imag.min()
     extent = max(x.max(), y.max())
     scale = (2 ** 20 - 1) / extent if extent > 0 else 0.0

@@ -339,8 +339,10 @@ def _alt_seed(system, wpos, bpos):
 def _alt_continuation_seeds(system, tree, memo):
     """Seeds obtained by solving the tree minus one leaf and re-inserting
     the leaf near its attachment vertex, at three radii and eight angles
-    about each vertex of the attachment's degree and color.  _alt_seed then
-    fits the whole seed to the alt system's scale and orientation."""
+    about each vertex of the attachment's degree and color.  The leaf and
+    its attachment rebuild the tree's own degree multisets, so sorting by
+    degree puts the positions in the system's layout.  _alt_seed then fits
+    the whole seed to the alt system's scale and orientation."""
     for leaf in range(tree.n_vertices):
         if tree.degree(leaf) != 1:
             continue
@@ -374,9 +376,6 @@ def _alt_continuation_seeds(system, tree, memo):
                         (leaf_pos, 1))
                     wm.sort(key=lambda q: -q[1])
                     bm.sort(key=lambda q: -q[1])
-                    if tuple(m for _, m in wm) != system.k or \
-                       tuple(m for _, m in bm) != system.l:
-                        continue
                     yield _alt_seed(system, [p for p, _ in wm],
                                     [p for p, _ in bm])
 
@@ -450,7 +449,8 @@ def _solve_tree_alt(tree, memo):
 def solve_passport(passport):
     """All SZ solutions of a (normalized) passport: every plane tree that
     realizes it is solved with solve_tree, and those that admit a Zapponi
-    form contribute one solution each."""
+    form contribute one solution each, in the order of the plane codes of
+    the trees they were solved for."""
     if isinstance(passport, str):
         passport = pt.Passport.parse(passport)
     n = passport.n_edges
@@ -474,9 +474,6 @@ def solve_passport(passport):
         raise NoZapponiFormError(
             f"no tree with passport {passport} admits a Zapponi form "
             f"({degenerate} degenerate)")
-    solutions.sort(key=lambda s: tuple(
-        (w.location.real, w.location.imag) for w in sorted(
-            s.white, key=lambda c: (c.location.real, c.location.imag))))
     return solutions
 
 

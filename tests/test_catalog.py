@@ -4,10 +4,12 @@ import os
 
 import pytest
 
+from dessinjulia import catalog
 from dessinjulia.catalog import (CatalogConfig, CatalogRecord, Store,
                                  analyze_tree, big_passport_trees, report,
                                  run_catalog, run_series, series_tree)
 from dessinjulia.dynamics import classify
+from dessinjulia.fractal import FractalError
 from dessinjulia.plane_tree import (Passport, parse_plane_code, plane_code,
                                     trees_with_passport)
 from dessinjulia.shabat import (_same_vertex_set, _whites, identify_tree,
@@ -73,6 +75,39 @@ def test_analyze_with_images(tmp_path):
     for rel in rec.artifacts.values():
         path = os.path.join(store.root, rel)
         assert open(path, "rb").read(2) == b"P6"
+
+
+def test_analyze_with_dims(tmp_path):
+    # the box estimate, then the pressure one, each with its confidence; the
+    # values are not pinned, so that tuning an estimator does not break this
+    rec = analyze_tree(parse_plane_code("W((()))"), _cfg(with_dims=True))
+    assert [d.method for d in rec.dims] == ["box_counting", "pressure"]
+    for d in rec.dims:
+        assert 0.0 <= d.value <= 2.0 and d.confidence in ("ok", "low")
+    assert {"box_dim", "pressure_dim"} <= set(rec.timings)
+    assert rec.error is None
+    root = str(tmp_path / "store")
+    Store(root).save(rec)
+    back = Store(root).load(rec.tree_code)
+    assert [d.to_json() for d in back.dims] == [d.to_json() for d in rec.dims]
+    text = report(root)
+    for d in rec.dims:
+        assert f"{d.value:.3f} ({d.method}" in text
+
+
+@pytest.mark.parametrize("failing, stage, kept", [
+    ("julia_cloud", "box_dim", "pressure"),
+    ("pressure_dim", "pressure_dim", "box_counting")])
+def test_a_failed_dimension_stage_keeps_the_other(monkeypatch, failing, stage,
+                                                  kept):
+    def refuse(*args, **kwargs):
+        raise FractalError("refused")
+
+    monkeypatch.setattr(catalog, failing, refuse)
+    rec = analyze_tree(parse_plane_code("W((()))"), _cfg(with_dims=True))
+    assert [d.method for d in rec.dims] == [kept]
+    assert rec.error == f"{stage}: refused"
+    rec.validate()
 
 
 # -------------------------------------------------------------------- store
@@ -189,7 +224,7 @@ def test_big_passport_separation_one_recomputed():
 
 def test_big_passport_recomputed():
     # every fixture taxonomy recomputed, and the passport solve returns one
-    # solution per fixture tree
+    # solution per fixture tree, in the order of their plane codes
     data = big_passport_trees()
     passport = Passport.parse("13,1,1|2,2,1,1,1,1,1,1,1,1,1,1,1")
     assert data["passport"] == str(passport)
@@ -204,7 +239,7 @@ def test_big_passport_recomputed():
     sols = solve_passport(passport)
     matches = [[code for code, whites in solved.items()
                 if _same_vertex_set(_whites(sol), whites)] for sol in sols]
-    assert sorted(matches) == sorted([code] for code in solved)
+    assert matches == sorted([code] for code in solved)
 
 
 # ------------------------------------------------------------------- report

@@ -36,7 +36,7 @@ def _derivative(c):
 
 
 def _start_circle(c, z):
-    """The start circle of _preimages: d points at the start radius."""
+    """The start circle of _cold: d points at the start radius."""
     d = len(c) - 1
     r = K._start_radius(c, np.asarray(z, dtype=np.complex128))
     return r[:, None] * np.exp(1j * (2 * np.pi * np.arange(d) / d + 0.77))
@@ -374,7 +374,7 @@ def test_warm_preimages_match_cold(poly):
     c = poly.as_array()
     z, crit = _warm_targets(poly)
     warm = K.preimages(c, z)
-    cold = K._preimages(c, _derivative(c), z)
+    cold = K._cold(c, _derivative(c), z)
     _assert_solved(c, warm, z)
     _assert_solved(c, cold, z)
     generic = np.abs(z[:, None] - crit[None, :]).min(axis=1) > 1e-3
@@ -390,10 +390,11 @@ def test_warm_rows_that_fail_are_solved_cold(poly, monkeypatch):
     # to one Aberth step) is solved again by the cold solve
     c = poly.as_array()
     z, _ = _warm_targets(poly)
-    cold, iterate = K._preimages, K._aberth_iterate
+    cold, iterate = K._cold, K._aberth_iterate
     inside, again = [], []
 
     def flagged(c, dc, z):
+        again.append(len(z))
         inside.append(True)
         try:
             return cold(c, dc, z)
@@ -403,12 +404,8 @@ def test_warm_rows_that_fail_are_solved_cold(poly, monkeypatch):
     def cut(c, dc, w, z, maxiter, tol):
         return iterate(c, dc, w, z, maxiter if inside else 1, tol)
 
-    monkeypatch.setattr(K, "_preimages", flagged)
+    monkeypatch.setattr(K, "_cold", flagged)
     monkeypatch.setattr(K, "_aberth_iterate", cut)
-    solved = K._cold
-    monkeypatch.setattr(K, "_cold",
-                        lambda c, dc, z: again.append(len(z))
-                        or solved(c, dc, z))
     w = K.preimages(c, z)
     # the leaders, then the failed rows
     assert len(again) == 2 and again[1] > 0
@@ -416,15 +413,15 @@ def test_warm_rows_that_fail_are_solved_cold(poly, monkeypatch):
 
 
 def test_small_solves_stay_cold(poly):
-    # below _CHUNK rows preimages is one cold _preimages solve, bit for bit,
+    # below _CHUNK rows preimages is one _cold solve, bit for bit,
     # and aberth_roots is its one-row case at z = 0
     c = poly.as_array()
     dc = _derivative(c)
     z, _ = _warm_targets(poly)
     z = z[:K._CHUNK - 1]
-    np.testing.assert_array_equal(K.preimages(c, z), K._preimages(c, dc, z))
+    np.testing.assert_array_equal(K.preimages(c, z), K._cold(c, dc, z))
     np.testing.assert_array_equal(K.aberth_roots(c),
-                                  K._preimages(c, dc, np.zeros(1))[0])
+                                  K._cold(c, dc, np.zeros(1))[0])
 
 
 def test_warm_cloud_takes_fewer_iterations(monkeypatch):

@@ -51,16 +51,17 @@ def test_solve_passport_self_dual_quintic():
 
 
 def test_solve_passport_above_nine_edges():
-    # one solution per realizing tree, each identified back to its own tree
+    # one solution per realizing tree, each identified back to its own
+    # tree, in the order of the trees' plane codes
     sols = solve_passport("4,3,1,1,1|2,2,2,2,1,1")
     assert len(sols) == 10
-    codes = set()
+    codes = []
     for sol in sols:
         assert max(sol.invariant_deviations()) < 1e-8
         tree = identify_tree(sol.poly)
         assert str(passport_of(tree)) == "4,3,1,1,1|2,2,2,2,1,1"
-        codes.add(plane_code(tree))
-    assert len(codes) == 10
+        codes.append(plane_code(tree))
+    assert codes == sorted(set(codes)) and len(codes) == 10
 
 
 def test_invariants_hold_for_all_small_trees():
@@ -85,6 +86,9 @@ def test_no_zapponi_form_for_symmetric_trees():
         solve_tree(parse_plane_code("W(()()())"))  # rotational star
     with pytest.raises(NoZapponiFormError):
         solve_tree(parse_plane_code("B(()())"))  # 2-edge path
+    # a passport whose only tree is that path
+    with pytest.raises(NoZapponiFormError, match=r"\(1 degenerate\)"):
+        solve_passport("2|1,1")
 
 
 def test_no_zapponi_form_degenerate_nonsymmetric():
@@ -168,6 +172,57 @@ def test_nan_solution_is_not_valid():
     assert not shabat._is_valid_solution(system, u, float("nan"))
 
 
+_ANCHOR = "W((())())()(())"  # the 7-edge anchor tree
+
+
+def _anchor_system():
+    return shabat._AltSystem(*shabat._degrees(parse_plane_code(_ANCHOR)))
+
+
+def test_newton_stops_on_a_non_finite_residual():
+    system = _anchor_system()
+    u0 = np.full(system.n, np.nan + 0j)
+    u, norm = shabat._newton(system, u0)
+    assert np.isnan(norm)
+    np.testing.assert_array_equal(u, u0)
+    assert not shabat._is_valid_solution(system, u, norm)
+
+
+def test_newton_stops_on_a_singular_jacobian():
+    # two equal free whites make two Jacobian columns equal
+    system = shabat._AltSystem((1, 1, 1), (3,))
+    u0 = np.array([0.5, 0.5, -0.7], dtype=np.complex128)
+    A, B = system.monics(u0)
+    F = system.residual(A, B)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(system.jacobian(u0, A, B), F)
+    u, norm = shabat._newton(system, u0)
+    np.testing.assert_array_equal(u, u0)
+    assert norm == np.max(np.abs(F))
+    assert not shabat._is_valid_solution(system, u, norm)
+
+
+def test_newton_stops_when_the_line_search_fails():
+    # from this seed Newton reaches, after 19 steps, a point where no
+    # damped step (lam = 1, 1/2, ... above 1e-4) lowers the residual, far
+    # above the stop tolerance
+    system = _anchor_system()
+    rng = np.random.default_rng(0)
+    u0 = 10.0 * (rng.normal(size=system.n) + 1j * rng.normal(size=system.n))
+    jacobian, steps = system.jacobian, []
+    system.jacobian = lambda *args: steps.append(1) or jacobian(*args)
+    u, norm = shabat._newton(system, u0)
+    assert len(steps) < 120
+    A, B = system.monics(u)
+    F = system.residual(A, B)
+    assert norm == np.max(np.abs(F)) > 1e-13 * system.scale(A, B)
+    step = np.linalg.solve(jacobian(u, A, B), F)
+    for lam in 0.5 ** np.arange(14):
+        F2 = system.residual(*system.monics(u - lam * step))
+        assert not np.max(np.abs(F2)) < norm
+    assert not shabat._is_valid_solution(system, u, norm)
+
+
 def test_exhausted_after_a_finite_seed_list(monkeypatch):
     # with every Newton run failing, the seed list runs out: the layout
     # seed, then the leaf continuations of sub-trees that cannot be solved
@@ -203,6 +258,26 @@ def test_a_failed_tree_is_stored_once_identified():
     assert memo[found] is not None
     assert shabat._solve_tree_alt(parse_plane_code(found), memo) is \
         memo[found]
+
+
+def test_a_seed_whose_lift_fails_is_skipped(monkeypatch):
+    # the first solution found cannot be lifted here; the search goes on to
+    # the next seeds and still returns the tree's own solution
+    identify = shabat._identify_from_vertices
+    calls = []
+
+    def first_fails(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise PathLiftingError("refused")
+        return identify(*args)
+
+    monkeypatch.setattr(shabat, "_identify_from_vertices", first_fails)
+    tree = parse_plane_code(_ANCHOR)
+    sol = solve_tree(tree)
+    assert len(calls) > 1
+    assert plane_code(identify(sol.poly, sol.white, sol.black)) == \
+        plane_code(tree)
 
 
 def test_color_inversion_negates():
@@ -290,8 +365,8 @@ def test_identify_round_trip_caterpillars(family):
 def test_roots_of_p_minus_1_cost_one_capped_solve(monkeypatch):
     # the white vertices of the caterpillar <13,1|2,1,...,1> are a 13-fold
     # and a simple root of p - 1: the split copies of the 13-fold root never
-    # pass a relative-correction test, so the solve is bounded by the
-    # iteration cap (80) plus at most one restart (200)
+    # pass a relative-correction test, so the solve is one run to the
+    # iteration cap (80)
     tree = series_tree(1, 13)
     p = solve_tree(tree).poly
     asked = []
@@ -303,7 +378,7 @@ def test_roots_of_p_minus_1_cost_one_capped_solve(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_aberth_iterate", counted)
     whites = roots(p - 1.0)
-    assert sum(asked) <= 280, asked
+    assert sum(asked) <= 80, asked
     want, _ = shabat._degrees(tree)
     assert sorted((w.multiplicity for w in whites), reverse=True) \
         == list(want)
@@ -322,6 +397,57 @@ def test_lifts_must_meet_at_the_zeros_of_p():
              for b in sol.black]
     with pytest.raises(PathLiftingError, match="do not meet"):
         shabat._identify_from_vertices(sol.poly, sol.white, moved)
+
+
+@pytest.fixture(scope="module")
+def anchor():
+    return solve_tree(parse_plane_code(_ANCHOR))
+
+
+def _lift(sol, dp_factor):
+    """Plane code of the tree lifted from sol's vertices, with p' of the
+    k-th evaluation of the products multiplied by dp_factor(k), and the
+    number of evaluations."""
+    product_form = shabat._product_form
+    calls = []
+
+    def scaled(*args):
+        calls.append(1)
+        pq, dp = product_form(*args)
+        return pq, dp * dp_factor(len(calls))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shabat, "_product_form", scaled)
+        tree = shabat._identify_from_vertices(sol.poly, sol.white, sol.black)
+    return plane_code(tree), len(calls)
+
+
+def test_lift_recovers_from_rejected_steps(anchor):
+    # p' 1000 times too small on evaluations 5-16 sends the predictor and
+    # Newton 1000 times too far: those steps are rejected and retried at
+    # half the size, and once p' is exact again the lifts meet as before
+    code, calls = _lift(anchor, lambda k: 1.0)
+    assert code == plane_code(parse_plane_code(_ANCHOR))
+    retried, more = _lift(anchor, lambda k: 1e-3 if 5 <= k <= 16 else 1.0)
+    assert retried == code and more > calls
+
+
+@pytest.mark.parametrize("dp_factor, message", [
+    (lambda k: 1e-3 if k >= 5 else 1.0, "^stalled continuation$"),
+    (lambda k: 1e-3, "could not start continuation"),
+    (lambda k: 0.0 if k == 4 else 1.0,
+     r"stalled continuation \(p' = 0 on path\)"),
+], ids=["stalls", "no-start", "zero-derivative"])
+def test_lift_exits(anchor, dp_factor, message):
+    with pytest.raises(PathLiftingError, match=message):
+        _lift(anchor, dp_factor)
+
+
+def test_lift_refuses_coincident_vertices(anchor):
+    black = [RootCluster(anchor.white[0].location,
+                         anchor.black[0].multiplicity, 0.0), *anchor.black[1:]]
+    with pytest.raises(PathLiftingError, match="coincident vertices"):
+        shabat._identify_from_vertices(anchor.poly, anchor.white, black)
 
 
 def test_identify_rejects_non_shabat():
@@ -355,6 +481,13 @@ def test_zapponi_normalize_recovers_form():
     back = zapponi_normalize(q)
     assert np.allclose(back.poly.as_array(), sol.poly.as_array(), atol=1e-6)
     assert max(back.invariant_deviations()) < 1e-6
+
+
+def test_zapponi_normalize_refuses_a_zero_white_sum():
+    # the Chebyshev polynomial T_4 = 8z^4 - 8z^2 + 1 is even: its centred
+    # white vertices sum to zero
+    with pytest.raises(NoZapponiFormError, match="sum is zero"):
+        zapponi_normalize(parse_poly("1,0,-8,0,8"))
 
 
 def test_pcf_form_is_postcritically_finite():
