@@ -267,9 +267,10 @@ def catalog_trees(n_edges):
 
 
 def _run_trees(trees, cfg=None, store_path=None, progress=None, jobs=1):
-    """Analyze the trees, in ``jobs`` worker processes when jobs > 1;
-    resumable (existing records are reused unless cfg.force).  Records are
-    saved, reported and returned in tree order."""
+    """Analyze the trees, in up to ``jobs`` worker processes, never more
+    than there are trees to analyze (none for one); resumable (existing
+    records are reused unless cfg.force).  Records are saved, reported and
+    returned in tree order."""
     cfg = cfg or CatalogConfig()
     store = Store(store_path)
     codes = []
@@ -279,7 +280,10 @@ def _run_trees(trees, cfg=None, store_path=None, progress=None, jobs=1):
         if cfg.force or not store.has(codes[-1]):
             todo.append(tree)
     fresh = {}
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+    # a fork-started pool forks all its workers at the first submit
+    workers = min(jobs, len(todo))
+    with (ProcessPoolExecutor(workers) if workers > 1
+          else nullcontext()) as pool:
         for rec in (pool.map if pool else map)(
                 analyze_tree, todo, repeat(cfg), repeat(store)):
             store.save(rec)

@@ -543,6 +543,21 @@ def _product_form(z, verts, mult, s, a):
     return pq, dp
 
 
+def _to_level(z, v, white, form):
+    """Newton from z onto p - 1 = -v (white germs) or p + 1 = +v (black),
+    with ``form`` the trailing arguments of _product_form: the roots, p'
+    there and which roots met |p -+ 1 -+ v| < 1e-12 * v."""
+    sign = np.where(white, -1.0, 1.0)
+    for _ in range(12):
+        pq, dp = _product_form(z, *form)
+        f = np.where(white, pq[:, 0], pq[:, 1]) - sign * v
+        done = np.abs(f) < 1e-12 * v
+        if done.all():
+            break
+        z = np.where(done, z, z - f / dp)
+    return z, dp, done
+
+
 def _lift_edges(whites, blacks, a):
     """Lift all n edges of p^{-1}([-1, 1]) from both ends at once: n roots
     start from germs at the white vertices on p - 1 = -v, n from germs at
@@ -557,19 +572,27 @@ def _lift_edges(whites, blacks, a):
     from the critical value is carried as its own variable, since 1 - v
     rounds to 1.0 for v below 1e-16.
 
-    Every length is local to a vertex, by its spacing: its distance to the
-    nearest other vertex (a global spacing would make every root crawl by
-    the closest pair of vertices, however far off).  A germ starts at
-    0.05 * spacing from its vertex.  A step is taken only if every root
-    converged and moved less than 0.2 * the spacing of the vertex nearest
-    it, 0.5 * its distance to that vertex and 0.3 * its distance to the
-    nearest other root of its colour (the colours meet at the end): around
-    a degree-k vertex the branches are only ~2*pi*|z - v|/k apart, so a
-    fixed guard would allow hops between them.  Each step is sized
-    beforehand so that every root's predicted move |v1 - v0|/|p'| is at most
-    0.8 * its guard.  Newton then starts from a power-law predictor about
-    the vertex nearest each root, exact where p -+ 1 is a pure power of
-    z - c.  At the end each white lift must meet exactly one black lift,
+    Every length is local to a root: a vertex's spacing is its distance to
+    the nearest other vertex, and a germ starts at 0.05 * spacing from its
+    vertex.  A step is taken only if every root converged and moved less
+    than 0.2 * max(spacing of the vertex c nearest it, |z - c|), 0.5 *
+    |z - c| and 0.3 * its distance to the nearest other root of its colour
+    (the colours meet at the end): around a degree-k vertex the branches
+    are only ~2*pi*|z - c|/k apart, so a fixed guard would allow hops
+    between them.  A root farther from c than c's spacing has no vertex,
+    so no critical point of p, within |z - c|, and c's spacing does not cap
+    it: a close pair of vertices does not slow the roots far from it.
+
+    Newton starts from a power-law predictor about c: z - c grows like
+    v^g, with g = 1/k exactly where p -+ 1 = C (z - c)^k, so the predictor
+    lands on the level set there.  Each step is sized beforehand by the
+    predictor's own move: for L = log(v1/v0) it moves a root by
+    |(z - c)(e^(gL) - 1)| <= |z - c| (e^(|g|L) - 1) (term by term in the
+    exponential series), which is kept at most 0.8 * the root's guard; a
+    step that still breaks a guard is halved.  (The Euler move
+    |z - c| (e^L - 1)/k grows like v1 where the predictor's grows like
+    v1^(1/k), and would hold a degree-k vertex's roots to far shorter
+    steps.)  At the end each white lift must meet exactly one black lift,
     within 1e-6 * its distance to the nearest other zero of p."""
     verts = np.array([v.location for v in (*whites, *blacks)],
                      dtype=np.complex128)
@@ -586,16 +609,7 @@ def _lift_edges(whites, blacks, a):
     col = np.arange(len(verts)) < s  # the white vertices
     white = col[vi]
     sign = np.where(white, -1.0, 1.0)  # p -+ 1 = sign * v
-
-    def newton(z, v):
-        for _ in range(12):
-            pq, dp = _product_form(z, verts, mult, s, a)
-            f = np.where(white, pq[:, 0], pq[:, 1]) - sign * v
-            done = np.abs(f) < 1e-12 * v
-            if done.all():
-                break
-            z = np.where(done, z, z - f / dp)
-        return z, dp, done
+    form = (verts, mult, s, a)
 
     # p -+ 1 = c (z - v)^m near a vertex v: the product over its own colour
     same = np.equal.outer(col, col) & ~np.eye(len(verts), dtype=bool)
@@ -607,7 +621,7 @@ def _lift_edges(whites, blacks, a):
     log_delta = np.log(delta)
     other = np.not_equal.outer(white, white) | np.eye(2 * n, dtype=bool)
     with np.errstate(all="ignore"):
-        z, dp, ok = newton(z, delta)
+        z, dp, ok = _to_level(z, delta, white, form)
         if not ok.all():
             raise PathLiftingError("could not start continuation")
         tau, dtau, steps = 0.0, 0.05, 0
@@ -620,23 +634,27 @@ def _lift_edges(whites, blacks, a):
             gap = np.where(other, np.inf, np.abs(z[:, None] - z))
             dv = np.abs(z[:, None] - verts)
             near = dv.argmin(axis=1)
+            dnear = np.minimum.reduce(dv, axis=1)
             guard = np.minimum(
-                np.minimum(0.2 * spacing[near],
-                           0.5 * np.minimum.reduce(dv, axis=1)),
+                np.minimum(0.2 * np.maximum(spacing[near], dnear),
+                           0.5 * dnear),
                 0.3 * np.minimum.reduce(gap, axis=1))
             v0 = np.exp(log_delta * (1.0 - tau))
-            # v0 * (delta^-dtau - 1) / |p'| <= 0.8 * guard for every root
-            dtau = min(dtau, float(np.minimum.reduce(
-                np.log1p(0.8 * guard * np.abs(dp) / v0) / -log_delta)))
-            t1 = min(tau + dtau, 1.0)
-            v1 = np.exp(log_delta * (1.0 - t1))
             # power-law predictor about the nearest vertex c: z - c grows
             # like v^g with g = (sign*v0/p')/(z - c), which is 1/k where
             # p -+ 1 = C (z - c)^k, and to first order the Euler step
             zc = z - verts[near]
             g = sign * v0 / (dp * zc)
-            z1, dp1, ok = newton(
-                verts[near] + zc * np.exp(g * (log_delta * (tau - t1))), v1)
+            # it moves a root by |zc (e^(g*L) - 1)| <= |zc| (e^(|g|*L) - 1)
+            # for L = -log(delta) * dtau: at most 0.8 * guard for every root
+            dtau = min(dtau, float(np.minimum.reduce(
+                np.log1p(0.8 * guard / np.abs(zc))
+                / (np.abs(g) * -log_delta))))
+            t1 = min(tau + dtau, 1.0)
+            v1 = np.exp(log_delta * (1.0 - t1))
+            z1, dp1, ok = _to_level(
+                verts[near] + zc * np.exp(g * (log_delta * (tau - t1))), v1,
+                white, form)
             if ok.all() and np.all(np.abs(z1 - z) < guard):
                 z, dp, tau = z1, dp1, t1
                 dtau *= 1.5

@@ -171,6 +171,32 @@ def test_run_catalog_range_check():
         run_catalog(9)
 
 
+def test_jobs_never_exceed_the_trees_to_analyze(tmp_path, monkeypatch):
+    # a fork-started pool forks all max_workers processes at its first
+    # submit, so the pool is sized by the trees left to analyze
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(catalog, "ProcessPoolExecutor", InProcessPool)
+    root = str(tmp_path / "store")
+    assert len(run_catalog(2, _cfg(), root, jobs=8)) == 1
+    assert len(run_catalog(4, _cfg(), root, jobs=8)) == 3
+    assert len(run_catalog(4, _cfg(), root, jobs=8)) == 3  # all resumed
+    assert len(run_catalog(5, _cfg(), root, jobs=2)) == 6
+    assert sizes == [3, 2]
+
+
 # ------------------------------------------------------------------- series
 
 

@@ -318,8 +318,9 @@ def test_aimed_seed_solves_caterpillars_in_one_run(monkeypatch):
 
 def test_lifting_newton_work_on_the_seven_edge_catalog(monkeypatch):
     # the power-law predictor lands each root within Newton's reach of the
-    # level set: 2663 evaluations of p -+ 1 over the 37 lifts that solving
-    # the 34 seven-edge trees makes, against 3253 with an Euler predictor
+    # level set: 2135 evaluations of p -+ 1 over the 37 lifts that solving
+    # the 34 seven-edge trees makes; 2663 with steps sized by the Euler
+    # move, and 3253 with the Euler predictor as well
     evaluate_products = shabat._product_form
     calls = []
 
@@ -336,6 +337,29 @@ def test_lifting_newton_work_on_the_seven_edge_catalog(monkeypatch):
         except NoZapponiFormError:
             pass
     assert len(calls) <= 2800, len(calls)
+
+
+@pytest.mark.parametrize("family", [1, 2, 3])
+def test_lifting_steps_around_a_degree_13_hub(monkeypatch, family):
+    # a regression guard on the step sizing: the caterpillar <13,family|...>
+    # lifts in 33, 32 and 32 steps with none halved.  Sizing steps by the
+    # Euler move, linear in v where the predictor's move about a degree-k
+    # vertex grows like v^(1/k), took 69, 53 and 49; capping each root by
+    # the spacing of its nearest vertex however far off, 52, 38 and 34
+    sol = solve_tree(series_tree(family, 13))
+    to_level = shabat._to_level
+    levels = []
+
+    def counted(z, v, *args):
+        levels.append(float(np.ravel(v)[0]))
+        return to_level(z, v, *args)
+
+    monkeypatch.setattr(shabat, "_to_level", counted)
+    shabat._identify_from_vertices(sol.poly, sol.white, sol.black)
+    # after the start, one call per step; a halved step retries lower
+    steps = levels[1:]
+    assert all(b > a for a, b in zip(steps, steps[1:])), "halved a step"
+    assert steps[-1] == 1.0 and len(steps) <= 40, len(steps)
 
 
 # ----------------------------------------------------------- identification
