@@ -192,7 +192,11 @@ def julia_cloud(p, target_points=20000, rng_seed=0):
     cloud is all of level k-1 plus target_points - d^(k-1) points of level
     k, drawn without replacement (deterministic given rng_seed).  p maps
     level k onto level k-1, and z0 is one of its own preimages, so level
-    k-1 reappears inside level k: p maps the cloud into itself."""
+    k-1 reappears inside level k as the block [j0 d^(k-1), (j0 + 1)
+    d^(k-1)) below the level-1 root j0 that is z0 (``cloud_chains``): p
+    maps the cloud into itself.  A draw inside that block is read from
+    level k-1, an exact duplicate of one of its points; level k is solved
+    only below the parents of the other draws."""
     if p.degree < 2:
         raise FractalError("need degree >= 2")
     if target_points < 1:
@@ -203,12 +207,19 @@ def julia_cloud(p, target_points=20000, rng_seed=0):
         k += 1
     z0 = repelling_fixed_point(p)
     c = p.as_array()
-    top = cloud_chains(c, z0, k - 1)[-1] if k > 1 else np.array([z0])
+    levels = cloud_chains(c, z0, max(k - 1, 1))
+    top = levels[k - 2] if k > 1 else np.array([z0])
+    # cloud_chains sets the level-1 root j0 to z0 exactly
+    j0 = int(np.argmax(levels[0] == z0))
+    del levels  # the solve below needs only level k-1
     pick = np.random.default_rng(rng_seed).choice(
         d ** k, target_points - d ** (k - 1), replace=False)
-    # level k is solved only below the parents of the drawn points
-    parents, row = np.unique(pick // d, return_inverse=True)
-    drawn = preimages(c, top[parents])[row, pick % d]
+    inside = pick // d ** (k - 1) == j0
+    drawn = np.empty(len(pick), dtype=np.complex128)
+    drawn[inside] = top[pick[inside] % d ** (k - 1)]
+    out = pick[~inside]
+    parents, row = np.unique(out // d, return_inverse=True)
+    drawn[~inside] = preimages(c, top[parents])[row, out % d]
     return np.concatenate([top, drawn])
 
 
@@ -380,6 +391,8 @@ def pressure_dim(p, max_period=None, attractor_multipliers=()):
         max_period = 1
         while d ** (max_period + 1) <= LEVEL_CAP:
             max_period += 1
+    if max_period < 1:
+        raise ValueError("max_period must be >= 1")
     if d ** max_period > LEVEL_CAP:
         raise FractalError(
             f"degree^{max_period} exceeds the level cap {LEVEL_CAP}; "

@@ -253,6 +253,12 @@ def test_pressure_dim_validation():
     assert d.confidence == "low"
 
 
+def test_pressure_dim_rejects_a_bad_max_period():
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_period must be >= 1"):
+            pressure_dim(SQUARE, max_period=bad)
+
+
 def test_pressure_dim_confidence_on_the_quintics():
     # q3 is hyperbolic and settles by the default depth; the other section-4
     # quintics drift over the last three depths, and q5 still gets a value

@@ -317,13 +317,14 @@ def test_interior_exit_saves_most_steps_on_q2(monkeypatch):
 
 
 def test_backward_tree(poly):
-    # the deepest level of each polynomial solves at least 2 * _CHUNK rows,
-    # so it takes the warm-started path of preimages
+    # the deepest level of each polynomial solves at least 2 * _CHUNK rows
+    # (the rows of level depth-1 outside the copied block), so it takes the
+    # warm-started path of preimages
     c = poly.as_array()
     d = poly.degree
     z0 = repelling_fixed_point(poly)
-    depth = {2: 12, 5: 6}.get(d, 5)
-    assert d ** (depth - 1) >= 2 * K._CHUNK
+    depth = {2: 13, 5: 6}.get(d, 5)
+    assert d ** (depth - 1) - d ** (depth - 2) >= 2 * K._CHUNK
     levels = K.cloud_chains(c, z0, depth)
     assert len(levels) == depth
     parents = np.array([z0])
@@ -340,6 +341,68 @@ def test_backward_tree(poly):
             assert np.abs(level - roots).max() < 1e-12
             assert len(set(near)) == 2 ** k
         parents = level
+
+
+def test_backward_tree_copies_the_fixed_points_block(poly, monkeypatch):
+    # z0 is the level-1 root j0, so the block [j0 d^(k-1), (j0+1) d^(k-1))
+    # of level k is level k-1 bit for bit, and only the other
+    # d^(k-1) - d^(k-2) rows of level k-1 are solved
+    c = poly.as_array()
+    d = poly.degree
+    z0 = repelling_fixed_point(poly)
+    rows, preimages = [], K.preimages
+
+    def counting(c, z):
+        rows.append(len(z))
+        return preimages(c, z)
+
+    monkeypatch.setattr(K, "preimages", counting)
+    depth = {2: 8, 5: 4}.get(d, 3)
+    levels = K.cloud_chains(c, z0, depth)
+    assert rows == [1] + [d ** (k - 1) - d ** (k - 2)
+                          for k in range(2, depth + 1)]
+    j0 = int(np.flatnonzero(levels[0] == z0)[0])
+    for k in range(2, depth + 1):
+        n = d ** (k - 1)
+        assert levels[k - 1][j0 * n:(j0 + 1) * n].tobytes() == \
+            levels[k - 2].tobytes()
+
+
+def test_julia_cloud_solves_no_parent_in_the_block(poly, monkeypatch):
+    # the deepest level's draws inside the block are read from level k-1;
+    # preimages sees only parents outside the block of level k-1
+    d = poly.degree
+    k = {2: 12, 5: 5}.get(d, 5)
+    z0 = repelling_fixed_point(poly)
+    levels = K.cloud_chains(poly.as_array(), z0, k - 1)
+    j0 = int(np.flatnonzero(levels[0] == z0)[0])
+    n = d ** (k - 2)
+    block = levels[-1][j0 * n:(j0 + 1) * n]
+    seen, preimages = [], fractal.preimages
+
+    def recording(c, z):
+        seen.append(z.copy())
+        return preimages(c, z)
+
+    monkeypatch.setattr(fractal, "preimages", recording)
+    cloud = fractal.julia_cloud(poly, 3000, rng_seed=5)
+    top, drawn = cloud[:d ** (k - 1)], cloud[d ** (k - 1):]
+    np.testing.assert_array_equal(top, levels[-1])
+    pick = np.random.default_rng(5).choice(d ** k, len(drawn), replace=False)
+    inside = pick // d ** (k - 1) == j0
+    assert inside.any() and not inside.all()
+    # one solve, of the distinct parents outside the block
+    assert len(seen) == 1 and not np.isin(seen[0], block).any()
+    assert len(seen[0]) == len(np.unique(pick[~inside] // d))
+    # a draw in the block is its point of level k-1, bit for bit
+    assert drawn[inside].tobytes() == \
+        top[pick[inside] - j0 * d ** (k - 1)].tobytes()
+    assert not np.isin(drawn[~inside], top).any()
+
+
+def test_cloud_chains_rejects_a_point_that_is_not_fixed():
+    with pytest.raises(ValueError):
+        K.cloud_chains(np.array([0, 0, 1], dtype=np.complex128), 0.5, 2)
 
 
 def _warm_targets(poly):
