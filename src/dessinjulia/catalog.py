@@ -33,6 +33,7 @@ from .shabat import (ExhaustedError, NoZapponiFormError, SZSolution,
 DEFAULT_STORE = os.environ.get("DESSIN_STORE", "store")
 
 CLOUD_POINTS = 200_000  # julia_cloud size behind each record's box_dim
+IMAGE_SIZE = (400, 400)  # pixels of each record's escape and basin rasters
 
 
 @dataclass
@@ -40,7 +41,6 @@ class CatalogConfig:
     rng_seed: int = 0
     with_dims: bool = False
     with_images: bool = False
-    image_size: tuple = (400, 400)
     force: bool = False
 
 
@@ -151,7 +151,7 @@ def analyze_tree(tree, cfg=None, store=None):
     if cfg.with_dims:
         _attach_dims(rec, cfg)
     if cfg.with_images and store is not None:
-        _attach_images(rec, cfg, store)
+        _attach_images(rec, store)
     rec.validate()
     return rec
 
@@ -160,12 +160,13 @@ def _attach_dims(rec, cfg):
     p = rec.sz.poly
     cls = rec.classification
     disconnected = cls.connectedness == "totally_disconnected"
+    errors = []
     t0 = time.perf_counter()
     try:
         cloud = julia_cloud(p, CLOUD_POINTS, rng_seed=cfg.rng_seed)
         rec.dims.append(box_dim(cloud, disconnected=disconnected))
     except (FractalError, ValueError) as exc:
-        rec.error = f"box_dim: {exc}"
+        errors.append(f"box_dim: {exc}")
     rec.timings["box_dim"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     try:
@@ -173,21 +174,23 @@ def _attach_dims(rec, cfg):
                  if f.bounded]
         rec.dims.append(pressure_dim(p, attractor_multipliers=mults))
     except (FractalError, ValueError) as exc:
-        rec.error = f"pressure_dim: {exc}"
+        errors.append(f"pressure_dim: {exc}")
     rec.timings["pressure_dim"] = time.perf_counter() - t0
+    if errors:
+        rec.error = "; ".join(errors)
 
 
-def _attach_images(rec, cfg, store):
+def _attach_images(rec, store):
     p = rec.sz.poly
     span = 1.5 * max(max(abs(w.location) for w in rec.sz.white),
                      max(abs(b.location) for b in rec.sz.black), 1.0)
     viewport = (0.0, 0.0, span, span)
     key = _key(rec.tree_code)
     t0 = time.perf_counter()
-    esc = render_escape(p, viewport, cfg.image_size, max_iter=500)
+    esc = render_escape(p, viewport, IMAGE_SIZE, max_iter=500)
     rec.artifacts["escape"] = store.save_image(esc, f"{key}-escape.ppm")
     try:
-        bas = render_basins(p, rec.classification, viewport, cfg.image_size,
+        bas = render_basins(p, rec.classification, viewport, IMAGE_SIZE,
                             max_iter=2000)
         rec.artifacts["basins"] = store.save_image(bas, f"{key}-basins.ppm")
     except FractalError:

@@ -118,11 +118,12 @@ def trapping_radius(p, cycle_points, bound):
     return [float(r[k]) for r in radii]
 
 
-def refine_cycle(p, period, guess, tol=1e-12):
-    """Newton-polish a periodic point; returns cycle points and multiplier."""
+def refine_cycle(p, period, guess):
+    """Newton-polish a periodic point, to a step below 1e-12(1 + |z|)
+    (``newton_periodic``); returns cycle points and multiplier."""
     if period < 1:
         raise ValueError("period must be >= 1")
-    points, mult, ok = newton_periodic(p.as_array(), guess, period, tol=tol)
+    points, mult, ok = newton_periodic(p.as_array(), guess, period)
     if not ok:
         raise CycleRefinementError(
             f"Newton did not converge on the period-{period} equation",
@@ -185,10 +186,22 @@ def iterate_orbit(p, z0, max_iter=MAX_ITER):
     return CriticalOrbitFate("undetermined", [], 1, 0j, steps)
 
 
-def _same_cycle(a, b, tol=1e-6):
+def _same_cycle(a, b):
+    """Equal length, and every point of a within 1e-6 of a point of b."""
     if len(a) != len(b):
         return False
-    return all(min(abs(x - y) for y in b) < tol for x in a)
+    return all(min(abs(x - y) for y in b) < 1e-6 for x in a)
+
+
+def attracting_cycles(classification):
+    """The distinct attracting cycles that +1 and -1 reach (g2/g3 share
+    one), told apart by the rule that separates g2/g3 from s2."""
+    cycles = []
+    for fate in (classification.fate_plus, classification.fate_minus):
+        pts = fate.cycle_points
+        if fate.bounded and not any(_same_cycle(pts, c) for c in cycles):
+            cycles.append(pts)
+    return cycles
 
 
 def classify(p, max_iter=MAX_ITER):

@@ -16,7 +16,8 @@ import numpy as np
 
 from ._kernels import (_morton, aberth_roots, cloud_chains, preimages,
                        render_basin_grid, render_escape_grid)
-from .dynamics import classify, escape_radius, trapping_radius
+from .dynamics import (attracting_cycles, classify, escape_radius,
+                       trapping_radius)
 from .polynomial import derivative, evaluate
 
 
@@ -92,18 +93,6 @@ def write_ppm(rgb, path):
         fh.write(rgb[::-1].tobytes())
 
 
-def _cycles(classification):
-    """The distinct attracting cycles of +1 and -1 (g2/g3 share one)."""
-    cycles = []
-    for fate in (classification.fate_plus, classification.fate_minus):
-        pts = fate.cycle_points
-        if fate.bounded and not any(
-                all(min(abs(z - t) for t in cyc) < 1e-9 for z in pts)
-                for cyc in cycles):
-            cycles.append(pts)
-    return cycles
-
-
 def render_escape(p, viewport=(0.0, 0.0, 2.0, 2.0), size=(400, 400),
                   max_iter=200):
     """Escape-time raster: per pixel, iterations until |z| exceeds the
@@ -122,7 +111,7 @@ def render_escape(p, viewport=(0.0, 0.0, 2.0, 2.0), size=(400, 400),
     radius = escape_radius(p)
     interior = []
     if max_iter >= 1:
-        for cyc in _cycles(classify(p, max_iter)):
+        for cyc in attracting_cycles(classify(p, max_iter)):
             rho = trapping_radius(p, cyc, radius)
             if rho is not None:
                 interior.append((cyc[0], rho[0]))
@@ -141,7 +130,7 @@ def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
         raise ValueError("max_iter must be >= 0")
     if not trap_radius >= 0:
         raise ValueError("trap_radius must be >= 0")
-    cycles = _cycles(classification)
+    cycles = attracting_cycles(classification)
     traps = [z for cyc in cycles for z in cyc]
     groups = [gid for gid, cyc in enumerate(cycles) for _ in cyc]
     if not traps and "escape" not in (classification.fate_plus.kind,
@@ -289,28 +278,20 @@ def _box_ladder(pts, coarsest_div, finest_div):
     return ladder
 
 
-def box_dim(points, coarsest_div=8, finest_div=2 ** 18, disconnected=False,
-            completeness_ratio=1.05):
+def box_dim(points, disconnected=False):
     """Box-counting dimension of a point cloud: slope of log N(eps) against
-    log(1/eps) over a dyadic ladder of box sizes eps = extent/div, div =
-    coarsest_div, 2 coarsest_div, ... <= finest_div (at most 2**31).  The
-    boxes of every scale are counted from one sort of the cloud's Morton
-    keys at the finest division (see _box_ladder).
+    log(1/eps) over the dyadic ladder of box sizes eps = extent/div, div =
+    8, 16, ..., 2**18.  The boxes of every scale are counted from one sort
+    of the cloud's Morton keys at the finest division (see _box_ladder).
 
     Only resolution-complete scales enter the fit: a scale is kept when the
-    box count barely moves on halving the sample (ratio below
-    completeness_ratio), i.e. the sample already visits every box the set
-    meets there.  Finer scales count the sampling measure, not the set, and
-    systematically underestimate.  Saturated scales (N >= points/4) are
-    dropped too.  Confidence is low on a poor fit or when the set is known
-    to be totally disconnected (box counting needs unreachable sample
-    density on Cantor dusts)."""
-    if coarsest_div < 1:
-        raise ValueError("coarsest_div must be at least 1")
-    if finest_div < coarsest_div:
-        raise ValueError("finest_div must be at least coarsest_div")
-    if finest_div > 2 ** 31:
-        raise ValueError("finest_div must be at most 2**31")
+    box count barely moves on halving the sample (ratio at most 1.05),
+    i.e. the sample already visits every box the set meets there.  Finer
+    scales count the sampling measure, not the set, and systematically
+    underestimate.  Saturated scales (N >= points/4) are dropped too.
+    Confidence is low on a poor fit or when the set is known to be totally
+    disconnected (box counting needs unreachable sample density on Cantor
+    dusts)."""
     pts = np.asarray(points, dtype=np.complex128)
     if len(pts) < 10 ** 4:
         raise ValueError("need at least 10^4 points")
@@ -318,11 +299,11 @@ def box_dim(points, coarsest_div=8, finest_div=2 ** 18, disconnected=False,
     # run: the ratio can start high (boxes barely touching the set are
     # rarely visited at coarse scales), dips, and rises again past the
     # sampling resolution
-    ladder = _box_ladder(pts, coarsest_div, finest_div)
+    ladder = _box_ladder(pts, 8, 2 ** 18)
     logs, counts = [], []
     started = False
     for div, n, ratio in ladder:
-        if ratio <= completeness_ratio:
+        if ratio <= 1.05:
             started = True
             logs.append(np.log(div))
             counts.append(np.log(n))

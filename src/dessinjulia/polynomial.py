@@ -173,10 +173,7 @@ def parse_complex(token):
 
 
 def parse_poly(text):
-    toks = text.split(",")
-    if not toks:
-        raise PolynomialError("no coefficients")
-    return ComplexPoly(tuple(parse_complex(t) for t in toks))
+    return ComplexPoly(tuple(parse_complex(t) for t in text.split(",")))
 
 
 def _fmt_real(x):
@@ -251,18 +248,17 @@ def _cluster_quality(p, clusters):
     return float(np.max(np.abs(pa - qa)) / np.max(np.abs(pa)))
 
 
-def roots(p, cluster_tol=1e-6):
+def roots(p):
     """All roots with multiplicities via simultaneous (Aberth-style)
     iteration followed by adaptive clustering.
 
     Clustering threshold: a numerically split m-fold root spreads over a
-    radius ~eps^(1/m), so a ladder of thresholds is tried and the one whose
-    re-expansion best reproduces the coefficients wins.
+    radius ~eps^(1/m), so a ladder of thresholds 1e-6, 4e-6, 1.6e-5, ...
+    below 0.45 (each times the root scale max|z| + 1) is tried and the one
+    whose re-expansion best reproduces the coefficients wins.
     """
     if p.degree < 1:
         raise PolynomialError("degree must be >= 1")
-    if not 0 < cluster_tol < 0.45:  # the ladder below must try one rung
-        raise PolynomialError("cluster_tol must be in (0, 0.45)")
     raw = aberth_roots(p.as_array())
     resid = np.abs(evaluate(p, raw))
     scale = float(np.max(np.abs(raw))) + 1.0
@@ -273,7 +269,7 @@ def roots(p, cluster_tol=1e-6):
             f"{np.max(resid):.3g})", best=raw)
 
     best = None
-    t = cluster_tol * scale
+    t = 1e-6 * scale
     while t < 0.45 * scale:
         groups = _single_linkage(raw, t)
         clusters = []
@@ -294,12 +290,13 @@ def roots(p, cluster_tol=1e-6):
     return sorted(clusters, key=lambda c: (c.location.real, c.location.imag))
 
 
-def critical_data(p, tol=1e-6):
-    """Critical points (clustered), their values, and local degrees."""
+def critical_data(p):
+    """Critical points (the roots of p', clustered by ``roots``), their
+    values, and local degrees."""
     if p.degree < 2:
         raise PolynomialError("degree must be >= 2 for critical data")
     out = []
-    for c in roots(derivative(p), cluster_tol=tol):
+    for c in roots(derivative(p)):
         out.append({
             "point": c.location,
             "value": evaluate(p, c.location),
@@ -308,21 +305,21 @@ def critical_data(p, tol=1e-6):
     return out
 
 
-def is_shabat(p, tol=1e-6):
-    """True iff every finite critical value is within tol of +1 or -1 and
+def is_shabat(p):
+    """True iff every finite critical value is within 1e-6 of +1 or -1 and
     both values occur."""
     if p.degree < 2:
         return False
     try:
-        data = critical_data(p, tol=min(tol, 1e-6))
+        data = critical_data(p)
     except PolynomialError:
         return False
     saw_plus = saw_minus = False
     for d in data:
         v = d["value"]
-        if abs(v - 1) < tol:
+        if abs(v - 1) < 1e-6:
             saw_plus = True
-        elif abs(v + 1) < tol:
+        elif abs(v + 1) < 1e-6:
             saw_minus = True
         else:
             return False

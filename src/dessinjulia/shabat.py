@@ -74,8 +74,8 @@ class SZSolution:
         wy = sum(b.location * b.multiplicity for b in self.black)
         return (sub, abs(sx - 1.0), abs(sy + 1.0), abs(wx - wy))
 
-    def to_json(self, passport=None, tree_code=None):
-        rec = {
+    def to_json(self):
+        return {
             "coefficients": [[c.real, c.imag] for c in self.poly.coeffs],
             "white": [{"re": w.location.real, "im": w.location.imag,
                        "mult": w.multiplicity} for w in self.white],
@@ -84,11 +84,6 @@ class SZSolution:
             "leading": [self.leading.real, self.leading.imag],
             "residual": self.residual,
         }
-        if passport is not None:
-            rec["passport"] = str(passport)
-        if tree_code is not None:
-            rec["tree_code"] = tree_code
-        return rec
 
     @classmethod
     def from_json(cls, rec):
@@ -506,15 +501,16 @@ def solve_tree(tree, _memo=None):
 # ------------------------------------------------------------ normalization
 
 
-def zapponi_normalize(p, tol=1e-9):
+def zapponi_normalize(p):
     """Unique Zapponi form q(z) = p(X*z - beta) of a Shabat polynomial:
-    beta centres p, X is the centred white sum.  The vertices are found
-    once, in p's coordinates, and carried over as w -> (w + beta)/X."""
+    beta centres p, X is the centred white sum, and a centred white sum of
+    modulus at most 1e-9 means there is none.  The vertices are found once,
+    in p's coordinates, and carried over as w -> (w + beta)/X."""
     whites, blacks = _tree_vertices(p)
     c = p.as_array()
     beta = c[-2] / (p.degree * c[-1])
     X = sum(w.location + beta for w in whites)
-    if abs(X) <= tol:
+    if abs(X) <= 1e-9:
         raise NoZapponiFormError(
             "white vertex coordinate sum is zero after centering; "
             "no Zapponi form exists")

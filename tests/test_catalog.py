@@ -70,7 +70,7 @@ def test_record_validation_errors():
 def test_analyze_with_images(tmp_path):
     store = Store(str(tmp_path / "store"))
     rec = analyze_tree(parse_plane_code("W((()))()()"),
-                       _cfg(with_images=True, image_size=(24, 24)), store)
+                       _cfg(with_images=True), store)
     assert set(rec.artifacts) == {"escape", "basins"}
     for rel in rec.artifacts.values():
         path = os.path.join(store.root, rel)
@@ -107,6 +107,20 @@ def test_a_failed_dimension_stage_keeps_the_other(monkeypatch, failing, stage,
     rec = analyze_tree(parse_plane_code("W((()))"), _cfg(with_dims=True))
     assert [d.method for d in rec.dims] == [kept]
     assert rec.error == f"{stage}: refused"
+    rec.validate()
+
+
+def test_both_failed_dimension_stages_keep_both_errors(monkeypatch):
+    def refuse(name):
+        def fail(*args, **kwargs):
+            raise FractalError(f"{name} refused")
+        return fail
+
+    monkeypatch.setattr(catalog, "box_dim", refuse("box"))
+    monkeypatch.setattr(catalog, "pressure_dim", refuse("pressure"))
+    rec = analyze_tree(parse_plane_code("W((()))"), _cfg(with_dims=True))
+    assert rec.dims == []
+    assert rec.error == "box_dim: box refused; pressure_dim: pressure refused"
     rec.validate()
 
 

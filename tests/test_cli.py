@@ -95,6 +95,12 @@ def test_classify_poly():
     assert "+1: period 4" in text and "-1: period 4" in text
 
 
+def test_classify_empty_poly(capsys):
+    code, _ = run(["classify", "--poly", ""])
+    assert code == 1
+    assert "bad polynomial" in capsys.readouterr().err
+
+
 def test_classify_tree():
     code, text = run(["classify", "--tree", "W((()))()()()"])
     assert code == 0

@@ -117,7 +117,7 @@ def test_refine_cycle_polish_and_multiplier():
     assert abs(pts[0] + 1) < 1e-12 and abs(pts[1]) < 1e-12
     assert abs(ref["multiplier"]) < 1e-12
     with pytest.raises(CycleRefinementError):
-        refine_cycle(ComplexPoly((3, 0, 1)), 3, 50.0 + 50j, tol=1e-15)
+        refine_cycle(ComplexPoly((3, 0, 1)), 3, 50.0 + 50j)
 
 
 # --------------------------------------------------- taxonomy on known trees

@@ -218,11 +218,6 @@ def test_box_ladder_is_the_per_scale_count():
 def test_box_dim_validation():
     with pytest.raises(ValueError):
         box_dim(np.zeros(100, dtype=np.complex128))
-    sq = RNG.uniform(0, 1, 20000) + 1j * RNG.uniform(0, 1, 20000)
-    for bad in ({"coarsest_div": 0}, {"coarsest_div": 8, "finest_div": 4},
-                {"finest_div": 2 ** 31 + 1}):
-        with pytest.raises(ValueError):
-            box_dim(sq, **bad)
     with pytest.raises(FractalError):
         box_dim(np.zeros(20000, dtype=np.complex128))  # degenerate set
     d = box_dim(RNG.uniform(0, 1, 50000).astype(np.complex128),

@@ -533,8 +533,7 @@ def test_pcf_form_is_postcritically_finite():
 
 def test_solution_json_round_trip():
     sol = solve_tree(parse_plane_code("W(())()()()"))
-    rec = sol.to_json(passport="4,1|2,1,1,1", tree_code="W(())()()()")
+    rec = sol.to_json()
     back = SZSolution.from_json(rec)
     assert np.allclose(back.poly.as_array(), sol.poly.as_array())
     assert back.residual == rec["residual"] == sol.residual
-    assert rec["passport"] == "4,1|2,1,1,1"
