@@ -8,7 +8,6 @@ comma-separated complex coefficients, ``x+yi`` for complex entries and
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +30,6 @@ class RootFindingError(PolynomialError):
 class RootCluster:
     location: complex
     multiplicity: int
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -130,11 +128,6 @@ def derivative(p):
 
 
 # -------------------------------------------------------------- text format
-
-_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?(?:/\d+)?"
-_TOKEN = re.compile(
-    rf"^\s*(?P<re>[+-]?{_NUM})?\s*(?P<im>[+-]\s*(?:{_NUM})?|^[+-]?(?:{_NUM})?)?"
-)
 
 
 def _parse_real(text):
@@ -276,8 +269,7 @@ def roots(p):
         for g in groups:
             m = len(g)
             center = _polish_cluster(p, complex(np.mean(g)), m)
-            clusters.append(RootCluster(center, m,
-                                        float(abs(evaluate(p, center)))))
+            clusters.append(RootCluster(center, m))
         err = _cluster_quality(p, clusters)
         if best is None or err < best[0]:
             best = (err, clusters)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import plane_tree as pt
-from .polynomial import (ComplexPoly, PolynomialError, RootCluster, evaluate,
+from .polynomial import (ComplexPoly, PolynomialError, RootCluster,
                          expand_roots, roots)
 
 
@@ -56,7 +56,10 @@ class SZSolution:
     poly: ComplexPoly
     white: list  # RootCluster per white vertex
     black: list
-    leading: complex
+
+    @property
+    def leading(self):
+        return self.poly.leading
 
     @property
     def residual(self):
@@ -89,12 +92,11 @@ class SZSolution:
     def from_json(cls, rec):
         poly = ComplexPoly(tuple(complex(re, im)
                                  for re, im in rec["coefficients"]))
-        white = [RootCluster(complex(w["re"], w["im"]), w["mult"], 0.0)
+        white = [RootCluster(complex(w["re"], w["im"]), w["mult"])
                  for w in rec["white"]]
-        black = [RootCluster(complex(b["re"], b["im"]), b["mult"], 0.0)
+        black = [RootCluster(complex(b["re"], b["im"]), b["mult"])
                  for b in rec["black"]]
-        return cls(poly, white, black,
-                   complex(rec["leading"][0], rec["leading"][1]))
+        return cls(poly, white, black)
 
 
 # ----------------------------------------------------------- newton system
@@ -238,19 +240,33 @@ def _tree_layout(tree, rounds=50):
 # ------------------------------------------------------------ solving
 
 
-def _clusters(poly, points, value):
-    """RootClusters of poly = value at (location, multiplicity) points."""
-    return [RootCluster(complex(z), m, float(abs(evaluate(poly, z) - value)))
-            for z, m in points]
-
-
 def _vertex_polynomial(k, l, x, y, a):
     """p = a*prod (z - x_i)^{k_i} + 1 with its white and black vertices."""
     pa = a * expand_roots(x, k)
     pa[0] += 1.0
-    poly = ComplexPoly(tuple(pa))
-    return (poly, _clusters(poly, zip(x, k), 1.0),
-            _clusters(poly, zip(y, l), -1.0))
+    return (ComplexPoly(tuple(pa)),
+            [RootCluster(complex(z), m) for z, m in zip(x, k)],
+            [RootCluster(complex(z), m) for z, m in zip(y, l)])
+
+
+def _zapponi_form(k, l, x, y, a):
+    """Zapponi form q(w) = p(alpha*w + beta), with its white and black
+    vertices, of the Shabat polynomial p = a*prod (z - x_i)^{k_i} + 1 whose
+    black vertices are y (degrees l).  beta = (sum x + sum y)/(s + t) and
+    alpha = sum x - s*beta move each vertex v to (v - beta)/alpha, the white
+    sum to 1 and the black sum to -1; q's leading factor is a*alpha^n.  No
+    affine map reaches those sums when t*sum(x) = s*sum(y), i.e. alpha = 0:
+    NoZapponiFormError when |alpha| <= 1e-8 * (1 + max |vertex|)."""
+    s, t = len(x), len(y)
+    beta = (x.sum() + y.sum()) / (s + t)
+    alpha = x.sum() - s * beta
+    scale_ref = 1.0 + float(np.max(np.abs(np.concatenate([x, y]))))
+    if abs(alpha) <= 1e-8 * scale_ref:
+        raise NoZapponiFormError(
+            "degenerate vertex sums (t*sum(x) = s*sum(y)); tree has no "
+            "Zapponi form")
+    return _vertex_polynomial(k, l, (x - beta) / alpha, (y - beta) / alpha,
+                              a * alpha ** sum(k))
 
 
 def _is_valid_solution(system, u, norm):
@@ -268,10 +284,6 @@ def _degrees(tree):
     """(white degrees, black degrees), each non-increasing."""
     return tuple(tuple(map(tree.degree, vs))
                  for vs in pt.vertices_by_degree(tree))
-
-
-def _whites(sol):
-    return [(w.location, w.multiplicity) for w in sol.white]
 
 
 def _same_vertex_set(w1, w2, tol=1e-6):
@@ -383,16 +395,13 @@ def _solve_tree_alt(tree, memo):
     continuations; ExhaustedError when none of them reaches the tree.
     memo maps plane codes to solutions, and to None for a tree whose seeds
     all failed: that tree raises again without a new search, unless an
-    identification has reached it (or its mirror) since."""
+    identification has reached it since.  Each identification stores the
+    solution under the code of the tree it found, and its conjugate under
+    the code of that tree's mirror image, unless those trees are solved
+    already."""
     target_code = pt.plane_code(tree)
     sol = memo.get(target_code)
     if sol is not None:
-        return sol
-    mirror_code = pt.plane_code(pt.mirror(tree))
-    if memo.get(mirror_code) is not None:
-        xs, ys = memo[mirror_code]
-        sol = (np.conj(xs), np.conj(ys))
-        memo[target_code] = sol
         return sol
     if target_code in memo:
         raise ExhaustedError(
@@ -426,15 +435,13 @@ def _solve_tree_alt(tree, memo):
                 *_vertex_polynomial(system.k, system.l, x, y, 1.0))
         except PathLiftingError:
             continue
-        code = pt.plane_code(found)
-        if memo.get(code) is None:
-            memo[code] = (x.copy(), y.copy())
-        if code == target_code:
-            return memo[code]
-        if code == mirror_code:
-            sol = (np.conj(x), np.conj(y))
-            memo[target_code] = sol
-            return sol
+        for code, sol in ((pt.plane_code(found), (x.copy(), y.copy())),
+                          (pt.plane_code(pt.mirror(found)),
+                           (np.conj(x), np.conj(y)))):
+            if memo.get(code) is None:
+                memo[code] = sol
+        if memo.get(target_code) is not None:
+            return memo[target_code]
     memo[target_code] = None
     raise ExhaustedError(
         f"no Shabat polynomial found for tree {target_code} after "
@@ -445,7 +452,8 @@ def solve_passport(passport):
     """All SZ solutions of a (normalized) passport: every plane tree that
     realizes it is solved with solve_tree, and those that admit a Zapponi
     form contribute one solution each, in the order of the plane codes of
-    the trees they were solved for."""
+    the trees they were solved for.  Distinct trees have distinct SZ
+    polynomials, so no two solutions repeat."""
     if isinstance(passport, str):
         passport = pt.Passport.parse(passport)
     n = passport.n_edges
@@ -458,13 +466,9 @@ def solve_passport(passport):
     degenerate = 0
     for t in pt.trees_with_passport(passport.white, passport.black):
         try:
-            sol = solve_tree(t, _memo=memo)
+            solutions.append(solve_tree(t, _memo=memo))
         except NoZapponiFormError:
             degenerate += 1
-            continue
-        if not any(_same_vertex_set(_whites(sol), _whites(s))
-                   for s in solutions):
-            solutions.append(sol)
     if not solutions:
         raise NoZapponiFormError(
             f"no tree with passport {passport} admits a Zapponi form "
@@ -474,8 +478,9 @@ def solve_passport(passport):
 
 def solve_tree(tree, _memo=None):
     """The unique SZ polynomial of a non-symmetric plane tree (colors as
-    given: whites are the preimages of +1).  The monic solution is moved by
-    z -> (z - beta)/alpha to white sum 1 and black sum -1."""
+    given: whites are the preimages of +1): the monic solution of
+    _solve_tree_alt, moved into Zapponi form by _zapponi_form, which also
+    decides when there is none."""
     tree.validate()
     if tree.n_edges < 2:
         raise ShabatError("need at least 2 edges")
@@ -483,42 +488,21 @@ def solve_tree(tree, _memo=None):
         raise NoZapponiFormError("symmetric tree has no Zapponi form")
     memo = {} if _memo is None else _memo
     x, y = _solve_tree_alt(tree, memo)
-    # affine map into the Zapponi normalization
-    s, t = len(x), len(y)
-    beta = (x.sum() + y.sum()) / (s + t)
-    alpha = x.sum() - s * beta
-    scale_ref = 1.0 + float(np.max(np.abs(np.concatenate([x, y]))))
-    if abs(alpha) <= 1e-8 * scale_ref:
-        raise NoZapponiFormError(
-            "degenerate vertex sums (t*sum(x) = s*sum(y)); tree has no "
-            "Zapponi form")
-    w, b = _degrees(tree)
-    a = complex(alpha ** sum(w))
-    return SZSolution(*_vertex_polynomial(w, b, (x - beta) / alpha,
-                                          (y - beta) / alpha, a), a)
+    return SZSolution(*_zapponi_form(*_degrees(tree), x, y, 1.0))
 
 
 # ------------------------------------------------------------ normalization
 
 
 def zapponi_normalize(p):
-    """Unique Zapponi form q(z) = p(X*z - beta) of a Shabat polynomial:
-    beta centres p, X is the centred white sum, and a centred white sum of
-    modulus at most 1e-9 means there is none.  The vertices are found once,
-    in p's coordinates, and carried over as w -> (w + beta)/X."""
-    whites, blacks = _tree_vertices(p)
-    c = p.as_array()
-    beta = c[-2] / (p.degree * c[-1])
-    X = sum(w.location + beta for w in whites)
-    if abs(X) <= 1e-9:
-        raise NoZapponiFormError(
-            "white vertex coordinate sum is zero after centering; "
-            "no Zapponi form exists")
-    q = p.compose_affine(X, -beta)
-    white, black = ([((v.location + beta) / X, v.multiplicity) for v in vs]
-                    for vs in (whites, blacks))
-    return SZSolution(q, _clusters(q, white, 1.0), _clusters(q, black, -1.0),
-                      q.leading)
+    """Unique Zapponi form of a Shabat polynomial p, by solve_tree's map and
+    degeneracy rule (_zapponi_form): p's vertices are found once, in p's
+    coordinates, and p - 1 = leading * prod (z - x_i)^{k_i} is rebuilt from
+    their images."""
+    (x, k), (y, l) = ((np.array([v.location for v in vs]),
+                       [v.multiplicity for v in vs])
+                      for vs in _tree_vertices(p))
+    return SZSolution(*_zapponi_form(k, l, x, y, p.leading))
 
 
 # ------------------------------------------------------------ identification

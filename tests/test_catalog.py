@@ -12,12 +12,16 @@ from dessinjulia.dynamics import classify
 from dessinjulia.fractal import FractalError
 from dessinjulia.plane_tree import (Passport, parse_plane_code, plane_code,
                                     trees_with_passport)
-from dessinjulia.shabat import (_same_vertex_set, _whites, identify_tree,
+from dessinjulia.shabat import (_same_vertex_set, identify_tree,
                                 solve_passport, solve_tree)
 
 
 def _cfg(**kw):
     return CatalogConfig(rng_seed=0, **kw)
+
+
+def _whites(sol):
+    return [(w.location, w.multiplicity) for w in sol.white]
 
 
 # ------------------------------------------------------------ single record
@@ -125,6 +129,17 @@ def test_both_failed_dimension_stages_keep_both_errors(monkeypatch):
 
 
 # -------------------------------------------------------------------- store
+
+
+def test_store_round_trip_gives_back_the_saved_record(tmp_path):
+    # a solved record with dims loads back equal to the one saved, its
+    # vertex clusters included
+    rec = analyze_tree(parse_plane_code("W((())())()(())"),
+                       _cfg(with_dims=True))
+    assert rec.sz is not None and len(rec.dims) == 2
+    store = Store(str(tmp_path / "store"))
+    store.save(rec)
+    assert store.load(rec.tree_code) == rec
 
 
 def test_store_save_load_and_resume(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from dessinjulia import _kernels, shabat
 from dessinjulia.catalog import catalog_trees, series_tree
 from dessinjulia.plane_tree import (Passport, enumerate_trees,
-                                    invert_colors, parse_plane_code,
+                                    invert_colors, mirror, parse_plane_code,
                                     passport_of, plane_code, symmetry_flags)
 from dessinjulia.polynomial import (ComplexPoly, RootCluster, expand_roots,
                                     parse_poly, poly_from_roots, roots)
@@ -12,6 +12,10 @@ from dessinjulia.shabat import (ExhaustedError, NoZapponiFormError,
                                 PathLiftingError, ShabatError, SZSolution,
                                 identify_tree, pcf_form, solve_passport,
                                 solve_tree, zapponi_normalize)
+
+
+_DEGENERATE = (r"^degenerate vertex sums \(t\*sum\(x\) = s\*sum\(y\)\); "
+               r"tree has no Zapponi form$")
 
 
 def _nonsym(n):
@@ -92,11 +96,17 @@ def test_no_zapponi_form_for_symmetric_trees():
 
 
 def test_no_zapponi_form_degenerate_nonsymmetric():
-    # non-symmetric 8-edge chain whose vertex sums are exactly degenerate
+    # non-symmetric 8-edge chain whose vertex sums are exactly degenerate;
+    # its monic polynomial, read back by zapponi_normalize, is refused by
+    # the same rule with the same message
     tree = parse_plane_code("W(((((())(())))))")
     assert not symmetry_flags(tree)["rotational"]
-    with pytest.raises(NoZapponiFormError):
+    with pytest.raises(NoZapponiFormError, match=_DEGENERATE):
         solve_tree(tree)
+    monic, _, _ = shabat._vertex_polynomial(
+        *shabat._degrees(tree), *shabat._solve_tree_alt(tree, {}), 1.0)
+    with pytest.raises(NoZapponiFormError, match=_DEGENERATE):
+        zapponi_normalize(monic)
 
 
 def test_solve_rejects_tiny_trees():
@@ -260,6 +270,22 @@ def test_a_failed_tree_is_stored_once_identified():
         memo[found]
 
 
+def test_a_mirror_image_is_solved_by_conjugation(monkeypatch):
+    # solving a chiral tree stores its mirror image's solution as well, the
+    # conjugate, so the mirror image is solved with no Newton run
+    tree = parse_plane_code(_ANCHOR)
+    assert plane_code(mirror(tree)) != plane_code(tree)
+    memo = {}
+    x, y = shabat._solve_tree_alt(tree, memo)
+
+    def refuse(system, u0):
+        raise AssertionError("Newton run for a mirror image")
+
+    monkeypatch.setattr(shabat, "_newton", refuse)
+    mx, my = shabat._solve_tree_alt(mirror(tree), memo)
+    assert np.array_equal(mx, np.conj(x)) and np.array_equal(my, np.conj(y))
+
+
 def test_a_seed_whose_lift_fails_is_skipped(monkeypatch):
     # the first solution found cannot be lifted here; the search goes on to
     # the next seeds and still returns the tree's own solution
@@ -417,7 +443,7 @@ def test_lifts_must_meet_at_the_zeros_of_p():
     sol = solve_tree(tree)
     got = shabat._identify_from_vertices(sol.poly, sol.white, sol.black)
     assert plane_code(got) == plane_code(tree)
-    moved = [RootCluster(b.location + 1e-3, b.multiplicity, 0.0)
+    moved = [RootCluster(b.location + 1e-3, b.multiplicity)
              for b in sol.black]
     with pytest.raises(PathLiftingError, match="do not meet"):
         shabat._identify_from_vertices(sol.poly, sol.white, moved)
@@ -469,7 +495,7 @@ def test_lift_exits(anchor, dp_factor, message):
 
 def test_lift_refuses_coincident_vertices(anchor):
     black = [RootCluster(anchor.white[0].location,
-                         anchor.black[0].multiplicity, 0.0), *anchor.black[1:]]
+                         anchor.black[0].multiplicity), *anchor.black[1:]]
     with pytest.raises(PathLiftingError, match="coincident vertices"):
         shabat._identify_from_vertices(anchor.poly, anchor.white, black)
 
@@ -499,18 +525,27 @@ def test_near_shabat_input_is_not_a_tree():
 
 
 def test_zapponi_normalize_recovers_form():
-    sol = solve_tree(parse_plane_code("W((()))()()"))
-    # destroy the normalization with an affine substitution, then recover it
-    q = sol.poly.compose_affine(0.7 - 0.2j, 1.3 + 0.4j)
-    back = zapponi_normalize(q)
-    assert np.allclose(back.poly.as_array(), sol.poly.as_array(), atol=1e-6)
-    assert max(back.invariant_deviations()) < 1e-6
+    # destroy the normalization of every solvable 6-edge tree with an affine
+    # substitution, then recover it
+    solved = 0
+    for tree in _nonsym(6):
+        try:
+            sol = solve_tree(tree)
+        except NoZapponiFormError:
+            continue
+        solved += 1
+        q = sol.poly.compose_affine(0.7 - 0.2j, 1.3 + 0.4j)
+        back = zapponi_normalize(q)
+        assert np.allclose(back.poly.as_array(), sol.poly.as_array(),
+                           atol=1e-6)
+        assert max(back.invariant_deviations()) < 1e-6
+    assert solved > 1
 
 
 def test_zapponi_normalize_refuses_a_zero_white_sum():
-    # the Chebyshev polynomial T_4 = 8z^4 - 8z^2 + 1 is even: its centred
-    # white vertices sum to zero
-    with pytest.raises(NoZapponiFormError, match="sum is zero"):
+    # the Chebyshev polynomial T_4 = 8z^4 - 8z^2 + 1 is even: its white and
+    # its black vertices both sum to zero
+    with pytest.raises(NoZapponiFormError, match=_DEGENERATE):
         zapponi_normalize(parse_poly("1,0,-8,0,8"))
 
 
