@@ -5,23 +5,21 @@ sets."""
 from .catalog import (CatalogConfig, CatalogRecord, Store, analyze_tree,
                       big_passport_trees, report, run_catalog, run_series,
                       series_tree)
-from .dynamics import (CriticalOrbitFate, CycleRefinementError,
-                       DynamicsClassification, classify, escape_radius,
-                       iterate_orbit, refine_cycle)
+from .dynamics import (CriticalOrbitFate, DynamicsClassification, classify,
+                       escape_radius, iterate_orbit)
 from .fractal import (DimensionEstimate, FractalError, Raster, box_dim,
                       julia_cloud, pressure_dim, render_basins, render_escape,
-                      repelling_fixed_point, save_cloud, write_ppm)
+                      repelling_fixed_point, write_ppm)
 from .plane_tree import (BLACK, WHITE, Passport, PlaneTree, PlaneTreeError,
                          enumerate_trees, invert_colors, mirror,
                          parse_plane_code, passport_of, plane_code,
                          symmetry_flags)
 from .polynomial import (ComplexPoly, PolynomialError, RootCluster,
-                         RootFindingError, critical_data, derivative,
-                         evaluate, format_poly, is_shabat, parse_poly,
-                         poly_from_roots, roots)
+                         RootFindingError, derivative, evaluate, format_poly,
+                         parse_poly, poly_from_roots, roots)
 from .shabat import (ExhaustedError, NoZapponiFormError, PathLiftingError,
-                     ShabatError, SZSolution, identify_tree, pcf_form,
-                     solve_passport, solve_tree, zapponi_normalize)
+                     ShabatError, SZSolution, identify_tree, solve_passport,
+                     solve_tree, zapponi_normalize)
 
 __version__ = "0.1.0"
 

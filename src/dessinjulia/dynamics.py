@@ -18,12 +18,6 @@ from ._kernels import (ORBIT_CYCLE, ORBIT_ESCAPE, _horner, newton_periodic,
                        orbit_brent)
 
 
-class CycleRefinementError(RuntimeError):
-    def __init__(self, message, last_iterate):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
-
 @dataclass
 class CriticalOrbitFate:
     kind: str  # attracting_point | attracting_cycle | escape | undetermined
@@ -118,43 +112,30 @@ def trapping_radius(p, cycle_points, bound):
     return [float(r[k]) for r in radii]
 
 
-def refine_cycle(p, period, guess):
-    """Newton-polish a periodic point, to a step below 1e-12(1 + |z|)
-    (``newton_periodic``); returns cycle points and multiplier."""
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    points, mult, ok = newton_periodic(p.as_array(), guess, period)
-    if not ok:
-        raise CycleRefinementError(
-            f"Newton did not converge on the period-{period} equation",
-            points[0])
-    return {"points": points, "multiplier": mult}
-
-
 def _fate_from_candidate(p, period, guess, iters):
     """The fate of an orbit that came back near itself after ``period``
-    steps.  Refine the cycle, and read its least period q from the refined
-    orbit: the first divisor of period with |p^q(z) - z| < 1e-8(1 + |z|).
-    When q < period, Newton runs again at period q from the refined point:
-    the longer equation leaves the point about 1e-13 off, which moved the
+    steps.  Newton-polish the cycle (``newton_periodic``, to a step below
+    1e-12(1 + |z|)), and read its least period q from the polished orbit:
+    the first divisor of period with |p^q(z) - z| < 1e-8(1 + |z|).  When
+    q < period, Newton runs again at period q from the polished point: the
+    longer equation leaves the point about 1e-13 off, which moved the
     multiplier of a |multiplier| = 0.9944 10-cycle found at period 20 by
-    1e-10."""
-    try:
-        ref = refine_cycle(p, period, guess)
-        z = ref["points"][0]
+    1e-10.  Undetermined when either Newton run fails to converge."""
+    c = p.as_array()
+    points, mult, ok = newton_periodic(c, guess, period)
+    if ok:
+        z = points[0]
         q = next((q for q in range(1, period) if period % q == 0
-                  and abs(ref["points"][q] - z) < 1e-8 * (1.0 + abs(z))),
-                 period)
+                  and abs(points[q] - z) < 1e-8 * (1.0 + abs(z))), period)
         if q < period:
-            ref = refine_cycle(p, q, z)
-    except CycleRefinementError:
+            points, mult, ok = newton_periodic(c, z, q)
+    if not ok:
         return CriticalOrbitFate("undetermined", [], period, 0j, iters)
-    mult = ref["multiplier"]
     if abs(mult) >= 1.0:
         # not attracting; the orbit only brushed past a neutral/repelling spot
         return CriticalOrbitFate("undetermined", [], q, mult, iters)
     kind = "attracting_point" if q == 1 else "attracting_cycle"
-    return CriticalOrbitFate(kind, ref["points"], q, mult, iters)
+    return CriticalOrbitFate(kind, points, q, mult, iters)
 
 
 def iterate_orbit(p, z0, max_iter=MAX_ITER):

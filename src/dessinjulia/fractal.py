@@ -25,8 +25,7 @@ class FractalError(RuntimeError):
     pass
 
 
-# band codes for basin rasters
-BAND_NAMES = ("white", "green", "light_red", "deep_red", "blue")
+# colours of the band codes of basin rasters (``Raster.band``)
 _BAND_RGB = np.array([
     [255, 255, 255],   # fast entry
     [0, 160, 60],      # medium
@@ -44,7 +43,9 @@ class Raster:
     centers sample the rectangle uniformly, row 0 at the bottom.
     ``escaped_at[i, j]`` is the first-entry iteration count (-1 = never),
     ``attractor_id`` 0 for the escape trap, 1.. for bounded attractors
-    (basin rasters only), ``band`` an index into BAND_NAMES.
+    and ``band`` the entry-time band (both basin rasters only).  The five
+    band codes are the rows of ``_BAND_RGB``: 0 white, 1 green, 2 light
+    red, 3 deep red and 4 blue (never entered).
     """
     width: int
     height: int
@@ -210,13 +211,6 @@ def julia_cloud(p, target_points=20000, rng_seed=0):
     parents, row = np.unique(out // d, return_inverse=True)
     drawn[~inside] = preimages(c, top[parents])[row, out % d]
     return np.concatenate([top, drawn])
-
-
-def save_cloud(points, path):
-    with open(path, "w") as fh:
-        fh.write("re,im\n")
-        for z in points:
-            fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
 
 
 # ------------------------------------------------------- dimension estimates

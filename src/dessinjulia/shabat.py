@@ -697,17 +697,3 @@ def identify_tree(p):
     by path lifting between its vertices."""
     return _identify_from_vertices(p, *_tree_vertices(p))
 
-
-# ------------------------------------------------------------ pcf form
-
-
-def pcf_form(sz, white_id, black_id):
-    """Affine change pinning a white vertex of degree > 1 at +1 and a black
-    vertex of degree > 1 at -1; the result is postcritically finite."""
-    w = sz.white[white_id]
-    b = sz.black[black_id]
-    if w.multiplicity <= 1 or b.multiplicity <= 1:
-        raise ShabatError("chosen vertices must have degree > 1")
-    alpha = (w.location - b.location) / 2.0
-    beta = (w.location + b.location) / 2.0
-    return sz.poly.compose_affine(alpha, beta)

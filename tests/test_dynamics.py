@@ -3,9 +3,9 @@ import pytest
 
 from dessinjulia._kernels import _polyval
 from dessinjulia.dynamics import (MAX_ITER, WEAK_MAX_PERIOD,
-                                  CycleRefinementError, _fate_from_candidate,
-                                  classify, escape_radius, iterate_orbit,
-                                  refine_cycle, trapping_radius)
+                                  _fate_from_candidate, classify,
+                                  escape_radius, iterate_orbit,
+                                  trapping_radius)
 from dessinjulia.plane_tree import parse_plane_code
 from dessinjulia.polynomial import ComplexPoly, parse_poly, poly_from_roots
 from dessinjulia.shabat import solve_tree
@@ -103,21 +103,18 @@ def test_least_period_is_read_from_the_refined_orbit():
     assert abs(fate.multiplier - 2 * zfix) < 1e-12
 
 
+def test_unconverged_candidate_is_undetermined():
+    # from 50 + 50i the period-3 Newton walk on z^2 + 3 leaves the disc of
+    # radius 1e6 on its second step: Newton does not converge
+    fate = _fate_from_candidate(ComplexPoly((3, 0, 1)), 3, 50.0 + 50j, 7)
+    assert fate.kind == "undetermined"
+    assert (fate.period, fate.cycle_points, fate.iterations_used) == \
+        (3, [], 7)
+
+
 def test_orbit_config_validation():
     with pytest.raises(ValueError):
         iterate_orbit(ComplexPoly((0, 0, 1)), 0.5, max_iter=0)
-    with pytest.raises(ValueError):
-        refine_cycle(ComplexPoly((0, 0, 1)), 0, 0.5)
-
-
-def test_refine_cycle_polish_and_multiplier():
-    p = ComplexPoly((-1, 0, 1))  # z^2 - 1
-    ref = refine_cycle(p, 2, 0.05 + 0.02j)
-    pts = sorted(ref["points"], key=lambda z: z.real)
-    assert abs(pts[0] + 1) < 1e-12 and abs(pts[1]) < 1e-12
-    assert abs(ref["multiplier"]) < 1e-12
-    with pytest.raises(CycleRefinementError):
-        refine_cycle(ComplexPoly((3, 0, 1)), 3, 50.0 + 50j)
 
 
 # --------------------------------------------------- taxonomy on known trees

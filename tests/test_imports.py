@@ -1,14 +1,17 @@
 """A lint gate without a linter: no module of the package imports a name
 it never uses (``__init__.py`` is left out, since its imports are its
-exports), and nothing defines a private module-level name that no module
-of the package reads."""
+exports), nothing defines a private module-level name that no module of
+the package reads, and every public module-level name has a reader in the
+package, ``perfbench/`` or ``tools/`` (tests do not count)."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dessinjulia"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dessinjulia"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,19 +40,23 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _definitions(node):
+    """Names a module-level statement defines: a function, a class or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target])
+        return {n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)}
+    return set()
+
+
 def _private_definitions(tree):
-    """Module-level functions, classes and assigned names that start with
-    one underscore."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target])
-            names.update(n.id for t in targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name))
+    """Module-level names that start with one underscore."""
+    names = set().union(*map(_definitions, tree.body))
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
@@ -86,3 +93,47 @@ def test_unread_private_names_are_found():
 def test_no_unread_private_names():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert _unread_private_names(sources) == []
+
+
+# Public names that nothing in the package, perfbench/ or tools/ reads,
+# kept for a reader outside them.
+UNREAD_PUBLIC_NAMES = {
+    "identify_tree": "documented API: the README's Library example",
+    "zapponi_normalize": "documented API: the README's Library section, "
+                         "on tree identification",
+    "big_passport_trees": "the one loader of the bundled 15-edge passport "
+                          "fixture",
+}
+
+
+def _unread_public_names(sources, readers):
+    """(module, name) of each public module-level name of the sources, a
+    dict of module name to source text, that no other module-level
+    statement of the sources and no reader text reads."""
+    stmts = [(mod, node) for mod, text in sources.items()
+             for node in ast.parse(text).body]
+    reads = [_reads(node) for _, node in stmts]
+    outside = set().union(*(_reads(ast.parse(t)) for t in readers))
+    count = Counter(n for r in reads for n in r)
+    return sorted((mod, name) for (mod, node), r in zip(stmts, reads)
+                  for name in _definitions(node)
+                  if not name.startswith("_") and name not in outside
+                  and count[name] == (name in r))
+
+
+def test_unread_public_names_are_found():
+    sources = {
+        "a": ("X = 1\nY = X\n_z = 0\n"
+              "def f(n):\n    return f(n - 1)\n"
+              "def g():\n    pass\nclass C:\n    pass\n"),
+        "b": "from a import g\nimport a\nH = a.Y\n"}
+    assert _unread_public_names(sources, ["b.C()\n"]) == \
+        [("a", "f"), ("b", "H")]
+
+
+def test_every_public_name_has_a_reader():
+    sources = {p.name: p.read_text() for p in MODULES}
+    readers = [p.read_text() for folder in ("perfbench", "tools")
+               for p in sorted((ROOT / folder).glob("*.py"))]
+    unread = _unread_public_names(sources, readers)
+    assert {name for _, name in unread} == set(UNREAD_PUBLIC_NAMES), unread

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from dessinjulia.polynomial import (ComplexPoly, PolynomialError,
-                                    RootFindingError, critical_data,
-                                    derivative, evaluate, expand_roots,
-                                    format_poly, is_shabat, parse_poly,
-                                    poly_from_roots, roots)
+                                    RootCluster, RootFindingError, derivative,
+                                    evaluate, expand_roots, format_poly,
+                                    parse_poly, poly_from_roots, roots)
 
 RNG = np.random.default_rng(20240817)
 EPS = np.finfo(float).eps
@@ -151,6 +150,11 @@ def test_roots_rejects_non_finite_aberth_output(monkeypatch):
         roots(ComplexPoly((-1, 0, 1)))
 
 
+def test_roots_of_a_linear_polynomial():
+    (found,) = roots(ComplexPoly((1 - 2j, 4)))
+    assert found == RootCluster(-(1 - 2j) / 4, 1)
+
+
 def test_roots_rejects_constants():
     with pytest.raises(PolynomialError):
         roots(ComplexPoly((3.0,)))
@@ -161,32 +165,3 @@ def test_root_finding_error_carries_best():
         raise RootFindingError("boom", best=[1j])
     except RootFindingError as e:
         assert e.best == [1j]
-
-
-# ------------------------------------------------------------ critical data
-
-
-def test_critical_data_chebyshev():
-    # T_4(z) = 8z^4 - 8z^2 + 1: critical points 0, ±1/sqrt(2),
-    # values 1, -1, -1
-    p = ComplexPoly((1, 0, -8, 0, 8))
-    data = critical_data(p)
-    assert len(data) == 3
-    vals = sorted(round(d["value"].real) for d in data)
-    assert vals == [-1, -1, 1]
-    assert all(d["local_degree"] == 2 for d in data)
-    assert is_shabat(p)
-
-
-def test_is_shabat_examples():
-    assert is_shabat(parse_poly("0,-15/4,0,10,0,-12"))
-    assert is_shabat(ComplexPoly((1, 0, -8, 0, 8)))  # T_4
-    # only one of the two values occurs: rejected by convention
-    assert not is_shabat(ComplexPoly((-1, 0, 2)))
-    assert not is_shabat(ComplexPoly((0, 0, 1)))  # critical value 0
-    assert not is_shabat(ComplexPoly((0.5, 0, 2)))  # values ±1 shifted
-    assert not is_shabat(ComplexPoly((0, 1)))  # degree 1
-    # critical values within tol of +-1 pass, although the double roots of
-    # p -+ 1 are split and shabat's vertex count refuses this polynomial
-    q2 = poly_from_roots([-2.0, 3.0], [3, 2], -1 / 54) + 1.0
-    assert is_shabat(q2 + 1e-9)
