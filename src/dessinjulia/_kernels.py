@@ -331,32 +331,36 @@ def cloud_chains(coeffs, z0, depth):
 
 # ------------------------------------------------- periodic point refinement
 
+_NEWTON_STEPS = 100   # Newton steps of newton_periodic at most
+_NEWTON_TOL = 1e-12   # a relative step below this ends Newton
+_NEWTON_BOUND = 1e6   # a walk that leaves this disc ends the run
 
-def newton_periodic(coeffs, z, k, maxiter=100, tol=1e-12, bound=1e6):
+
+def newton_periodic(coeffs, z, k):
     """Newton on p^(k)(z) - z from the one seed z, in ``_horner`` steps.
 
     Returns (points, multiplier, converged) from the walk of k steps that
     follows the last Newton step: the orbit points z, p(z), ..., p^(k-1)(z),
     the multiplier (p^k)'(z) and whether p^k(z) is within 1e-6(1 + |z|) of
-    z.  Newton stops once a step is below tol(1 + |z|) or after maxiter
-    steps.  A walk that leaves the disc of radius bound ends the run,
-    unconverged, with the points it reached.  Where (p^k)'(z) = 1 the step
-    is zero, which ends Newton there."""
+    z.  Newton stops once a step is below _NEWTON_TOL (1 + |z|) or after
+    _NEWTON_STEPS steps.  A walk that leaves the disc of radius
+    _NEWTON_BOUND ends the run, unconverged, with the points it reached.
+    Where (p^k)'(z) = 1 the step is zero, which ends Newton there."""
     c = np.asarray(coeffs, dtype=np.complex128)
     cl = [complex(x) for x in c]
     dcl = [complex(x) for x in c[1:] * np.arange(1, len(c))]
     z = complex(z)
     done = False
-    for it in range(maxiter + 1):
+    for it in range(_NEWTON_STEPS + 1):
         points, w, mult = [], z, 1.0 + 0j
         for _ in range(k):
             points.append(w)
             mult *= _horner(dcl, w)
             w = _horner(cl, w)
-            if not abs(w) <= bound:
+            if not abs(w) <= _NEWTON_BOUND:
                 return points, mult, False
-        if done or it == maxiter:
+        if done or it == _NEWTON_STEPS:
             return points, mult, abs(w - z) < 1e-6 * (1.0 + abs(z))
         step = (w - z) / (mult - 1.0) if mult != 1.0 else 0j
         z -= step
-        done = abs(step) / (1.0 + abs(z)) < tol
+        done = abs(step) / (1.0 + abs(z)) < _NEWTON_TOL

@@ -15,9 +15,10 @@ from . import catalog as cat
 from .dynamics import MAX_ITER, classify
 from .fractal import (FractalError, box_dim, julia_cloud, pressure_dim,
                       render_basins, render_escape)
-from .plane_tree import (PlaneTreeError, Passport, enumerate_trees,
-                         pair_representative, parse_plane_code, passport_of,
-                         plane_code, symmetry_flags)
+from .plane_tree import (ENUMERATE_EDGES, PlaneTreeError, Passport,
+                         enumerate_trees, pair_representative,
+                         parse_plane_code, passport_of, plane_code,
+                         symmetry_flags)
 from .polynomial import PolynomialError, format_complex, format_poly, parse_poly
 from .shabat import ShabatError, solve_passport, solve_tree
 
@@ -61,7 +62,8 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list plane trees")
-    p.add_argument("--edges", type=_positive(int), required=True)
+    p.add_argument("--edges", type=int, choices=ENUMERATE_EDGES,
+                   required=True)
     p.add_argument("--all-colorings", action="store_true",
                    help="keep both members of each color-swap pair")
 
@@ -198,7 +200,10 @@ def _cmd_solve(args, out):
 
 def _cmd_classify(args, out):
     p = _poly_or_tree(args, out)
-    cls = classify(p, args.max_iter)
+    try:
+        cls = classify(p, args.max_iter)
+    except ValueError as exc:
+        raise _CliError(str(exc))
     print(f"{cls.taxonomy} {cls.connectedness}", file=out)
     for name, fate in (("+1", cls.fate_plus), ("-1", cls.fate_minus)):
         if fate.kind == "escape":
@@ -215,18 +220,17 @@ def _cmd_classify(args, out):
 
 def _cmd_render(args, out):
     p = _poly_or_tree(args, out)
-    if args.mode == "escape":
-        raster = render_escape(p, args.viewport, args.size,
-                               args.max_iter or 500)
-    else:
-        cls = classify(p)
-        try:
-            raster = render_basins(p, cls, args.viewport, args.size,
+    try:
+        if args.mode == "escape":
+            raster = render_escape(p, args.viewport, args.size,
+                                   args.max_iter or 500)
+        else:
+            raster = render_basins(p, classify(p), args.viewport, args.size,
                                    trap_radius=args.trap_radius,
                                    max_iter=args.max_iter or 2000,
                                    escape_bound=args.escape_bound)
-        except FractalError as exc:
-            raise _CliError(str(exc))
+    except (FractalError, ValueError) as exc:
+        raise _CliError(str(exc))
     raster.write_ppm(args.out)
     print(f"wrote {args.out} ({args.size[0]}x{args.size[1]})", file=out)
     return 0

@@ -21,9 +21,7 @@ class PolynomialError(ValueError):
 
 
 class RootFindingError(PolynomialError):
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    pass
 
 
 @dataclass(frozen=True)
@@ -274,7 +272,7 @@ def roots(p):
     if not np.max(resid) <= 1e-5 * coeff_scale * scale:  # NaN fails too
         raise RootFindingError(
             f"simultaneous iteration did not converge (residual "
-            f"{np.max(resid):.3g})", best=raw)
+            f"{np.max(resid):.3g})")
 
     rungs = []
     t = 1e-6 * scale
@@ -289,7 +287,6 @@ def roots(p):
                         key=lambda r: (len(r[1]), r[0]))
     if err > 1e-4:
         raise RootFindingError(
-            f"could not certify a multiplicity clustering (error {err:.3g})",
-            best=raw)
+            f"could not certify a multiplicity clustering (error {err:.3g})")
     return sorted(clusters, key=lambda c: (c.location.real, c.location.imag))
 

@@ -7,7 +7,6 @@ are cached and shared across criteria.
 """
 
 import numpy as np
-import pytest
 
 import _acceptance_report
 

@@ -1,4 +1,3 @@
-import json
 import multiprocessing
 import os
 

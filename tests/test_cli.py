@@ -35,6 +35,13 @@ def test_enumerate_all_colorings():
         len(enumerate_trees(4, dedup_color_swap=False))
 
 
+def test_enumerate_edge_cap_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["enumerate", "--edges", "13"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- solve
 
 
@@ -99,6 +106,21 @@ def test_classify_empty_poly(capsys):
     code, _ = run(["classify", "--poly", ""])
     assert code == 1
     assert "bad polynomial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["classify"],
+                                  ["render", "--mode", "escape"],
+                                  ["render", "--mode", "basins"]])
+def test_degree_one_poly_fails(argv, tmp_path, capsys):
+    # no escape radius below degree 2: an error line, no traceback
+    out = tmp_path / "img.ppm"
+    if argv[0] == "render":
+        argv = [*argv, "--out", str(out), "--size", "8x8"]
+    code, _ = run([*argv, "--poly", "0,1"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: escape radius needs degree >= 2\n"
+    assert not out.exists()
 
 
 def test_classify_tree():

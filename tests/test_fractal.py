@@ -5,7 +5,7 @@ from dessinjulia.dynamics import classify
 from dessinjulia.fractal import (DimensionEstimate, FractalError,
                                  _box_ladder, box_dim, julia_cloud,
                                  pressure_dim, render_basins, render_escape,
-                                 repelling_fixed_point, write_ppm)
+                                 repelling_fixed_point)
 from dessinjulia.polynomial import ComplexPoly
 from test_acceptance import QUINTICS
 

@@ -1,8 +1,9 @@
-"""A lint gate without a linter: no module of the package imports a name
-it never uses (``__init__.py`` is left out, since its imports are its
-exports), nothing defines a private module-level name that no module of
-the package reads, and every public module-level name has a reader in the
-package, ``perfbench/`` or ``tools/`` (tests do not count)."""
+"""A lint gate without a linter: no module of the package, the tests or
+``tools/`` imports a name it never uses (``__init__.py`` is left out,
+since its imports are its exports), nothing defines a private module-level
+name that no module of the package reads, and every public module-level
+name has a reader in the package, ``perfbench/`` or ``tools/`` (tests do
+not count)."""
 
 import ast
 from collections import Counter
@@ -13,6 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dessinjulia"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+LINTED = MODULES + [p for folder in ("tests", "tools")
+                    for p in sorted((ROOT / folder).glob("*.py"))]
 
 
 def _unused_imports(source):
@@ -35,7 +38,7 @@ def test_unused_imports_are_found():
     assert _unused_imports(source) == ["b", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -15,6 +15,11 @@ from dessinjulia.plane_tree import (BLACK, WHITE, Passport, PlaneTree,
 # base; cross-checked again by the growth oracle below)
 NONSYM_PAIRS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 5, 6: 9, 7: 33, 8: 85}
 
+# plane trees by edge number, colors forgotten: Harary, Prins & Tutte, "The
+# number of plane trees", Indag. Math. 26 (1964); OEIS A002995
+PLANE_TREES = {1: 1, 2: 1, 3: 2, 4: 3, 5: 6, 6: 14, 7: 34, 8: 95, 9: 280,
+               10: 854}
+
 
 # ------------------------------------------------ independent growth oracle
 
@@ -22,8 +27,8 @@ NONSYM_PAIRS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 5, 6: 9, 7: 33, 8: 85}
 def _grow_all_trees(n_edges):
     """Every plane bipartite tree with n_edges edges, generated by repeated
     leaf insertion into every angular slot of every smaller tree.  Entirely
-    independent of the enumeration under test (which recurses over rooted
-    shapes)."""
+    independent of the enumeration under test (which walks the trees of
+    each passport)."""
     other = {WHITE: BLACK, BLACK: WHITE}
     level = {WHITE: PlaneTree([WHITE], [[]]),
              BLACK: PlaneTree([BLACK], [[]])}
@@ -41,11 +46,16 @@ def _grow_all_trees(n_edges):
     return set(level)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_enumeration_matches_growth_oracle(n):
     oracle = _grow_all_trees(n)
     mine = {plane_code(t) for t in enumerate_trees(n, dedup_color_swap=False)}
     assert mine == oracle
+
+
+def test_enumeration_counts_plane_trees():
+    # with the color-swap pairs merged, one tree per uncolored plane tree
+    assert {n: len(enumerate_trees(n)) for n in PLANE_TREES} == PLANE_TREES
 
 
 @pytest.mark.parametrize("n", range(1, 9))

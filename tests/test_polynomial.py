@@ -160,8 +160,7 @@ def test_roots_rejects_constants():
         roots(ComplexPoly((3.0,)))
 
 
-def test_root_finding_error_carries_best():
-    try:
-        raise RootFindingError("boom", best=[1j])
-    except RootFindingError as e:
-        assert e.best == [1j]
+def test_root_finding_error_is_a_polynomial_error():
+    # identify_tree turns a PolynomialError from roots into its own refusal
+    with pytest.raises(PolynomialError, match="boom"):
+        raise RootFindingError("boom")
