@@ -18,9 +18,13 @@ zero differences (two equal points) are repaired only when the sums come
 out non-finite.  Both renderers run one first-entry loop
 (``render_basin_grid``) over the pixels still live, testing trap distances
 only inside the traps' bounding box; escape time is that loop with no
-traps.  An escape raster drops a pixel unwritten once it lies in a disc
-that p provably maps into a chain of discs around an attracting cycle,
-inside the escape disc: its orbit can never escape.
+traps.  Each step of the loop goes over the live pixels in tiles of _TILE
+points and does all its work on a tile (Horner step, tests, writes and
+moving the survivors down in place) while the tile is still in cache: a
+400x400 grid's values are 2.5 MB, more than an L2 cache holds.  An escape
+raster drops a pixel unwritten once it lies in a disc that p provably maps
+into a chain of discs around an attracting cycle, inside the escape disc:
+its orbit can never escape.
 """
 
 from __future__ import annotations
@@ -153,6 +157,12 @@ def orbit_brent(coeffs, z0, max_iter, radius, tol):
 
 # ---------------------------------------------------------------- rendering
 
+# Live pixels per tile of the render loop: a tile's values take 256 kB.
+# On the 16 perfbench render rasters (2 MB L2 per core; sums of per-raster
+# minima over 9 runs, measured twice) 16k points was fastest, 8k and 32k
+# within 8% of it, 4k and 64k 7-13% slower and one tile per step 33-36%.
+_TILE = 16384
+
 
 def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
                       interior=()):
@@ -161,9 +171,12 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
     (attractor id groups[t] + 1); -1 and 0 if neither within max_iter.
 
     The loop runs over the live pixels only: their values and flat pixel
-    indices sit in two 1-D arrays, and a pixel that leaves the disc or
-    enters a trap is written through its index and dropped from both.  The
-    trap distances are taken only for the live pixels inside the traps'
+    indices sit at the front of two 1-D arrays, z and pix.  Each step goes
+    over them in tiles of _TILE points and, while a tile is still in cache,
+    takes its Horner step, tests it, writes the pixels that entered through
+    their indices and moves the survivors down to the front of z and pix
+    (never past the tile, so nothing is overwritten before it is read).
+    The trap distances are taken only for the live pixels inside the traps'
     bounding box widened by 2 trap_r, whose corners are compared with
     directly: every pixel within trap_r of a trap in floating point passes
     that test.  ``interior`` is a list of (centre, rho) discs whose orbits
@@ -178,33 +191,46 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
         x0, x1 = traps.real.min() - 2 * trap_r, traps.real.max() + 2 * trap_r
         y0, y1 = traps.imag.min() - 2 * trap_r, traps.imag.max() + 2 * trap_r
     discs = [(complex(centre), rho * (1.0 - 1e-9)) for centre, rho in interior]
-    z = (xs[None, :] + 1j * ys[:, None]).astype(np.complex128).ravel()
-    steps = np.full(z.shape, -1, dtype=np.int32)
-    which = np.zeros(z.shape, dtype=np.int16)
-    pix = np.arange(z.size)
-    for it in range(max_iter + 1):
-        with np.errstate(invalid="ignore", over="ignore"):
-            done = ~(np.abs(z) <= radius)
-        if len(traps):
-            near = np.flatnonzero(~done & (z.real >= x0) & (z.real <= x1)
-                                  & (z.imag >= y0) & (z.imag <= y1))
-            zn = z[near]
-            for t in range(len(traps)):
-                hit = near[np.abs(zn - traps[t]) <= trap_r]
-                hit = hit[~done[hit]]
-                which[pix[hit]] = groups[t] + 1
-                done[hit] = True
-        drop = done
-        for centre, rho in discs:
-            drop = drop | (np.abs(z - centre) <= rho)
-        if drop.any():
-            steps[pix[done]] = it
-            z, pix = z[~drop], pix[~drop]
-            if not pix.size:
-                break
-        if it < max_iter:
-            z = _polyval(c, z)
     shape = (len(ys), len(xs))
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = xs
+    z.imag = ys[:, None]
+    z = z.ravel()
+    steps = np.full(z.size, -1, dtype=np.int32)
+    which = np.zeros(z.size, dtype=np.int16)
+    pix = np.arange(z.size)
+    live = z.size
+    for it in range(max_iter + 1):
+        m = 0
+        for a in range(0, live, _TILE):
+            b = min(a + _TILE, live)
+            zt = _polyval(c, z[a:b]) if it else z[a:b]
+            pt = pix[a:b]
+            with np.errstate(invalid="ignore", over="ignore"):
+                done = ~(np.abs(zt) <= radius)
+            if len(traps):
+                near = np.flatnonzero(~done & (zt.real >= x0)
+                                      & (zt.real <= x1) & (zt.imag >= y0)
+                                      & (zt.imag <= y1))
+                zn = zt[near]
+                for t in range(len(traps)):
+                    hit = near[np.abs(zn - traps[t]) <= trap_r]
+                    hit = hit[~done[hit]]
+                    which[pt[hit]] = groups[t] + 1
+                    done[hit] = True
+            drop = done
+            for centre, rho in discs:
+                drop = drop | (np.abs(zt - centre) <= rho)
+            if drop.any():
+                steps[pt[done]] = it
+                keep = ~drop
+                zt, pt = zt[keep], pt[keep]
+            z[m:m + zt.size] = zt
+            pix[m:m + pt.size] = pt
+            m += zt.size
+        live = m
+        if not live:
+            break
     return steps.reshape(shape), which.reshape(shape)
 
 

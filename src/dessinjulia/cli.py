@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import catalog as cat
@@ -30,8 +31,9 @@ class _CliError(Exception):
 def _positive(kind):
     def parse(text):
         v = kind(text)
-        if v <= 0:
-            raise argparse.ArgumentTypeError(f"{text!r} must be positive")
+        if not (math.isfinite(v) and v > 0):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} must be positive and finite")
         return v
     return parse
 
@@ -41,6 +43,8 @@ def _viewport(text):
     if len(parts) != 4:
         raise argparse.ArgumentTypeError('viewport must be "cx,cy,hw,hh"')
     cx, cy, hw, hh = (float(t) for t in parts)
+    if not all(map(math.isfinite, (cx, cy, hw, hh))):
+        raise argparse.ArgumentTypeError("viewport must be finite")
     if hw <= 0 or hh <= 0:
         raise argparse.ArgumentTypeError("half-extents must be positive")
     return (cx, cy, hw, hh)

@@ -126,9 +126,14 @@ def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
                   max_iter=200, escape_bound=None):
     """First-entry raster into the trap set
     {|z| > escape_bound} union trap_radius-balls around every attractor
-    point, banded by the entry-time thresholds."""
+    point, banded by the entry-time thresholds t1 <= t2 <= t3: band 0 holds
+    the entry steps up to t1, band 1 those in (t1, t2], band 2 those in
+    (t2, t3], band 3 those above t3 and band 4 the pixels never entered."""
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
+    thresholds = np.asarray(thresholds)
+    if thresholds.shape != (3,) or (np.diff(thresholds) < 0).any():
+        raise ValueError("thresholds must be three non-decreasing steps")
     if not trap_radius >= 0:
         raise ValueError("trap_radius must be >= 0")
     cycles = attracting_cycles(classification)
@@ -146,13 +151,8 @@ def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
     xs, ys = raster.pixel_axes()
     steps, which = render_basin_grid(p.as_array(), xs, ys, max_iter,
                                      escape_bound, traps, groups, trap_radius)
-    t1, t2, t3 = thresholds
-    band = np.full(steps.shape, 4, dtype=np.int8)
-    entered = steps >= 0
-    band[entered & (steps <= t1)] = 0
-    band[entered & (steps > t1) & (steps <= t2)] = 1
-    band[entered & (steps > t2) & (steps <= t3)] = 2
-    band[entered & (steps > t3)] = 3
+    band = np.searchsorted(thresholds, steps).astype(np.int8)
+    band[steps < 0] = 4
     raster.escaped_at, raster.attractor_id, raster.band = steps, which, band
     return raster
 

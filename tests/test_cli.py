@@ -161,6 +161,23 @@ def test_render_escape_rejects_escape_bound(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [
+    ["--viewport", "nan,0,1,1"], ["--viewport", "0,inf,1,1"],
+    ["--viewport", "0,0,inf,1"], ["--viewport", "0,0,1,nan"],
+    ["--mode", "basins", "--trap-radius", "inf"],
+    ["--mode", "basins", "--trap-radius", "nan"],
+    ["--mode", "basins", "--escape-bound", "inf"],
+    ["--mode", "basins", "--escape-bound", "nan"]])
+def test_render_rejects_non_finite_values(extra, tmp_path):
+    # a usage error, no image of all step-0 pixels
+    out = tmp_path / "img.ppm"
+    with pytest.raises(SystemExit) as exc:
+        run(["render", "--poly=-1,0,1", "--out", str(out), "--size", "8x8"]
+            + extra)
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_render_basins_honours_max_iter(tmp_path):
     images = []
     for extra in ([], ["--max-iter", "3"]):

@@ -94,6 +94,32 @@ def test_render_basins_bands():
     assert np.all(r.escaped_at[entered & (r.band == 3)] > 12)
 
 
+@pytest.mark.parametrize("thresholds", [(5, 7, 10), (3, 6, 12), (4, 4, 9)])
+def test_render_basins_band_edges(thresholds):
+    # the bands against one mask per band, on a raster whose entry steps
+    # run from 0 past the last threshold
+    cls = classify(BASILICA)
+    r = render_basins(BASILICA, cls, (0, 0, 3, 3), (60, 60),
+                      trap_radius=0.02, thresholds=thresholds, max_iter=14)
+    steps = r.escaped_at
+    t1, t2, t3 = thresholds
+    want = np.full(steps.shape, 4, dtype=np.int8)
+    want[(steps >= 0) & (steps <= t1)] = 0
+    want[(steps > t1) & (steps <= t2)] = 1
+    want[(steps > t2) & (steps <= t3)] = 2
+    want[steps > t3] = 3
+    assert r.band.dtype == np.int8
+    np.testing.assert_array_equal(r.band, want)
+    assert set(np.unique(steps)) >= set(range(t3 + 2)) | {-1}
+
+
+@pytest.mark.parametrize("thresholds", [(10, 7, 5), (5, 3, 7), (5, 7)])
+def test_render_basins_rejects_bad_thresholds(thresholds):
+    with pytest.raises(ValueError, match="thresholds"):
+        render_basins(BASILICA, classify(BASILICA), size=(4, 4),
+                      thresholds=thresholds)
+
+
 def test_render_basins_escape_only():
     p = ComplexPoly((3, 0, 1))  # z^2 + 3: both critical orbits escape
     cls = classify(p)

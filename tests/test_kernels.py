@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from dessinjulia import _kernels as K, fractal
-from dessinjulia.dynamics import classify, escape_radius
+from dessinjulia.dynamics import (attracting_cycles, classify, escape_radius,
+                                  trapping_radius)
 from dessinjulia.fractal import repelling_fixed_point
 from dessinjulia.plane_tree import parse_plane_code
 from dessinjulia.polynomial import (ComplexPoly, derivative, evaluate,
@@ -136,16 +137,21 @@ def _basin_pair(c, xs, ys, max_iter, radius, traps, groups, trap_r):
     return sa
 
 
-def test_render_escape_is_basin_without_traps(poly):
+def _check_escape(poly, interior=(), max_iter=60):
     c = poly.as_array()
     radius = escape_radius(poly)
     for xs, ys in _grids():
         np.testing.assert_array_equal(
-            K.render_escape_grid(c, xs, ys, 60, radius),
-            _first_entry_plain(c, xs, ys, 60, radius, *_NO_TRAPS, 0.0)[0])
+            K.render_escape_grid(c, xs, ys, max_iter, radius, interior),
+            _first_entry_plain(c, xs, ys, max_iter, radius, *_NO_TRAPS,
+                               0.0)[0])
 
 
-def test_render_basin(poly):
+def test_render_escape_is_basin_without_traps(poly):
+    _check_escape(poly)
+
+
+def _check_basins(poly, max_iter=200):
     c = poly.as_array()
     cls = classify(poly)
     traps = [z for f in (cls.fate_plus, cls.fate_minus) if f.bounded
@@ -154,13 +160,41 @@ def test_render_basin(poly):
     groups = np.arange(len(traps), dtype=np.int16)
     radius = escape_radius(poly)
     for xs, ys in _grids():
-        _basin_pair(c, xs, ys, 200, radius, traps, groups, 0.05)
-        _basin_pair(c, xs, ys, 200, radius, *_NO_TRAPS, 0.0)
+        _basin_pair(c, xs, ys, max_iter, radius, traps, groups, 0.05)
+        _basin_pair(c, xs, ys, max_iter, radius, *_NO_TRAPS, 0.0)
         # traps whose bounding box holds the whole grid: the box test
         # passes every live pixel
         corners = np.array([-9 - 9j, 9 + 9j, 9 - 9j])
-        _basin_pair(c, xs, ys, 100, radius, corners,
+        _basin_pair(c, xs, ys, max_iter // 2, radius, corners,
                     np.arange(3, dtype=np.int16), 0.5)
+
+
+def test_render_basin(poly):
+    _check_basins(poly)
+
+
+@pytest.mark.parametrize("tile", [1, 7, 64])
+def test_render_tiles(poly, tile, monkeypatch):
+    # the grids span many tiles of 1, 7 or 64 points; the escape rasters
+    # take the certified discs of the polynomial's attracting cycles.  10
+    # steps, since a tile of one point costs a full loop pass per pixel
+    monkeypatch.setattr(K, "_TILE", tile)
+    _check_basins(poly, 10)
+    radius = escape_radius(poly)
+    interior = [(cyc[0], rho[0]) for cyc in attracting_cycles(classify(poly))
+                if (rho := trapping_radius(poly, cyc, radius)) is not None]
+    _check_escape(poly, interior, 10)
+    _check_escape(poly, (), 10)
+    # 7 pixels a row, the first row outside the escape disc: with tiles of
+    # 1 or 7 points, every later tile keeps all its pixels at step 0 and
+    # moves down in place behind the tiles that lost all theirs; most of
+    # those pixels escape at later steps
+    c = poly.as_array()
+    xs = np.linspace(-0.7, 0.7, 7)
+    ys = np.concatenate([[2 * radius], np.linspace(0.9, 1.6, 5) * radius / 2])
+    steps = _basin_pair(c, xs, ys, 200, radius, *_NO_TRAPS, 0.0)
+    assert (steps[0] == 0).all() and (steps[1:] != 0).all()
+    assert (steps[1:] > 0).mean() > 0.5
 
 
 def test_render_edge_grids():
