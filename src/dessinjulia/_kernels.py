@@ -12,13 +12,14 @@ k-1 outside that block.  A solve of
 _CHUNK rows or more is warm-started: its rows are sorted along a Morton
 curve, every _STRIDE-th is solved cold from the Fujiwara circle, and the
 others start from their leader's roots moved by one predictor step.  A
-batched Aberth step takes every row's pair sums from one (d, rows, d) array
-of differences, reciprocated in place and reduced over its leading axis;
-zero differences (two equal points) are repaired only when the sums come
-out non-finite.  Both renderers run one first-entry loop
-(``render_basin_grid``) over the pixels still live, testing trap distances
-only inside the traps' bounding box; escape time is that loop with no
-traps.  Each step of the loop goes over the live pixels in tiles of _TILE
+batched Aberth step works on a (d, rows) array, root i of every row one
+contiguous vector: one Horner pass gives p and p', each pair i < j is
+reciprocated once for the pair sums of both its points, and the correction
+is p / (p' - p s), one division; zero differences (two equal points) are
+repaired only when the sums come out non-finite.  Both renderers run one
+first-entry loop (``render_basin_grid``) over the pixels still live,
+testing trap distances only inside the traps' bounding box; escape time is
+that loop with no traps.  Each step of the loop goes over the live pixels in tiles of _TILE
 points and does all its work on a tile (Horner step, tests, writes and
 moving the survivors down in place) while the tile is still in cache: a
 400x400 grid's values are 2.5 MB, more than an L2 cache holds.  An escape
@@ -41,6 +42,21 @@ def _polyval(c, z):
         acc *= z
         acc += c[i]
     return acc
+
+
+def _polyval2(c, dc, z):
+    """p(z) and p'(z) in one Horner pass, dc the coefficients of p'; each
+    is accumulated as ``_polyval`` does, so both match it bit for bit."""
+    p = np.full_like(z, c[-1], dtype=np.complex128)
+    dp = np.full_like(z, dc[-1], dtype=np.complex128)
+    for i in range(len(dc) - 2, -1, -1):
+        p *= z
+        p += c[i + 1]
+        dp *= z
+        dp += dc[i]
+    p *= z
+    p += c[0]
+    return p, dp
 
 
 def _horner(cl, z):
@@ -67,49 +83,60 @@ def _start_radius(c, z):
 
 
 def _pair_sums(w, repair):
-    """s[r, i] = sum over j != i of 1 / (w[r, i] - w[r, j]).  The pair
-    differences are laid out as d (rows, d) blocks, one per j, with 1 on
-    the diagonal (taken off again at the end).  With repair, a zero
-    difference counts as +-(1e-12 + 1e-12j)(1 + |w[r, i]|) with the sign of
-    i - j: a step above the rounding of w[r, i] that pushes the two equal
-    points apart instead of moving them together."""
-    d = w.shape[1]
-    diff = w[None, :, :] - w.T.copy()[:, :, None]
-    for j in range(d):
-        diff[j, :, j] = 1.0
-    if repair:
-        side = np.sign(np.arange(d) - np.arange(d)[:, None])[:, None, :]
-        diff = np.where(diff == 0.0,
-                        (1e-12 + 1e-12j) * (1.0 + np.abs(w)) * side, diff)
-    np.divide(1.0, diff, out=diff)
-    return np.add.reduce(diff, axis=0) - 1.0
+    """s[i, r] = sum over j != i of 1 / (w[i, r] - w[j, r]) for a (d, rows)
+    array w, so that root i of every row is one contiguous vector.  Each
+    pair i < j is reciprocated once: the block 1 / (w[i] - w[i+1:]) is
+    added to s[i] and, as 1 / (w[j] - w[i]) = -1 / (w[i] - w[j]),
+    subtracted from s[i+1:].  With repair, a zero difference w[i] - w[j],
+    i < j, counts as -(1e-12 + 1e-12j)(1 + |w[i, r]|): a step above the
+    rounding of the two equal points that pushes them apart instead of
+    moving them together."""
+    d = len(w)
+    s = np.zeros_like(w)
+    buf = np.empty((d - 1,) + w.shape[1:], dtype=w.dtype)
+    for i in range(d - 1):
+        inv = np.subtract(w[i], w[i + 1:], out=buf[:d - 1 - i])
+        if repair:
+            np.copyto(inv, -(1e-12 + 1e-12j) * (1.0 + np.abs(w[i])),
+                      where=inv == 0.0)
+        np.divide(1.0, inv, out=inv)
+        s[i] += inv.sum(axis=0)
+        s[i + 1:] -= inv
+    return s
 
 
 def _aberth_iterate(c, dc, w, z, maxiter, tol):
-    """Aberth iteration on p(w) = z[r] for every row r of w at once.  A row
-    stops when its largest relative correction falls below tol.  Two equal
-    points make their pair sums non-finite; only then are the sums taken
-    again with the zero differences repaired."""
-    out = w.copy()
-    rows = np.arange(len(w))
+    """Aberth iteration on p(w) = z[r] for every row r of the (rows, d)
+    array w at once, run on a (d, rows) copy.  One Horner pass gives p and
+    p' (``_polyval2``), and the correction of each root is p / (p' - p s)
+    with s its pair sums: a non-finite one (p = 0 next to a multiple root,
+    or an overflow) takes no step.  A row stops when its largest relative
+    correction falls below tol.  Two equal points make their pair sums
+    non-finite; only then are the sums taken again with the zero
+    differences repaired."""
+    out = np.empty_like(w)
+    w = w.T.copy()
+    rows = np.arange(len(out))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(maxiter):
-            p = _polyval(c, w) - z[:, None]
-            ratio = _polyval(dc, w) / p
+            p, dp = _polyval2(c, dc, w)
+            p -= z
             s = _pair_sums(w, False)
             if not np.isfinite(s).all():
                 s = _pair_sums(w, True)
-            corr = 1.0 / (ratio - s)
-            # a zero or underflowed p (next to a multiple root) takes no step
-            corr[~(np.isfinite(ratio) & np.isfinite(corr))] = 0.0
-            w = w - corr
-            done = (np.abs(corr) / (1.0 + np.abs(w))).max(axis=1) < tol
+            s *= p
+            np.subtract(dp, s, out=s)
+            corr = np.divide(p, s, out=p)
+            corr[~np.isfinite(corr)] = 0.0
+            w -= corr
+            done = (np.abs(corr) / (1.0 + np.abs(w))).max(axis=0) < tol
             if done.any():
-                out[rows[done]] = w[done]
-                rows, w, z = rows[~done], w[~done], z[~done]
+                out[rows[done]] = w[:, done].T
+                keep = ~done
+                rows, w, z = rows[keep], w[:, keep], z[keep]
                 if not len(rows):
                     break
-    out[rows] = w
+    out[rows] = w.T
     return out
 
 
@@ -243,7 +270,7 @@ def render_escape_grid(coeffs, xs, ys, max_iter, radius, interior=()):
 
 # ------------------------------------------------------------ backward tree
 
-_CHUNK = 1024  # rows per batched Aberth solve; bounds its (d, rows, d) arrays
+_CHUNK = 1024  # rows per batched Aberth solve; bounds its (d, rows) arrays
 _STRIDE = 16   # a warm solve takes every _STRIDE-th Morton-sorted row cold
 
 

@@ -39,8 +39,9 @@ _BAND_RGB = np.array([
 class Raster:
     """Pixel grid over a complex-plane viewport.
 
-    ``viewport`` is (center_x, center_y, half_width, half_height); pixel
-    centers sample the rectangle uniformly, row 0 at the bottom.
+    ``viewport`` is (center_x, center_y, half_width, half_height), all
+    finite and both halves > 0; pixel centers sample the rectangle
+    uniformly, row 0 at the bottom.
     ``escaped_at[i, j]`` is the first-entry iteration count (-1 = never),
     ``attractor_id`` 0 for the escape trap, 1.. for bounded attractors
     and ``band`` the entry-time band (both basin rasters only).  The five
@@ -57,6 +58,10 @@ class Raster:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("raster must be at least 1x1 pixels")
+        _, _, hw, hh = self.viewport
+        if not (np.isfinite(self.viewport).all() and hw > 0 and hh > 0):
+            raise ValueError("viewport must be finite, with half-width and "
+                             "half-height > 0")
 
     def pixel_axes(self):
         cx, cy, hw, hh = self.viewport
@@ -134,8 +139,8 @@ def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
     thresholds = np.asarray(thresholds)
     if thresholds.shape != (3,) or (np.diff(thresholds) < 0).any():
         raise ValueError("thresholds must be three non-decreasing steps")
-    if not trap_radius >= 0:
-        raise ValueError("trap_radius must be >= 0")
+    if not 0 <= trap_radius < np.inf:
+        raise ValueError("trap_radius must be finite and >= 0")
     cycles = attracting_cycles(classification)
     traps = [z for cyc in cycles for z in cyc]
     groups = [gid for gid, cyc in enumerate(cycles) for _ in cyc]
@@ -161,19 +166,24 @@ def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
 
 
 def repelling_fixed_point(p):
-    """A fixed point with |p'| > 1 (the one of largest multiplier)."""
+    """The repelling fixed point (|p'| > 1) of largest multiplier.  A tie,
+    |p'| within 1e-9 relative of the largest (the two points of a conjugate
+    pair of a real polynomial), goes to the largest imaginary part, compared
+    with a 1e-9(1 + |z|) tolerance, then to the largest real part, so that
+    the rounding of the root solve does not decide it."""
     c = p.as_array().copy()
     c[1] -= 1.0  # p(z) - z
-    cand = aberth_roots(c)
     dp = derivative(p)
-    best = None
-    for z in cand:
-        m = abs(evaluate(dp, complex(z)))
-        if m > 1.0 + 1e-9 and (best is None or m > best[1]):
-            best = (complex(z), m)
-    if best is None:
+    cand = [complex(z) for z in aberth_roots(c)]
+    mult = [abs(evaluate(dp, z)) for z in cand]
+    top = max(mult, default=0.0)
+    if not top > 1.0 + 1e-9:
         raise FractalError("no repelling fixed point found")
-    return best[0]
+    cand = [z for z, m in zip(cand, mult)
+            if m >= top * (1.0 - 1e-9) and m > 1.0 + 1e-9]
+    y = max(z.imag for z in cand)
+    return max((z for z in cand if z.imag >= y - 1e-9 * (1.0 + abs(z))),
+               key=lambda z: z.real)
 
 
 def julia_cloud(p, target_points=20000, rng_seed=0):
@@ -239,12 +249,12 @@ def _box_ladder(pts, coarsest_div, finest_div):
     N counts the boxes of side extent/div that the cloud meets, ratio is N
     over the count for the half sample pts[::2].
 
-    Every scale comes from one sort.  The box indices are computed once, at
-    the finest division top; since extent/(2 div) is exactly half of
-    extent/div, the index at division top / 2**j is the finest one shifted
-    right by j, bit for bit.  So the boxes at every scale are runs of the sorted
-    Morton keys shifted right by 2j, and the half sample is the sorted keys
-    whose original index is even."""
+    Every scale comes from one sort of the cloud's keys and one of the half
+    sample's.  The box indices are computed once, at the finest division
+    top; since extent/(2 div) is exactly half of extent/div, the index at
+    division top / 2**j is the finest one shifted right by j, bit for bit.
+    So the boxes at every scale are runs of the sorted Morton keys shifted
+    right by 2j."""
     extent = max(np.ptp(pts.real), np.ptp(pts.imag))
     if extent <= 0:
         raise FractalError("degenerate point set")
@@ -254,9 +264,8 @@ def _box_ladder(pts, coarsest_div, finest_div):
     e = extent / divs[-1]
     keys = _morton(np.floor((pts.real - pts.real.min()) / e).astype(np.int64),
                    np.floor((pts.imag - pts.imag.min()) / e).astype(np.int64))
-    order = np.argsort(keys)
-    keys = keys[order]
-    half = keys[order % 2 == 0]
+    half = np.sort(keys[::2])
+    keys = np.sort(keys)
 
     def count(k, shift):
         k = k >> np.uint64(shift)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from dessinjulia import fractal
+from dessinjulia._kernels import _morton
 from dessinjulia.dynamics import classify
 from dessinjulia.fractal import (DimensionEstimate, FractalError,
                                  _box_ladder, box_dim, julia_cloud,
                                  pressure_dim, render_basins, render_escape,
                                  repelling_fixed_point)
+from dessinjulia.plane_tree import parse_plane_code
 from dessinjulia.polynomial import ComplexPoly
+from dessinjulia.shabat import solve_tree
 from test_acceptance import QUINTICS
 
 RNG = np.random.default_rng(20240819)
@@ -78,6 +82,26 @@ def test_render_rejects_out_of_range_arguments():
     assert set(np.unique(r.escaped_at)) == {-1, 0}
 
 
+@pytest.mark.parametrize("viewport", [
+    (float("nan"), 0, 1, 1), (0, float("inf"), 1, 1), (0, 0, float("nan"), 1),
+    (0, 0, 1, float("inf")), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, -1, 1),
+    (0, 0, 1, -1)])
+def test_render_rejects_bad_viewports(viewport):
+    # a non-finite viewport gave every pixel step 0, a negative half-width
+    # a mirrored raster
+    with pytest.raises(ValueError, match="viewport"):
+        render_escape(BASILICA, viewport, (8, 8), 50)
+    with pytest.raises(ValueError, match="viewport"):
+        render_basins(BASILICA, classify(BASILICA), viewport, (8, 8))
+
+
+def test_render_basins_rejects_an_infinite_trap_radius():
+    # an infinite trap put every pixel in attractor 1 at step 0
+    with pytest.raises(ValueError, match="trap_radius"):
+        render_basins(BASILICA, classify(BASILICA), size=(8, 8),
+                      trap_radius=float("inf"))
+
+
 def test_render_basins_bands():
     cls = classify(BASILICA)
     r = render_basins(BASILICA, cls, (0, 0, 2, 2), (80, 80),
@@ -135,6 +159,31 @@ def test_repelling_fixed_point():
     z = repelling_fixed_point(BASILICA)
     assert abs(z * z - 1 - z) < 1e-9
     assert abs(2 * z) > 1
+
+
+def test_repelling_fixed_point_does_not_depend_on_root_rounding(
+        monkeypatch):
+    # the fixed points of a real quintic come in conjugate pairs, those of
+    # the 7-edge anchor tree in pairs z, -conj(z); the two points of a pair
+    # have equal |p'|, and the pick must not follow the order of the roots
+    # or the last bits of the solve, here swapped between the two points
+    mirrored = [(p, np.conj) for p in QUINTICS] + [
+        (solve_tree(parse_plane_code("W((())())()(())")).poly,
+         lambda r: -np.conj(r))]
+    roots = fractal.aberth_roots
+    for p, mirror in mirrored:
+        want = repelling_fixed_point(p)
+        for change in (lambda r: r[::-1], lambda r: np.roll(r, 2), mirror):
+            monkeypatch.setattr(fractal, "aberth_roots",
+                                lambda c: change(roots(c)))
+            got = repelling_fixed_point(p)
+            assert abs(got - want) <= 1e-10 * (1 + abs(want))
+        monkeypatch.undo()
+        # of a tied pair, the larger imaginary part, then the larger real
+        # part wins
+        other = complex(mirror(want))
+        if abs(other - want) > 1e-8:
+            assert (want.imag, want.real) > (other.imag, other.real)
 
 
 def test_julia_cloud_on_circle():
@@ -209,9 +258,38 @@ def _ladder_by_unique(pts, coarsest_div, finest_div):
     return ladder
 
 
+def _ladder_by_argsort(pts, coarsest_div, finest_div):
+    """The box ladder from one argsort of the finest Morton keys: the sorted
+    keys are gathered through the order, and the half sample is the sorted
+    keys whose index in pts is even."""
+    extent = max(np.ptp(pts.real), np.ptp(pts.imag))
+    divs = [coarsest_div]
+    while divs[-1] * 2 <= finest_div:
+        divs.append(divs[-1] * 2)
+    e = extent / divs[-1]
+    keys = _morton(np.floor((pts.real - pts.real.min()) / e).astype(np.int64),
+                   np.floor((pts.imag - pts.imag.min()) / e).astype(np.int64))
+    order = np.argsort(keys)
+    keys = keys[order]
+    half = keys[order % 2 == 0]
+
+    def count(k, shift):
+        k = k >> np.uint64(shift)
+        return 1 + int(np.count_nonzero(k[1:] != k[:-1]))
+
+    ladder = []
+    for j, div in enumerate(divs):
+        shift = 2 * (len(divs) - 1 - j)
+        n = count(keys, shift)
+        if n >= len(pts) / 4:
+            break
+        ladder.append((div, n, n / count(half, shift)))
+    return ladder
+
+
 def test_box_ladder_is_the_per_scale_count():
-    # the one Morton sort gives every scale's N and half-sample ratio of the
-    # per-scale definition exactly
+    # the sorted Morton keys give every scale's N and half-sample ratio of
+    # the per-scale definition exactly, and the ladder of one argsort
     k = np.arange(129 ** 2)
     lattice = (k % 129 + 1j * (k // 129)) / 32  # extent 4
     clouds = {
@@ -227,6 +305,7 @@ def test_box_ladder_is_the_per_scale_count():
             want = _ladder_by_unique(pts, coarsest, finest)
             assert want, name
             assert _box_ladder(pts, coarsest, finest) == want, (name, coarsest)
+            assert _ladder_by_argsort(pts, coarsest, finest) == want
 
 
 def test_box_dim_validation():

@@ -61,6 +61,17 @@ def test_aberth_iterate(poly):
     _assert_roots(got, c)
 
 
+def test_polyval2_is_polyval_bit_for_bit(poly):
+    # the Aberth step's p and p' are those of _polyval, to the last bit
+    c = poly.as_array()
+    dc = _derivative(c)
+    w = np.random.default_rng(3).normal(size=(2, 5, 300))
+    w = 3.0 * (w[0] + 1j * w[1])
+    p, dp = K._polyval2(c, dc, w)
+    assert p.tobytes() == K._polyval(c, w).tobytes()
+    assert dp.tobytes() == K._polyval(dc, w).tobytes()
+
+
 def test_aberth_start_radius_fits_the_roots():
     # the 7-edge anchor tree's Zapponi polynomial leads with 5.5e-10 while
     # its roots and those of p(w) - z lie within |w| <= 33: the start circle
@@ -72,6 +83,60 @@ def test_aberth_start_radius_fits_the_roots():
         largest = np.abs(np.roots(cz[::-1])).max()
         start = K._start_radius(c, np.array([z], dtype=np.complex128))[0]
         assert 0.5 * largest <= start <= 2 * largest
+
+
+def _pair_sums_by_loop(w):
+    """sum over j != i of 1 / (w[i, r] - w[j, r]) term by term, and the sum
+    of the terms' moduli."""
+    d, rows = w.shape
+    s = np.zeros(w.shape, dtype=np.complex128)
+    size = np.zeros(w.shape)
+    for r in range(rows):
+        for i in range(d):
+            for j in range(d):
+                if j != i:
+                    term = 1.0 / (complex(w[i, r]) - complex(w[j, r]))
+                    s[i, r] += term
+                    size[i, r] += abs(term)
+    return s, size
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_pair_sums(d):
+    # each pair reciprocated once, against the direct double loop, on 40
+    # rows of which ten are scaled by 1e-4 to 1e4
+    rng = np.random.default_rng(d)
+    w = rng.normal(size=(d, 40)) + 1j * rng.normal(size=(d, 40))
+    w[:, :10] *= 10.0 ** rng.uniform(-4, 4, 10)
+    want, size = _pair_sums_by_loop(w)
+    for repair in (False, True):
+        got = K._pair_sums(w, repair)
+        assert got.shape == w.shape
+        assert (np.abs(got - want) <= 1e-14 * size).all()
+
+
+def test_pair_sums_repair_is_antisymmetric():
+    # w is (d, rows), one row per column: equal points i < j of a row count
+    # each other at -(1e-12 + 1e-12j)(1 + |w_i|) and its negative, the rest
+    # of their sums is the same, and rows without equal points are left
+    # alone
+    w = np.array([[0.3 + 0.1j, 0.5 + 0.5j, 2.0],
+                  [1.0 - 2.0j, -1.0 + 0.2j, -2.0],
+                  [0.3 + 0.1j, 0.4 - 0.3j, -1.0j],
+                  [-0.7 + 0.4j, -1.0 + 0.2j, 1.0 + 1.0j]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.isfinite(K._pair_sums(w, False)).all()
+    got = K._pair_sums(w, True)
+    assert np.isfinite(got).all()
+    # column 0: points 0 and 2 are equal, column 1: points 1 and 3
+    for col, (i, j) in enumerate(((0, 2), (1, 3))):
+        step = 1.0 / (-(1e-12 + 1e-12j) * (1.0 + abs(w[i, col])))
+        rest = sum(1.0 / (w[i, col] - w[k, col]) for k in range(4)
+                   if k not in (i, j))
+        assert got[i, col] - rest == pytest.approx(step, rel=1e-12)
+        assert got[j, col] - rest == pytest.approx(-step, rel=1e-12)
+    want, size = _pair_sums_by_loop(w[:, 2:])
+    assert (np.abs(got[:, 2:] - want) <= 1e-14 * size).all()
 
 
 def test_aberth_repairs_equal_start_points(poly, monkeypatch):
@@ -530,7 +595,8 @@ def test_warm_cloud_takes_fewer_iterations(monkeypatch):
     pair_sums, preimages = K._pair_sums, K.preimages
 
     def counted_sums(w, repair):
-        iterations[0] += len(w)
+        # w is (d, rows): one row-iteration per column
+        iterations[0] += w.shape[1]
         return pair_sums(w, repair)
 
     def counted_rows(c, z):
