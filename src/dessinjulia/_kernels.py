@@ -7,8 +7,8 @@ one seed (``newton_periodic``).  There is one Aberth driver, ``preimages``:
 each level of the backward tree of a fixed point z0 (``cloud_chains``) is
 one batched solve, and ``aberth_roots`` is its one-row case.  z0 is one of
 its own preimages, so the block of level k below it is a copy of level
-k-1, and a level k >= 2 solves only the d^(k-1) - d^(k-2) rows of level
-k-1 outside that block.  A solve of
+k-1: a full or sampled level k >= 2 reads its points there from level k-1
+and solves only the distinct parents of the others.  A solve of
 _CHUNK rows or more is warm-started: its rows are sorted along a Morton
 curve, every _STRIDE-th is solved cold from the Fujiwara circle, and the
 others start from their leader's roots moved by one predictor step.  A
@@ -349,18 +349,19 @@ def preimages(coeffs, z):
     return out
 
 
-def cloud_chains(coeffs, z0, depth):
+def cloud_chains(coeffs, z0, depth, pick=None):
     """Levels 1..depth of the backward tree of a fixed point z0 of p: level
     k holds the d^k solutions of p^k(w) = z0, and the preimages of point i
-    of level k-1 sit at [d*i, d*i + d) of level k.
+    of level k-1 sit at [d*i, d*i + d) of level k.  With pick, the deepest
+    level holds only its points at the indices pick.
 
     z0 is one of its own preimages: the level-1 root j0 nearest z0 is set
     to z0 exactly, and a ValueError is raised when none lies within
     1e-8(1 + |z0|) of it.  The points of level k below that root, the block
     [j0 d^(k-1), (j0 + 1) d^(k-1)), are then level k-1 itself in layout
-    order, so from level 2 on the block is a copy of level k-1 and
-    ``preimages`` solves only the other d^(k-1) - d^(k-2) rows of level
-    k-1."""
+    order, so from level 2 on a point in the block is read from level k-1
+    and ``preimages`` solves the distinct parents of the others once each,
+    in ascending order."""
     c = np.asarray(coeffs, dtype=np.complex128)
     d = len(c) - 1
     level = preimages(c, np.array([z0], dtype=np.complex128))[0]
@@ -369,15 +370,18 @@ def cloud_chains(coeffs, z0, depth):
     if not gap[j0] <= 1e-8 * (1.0 + abs(z0)):
         raise ValueError("z0 is not a fixed point of the polynomial")
     level[j0] = z0
-    levels = [level]
-    others = np.arange(d) != j0
-    for _ in range(1, depth):
-        # row j of grid holds the points of the next level below root j
-        grid = np.empty((d, len(level)), dtype=np.complex128)
-        grid[j0] = level
-        grid[others] = preimages(
-            c, level.reshape(d, -1)[others].ravel()).reshape(d - 1, -1)
-        level = grid.ravel()
+    levels = [level if pick is None or depth > 1 else level[pick]]
+    for k in range(2, depth + 1):
+        top, n = levels[-1], d ** (k - 1)  # n points in z0's block
+        idx = np.arange(n * d) if pick is None or k < depth else pick
+        inside = idx // n == j0
+        level = np.empty(len(idx), dtype=np.complex128)
+        level[inside] = top[idx[inside] % n]
+        parent, root = np.divmod(idx[~inside], d)
+        solve = np.zeros(n, dtype=bool)
+        solve[parent] = True
+        row = np.cumsum(solve)[parent] - 1
+        level[~inside] = preimages(c, top[solve])[row, root]
         levels.append(level)
     return levels[:depth]
 

@@ -22,8 +22,8 @@ from itertools import repeat
 from pathlib import Path
 
 from .dynamics import DynamicsClassification, classify
-from .fractal import (FractalError, box_dim, julia_cloud, pressure_dim,
-                      render_basins, render_escape)
+from .fractal import (DimensionEstimate, FractalError, box_dim, julia_cloud,
+                      pressure_dim, render_basins, render_escape)
 from .plane_tree import (enumerate_trees, parse_plane_code, passport_of,
                          plane_code, symmetry_flags)
 from .shabat import (ExhaustedError, NoZapponiFormError, SZSolution,
@@ -101,22 +101,10 @@ class CatalogRecord:
 
     @classmethod
     def from_json(cls, rec):
-        from .dynamics import CriticalOrbitFate
-        from .fractal import DimensionEstimate
         sz = SZSolution.from_json(rec["sz"]) if rec["sz"] else None
-        cl = None
-        if rec["classification"]:
-            c = rec["classification"]
-
-            def fate(d):
-                return CriticalOrbitFate(
-                    d["kind"], [complex(re, im) for re, im in d["points"]],
-                    d["period"], complex(*d["multiplier"]),
-                    d["iterations_used"])
-            cl = DynamicsClassification(fate(c["plus"]), fate(c["minus"]),
-                                        c["taxonomy"], c["connectedness"])
-        dims = [DimensionEstimate(d["value"], d["method"], d["diagnostics"],
-                                  d["confidence"]) for d in rec["dims"]]
+        cl = (DynamicsClassification.from_json(rec["classification"])
+              if rec["classification"] else None)
+        dims = [DimensionEstimate.from_json(d) for d in rec["dims"]]
         out = cls(rec["tree_code"], rec["passport"], rec["symmetry"], sz,
                   rec["sz_absent_reason"], cl, dims, rec["artifacts"],
                   rec["timings"], rec.get("error"))

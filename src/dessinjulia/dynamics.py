@@ -39,6 +39,12 @@ class CriticalOrbitFate:
             "iterations_used": self.iterations_used,
         }
 
+    @classmethod
+    def from_json(cls, rec):
+        return cls(rec["kind"], [complex(re, im) for re, im in rec["points"]],
+                   rec["period"], complex(*rec["multiplier"]),
+                   rec["iterations_used"])
+
 
 @dataclass
 class DynamicsClassification:
@@ -55,6 +61,12 @@ class DynamicsClassification:
             "plus": self.fate_plus.to_json(),
             "minus": self.fate_minus.to_json(),
         }
+
+    @classmethod
+    def from_json(cls, rec):
+        return cls(CriticalOrbitFate.from_json(rec["plus"]),
+                   CriticalOrbitFate.from_json(rec["minus"]),
+                   rec["taxonomy"], rec["connectedness"])
 
 
 # Brent's cycle test: the orbit closes once it comes within TOL(1 + |z|)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import (_morton, aberth_roots, cloud_chains, preimages,
-                       render_basin_grid, render_escape_grid)
+from ._kernels import (_morton, aberth_roots, cloud_chains, render_basin_grid,
+                       render_escape_grid)
 from .dynamics import (attracting_cycles, classify, escape_radius,
                        trapping_radius)
 from .polynomial import derivative, evaluate
@@ -189,14 +189,12 @@ def repelling_fixed_point(p):
 def julia_cloud(p, target_points=20000, rng_seed=0):
     """Point cloud on the Julia set from the backward tree of a repelling
     fixed point z0.  With k the first depth where d^k >= target_points, the
-    cloud is all of level k-1 plus target_points - d^(k-1) points of level
-    k, drawn without replacement (deterministic given rng_seed).  p maps
-    level k onto level k-1, and z0 is one of its own preimages, so level
-    k-1 reappears inside level k as the block [j0 d^(k-1), (j0 + 1)
-    d^(k-1)) below the level-1 root j0 that is z0 (``cloud_chains``): p
-    maps the cloud into itself.  A draw inside that block is read from
-    level k-1, an exact duplicate of one of its points; level k is solved
-    only below the parents of the other draws."""
+    cloud is all of level k-1 (z0 when k = 1) plus target_points - d^(k-1)
+    points of level k, drawn without replacement (deterministic given
+    rng_seed); ``cloud_chains`` builds both.  p maps level k onto level
+    k-1, and z0 is one of its own preimages, so level k-1 reappears inside
+    level k as the block below z0: p maps the cloud into itself, and a
+    draw inside that block is an exact duplicate of a point of level k-1."""
     if p.degree < 2:
         raise FractalError("need degree >= 2")
     if target_points < 1:
@@ -206,21 +204,10 @@ def julia_cloud(p, target_points=20000, rng_seed=0):
     while d ** k < target_points:
         k += 1
     z0 = repelling_fixed_point(p)
-    c = p.as_array()
-    levels = cloud_chains(c, z0, max(k - 1, 1))
-    top = levels[k - 2] if k > 1 else np.array([z0])
-    # cloud_chains sets the level-1 root j0 to z0 exactly
-    j0 = int(np.argmax(levels[0] == z0))
-    del levels  # the solve below needs only level k-1
     pick = np.random.default_rng(rng_seed).choice(
         d ** k, target_points - d ** (k - 1), replace=False)
-    inside = pick // d ** (k - 1) == j0
-    drawn = np.empty(len(pick), dtype=np.complex128)
-    drawn[inside] = top[pick[inside] % d ** (k - 1)]
-    out = pick[~inside]
-    parents, row = np.unique(out // d, return_inverse=True)
-    drawn[~inside] = preimages(c, top[parents])[row, out % d]
-    return np.concatenate([top, drawn])
+    levels = cloud_chains(p.as_array(), z0, k, pick)
+    return np.concatenate([levels[-2] if k > 1 else [z0], levels[-1]])
 
 
 # ------------------------------------------------------- dimension estimates
@@ -241,6 +228,11 @@ class DimensionEstimate:
         return {"value": self.value, "method": self.method,
                 "confidence": self.confidence,
                 "diagnostics": {k: v for k, v in self.diagnostics.items()}}
+
+    @classmethod
+    def from_json(cls, rec):
+        return cls(rec["value"], rec["method"], rec["diagnostics"],
+                   rec["confidence"])
 
 
 def _box_ladder(pts, coarsest_div, finest_div):

@@ -306,3 +306,14 @@ def test_report_renders_markdown(tmp_path):
     assert text.startswith("| tree | passport |")
     assert "`W((()()))`" in text and "| g3 | c(10) | c(10) |" in text
     assert "no SZ form (symmetric)" in text
+
+
+def test_report_names_escaping_and_fixed_point_fates(tmp_path):
+    root = str(tmp_path / "store")
+    store = Store(root)
+    for code in ("W(((())()))", "B(((((()()()))))())"):
+        store.save(analyze_tree(parse_plane_code(code), _cfg()))
+    text = report(root)
+    assert "| `W(((())()))` | 3,1,1|2,2,1 | g4 | inf | inf |" in text
+    assert "| `B(((((()()()))))())` | 4,3,2|2,2,1,1,1,1,1 | s1 | c(4) | p |" \
+        in text

@@ -209,6 +209,17 @@ def test_dim_pressure():
     assert "drift:" in text
 
 
+def test_dim_pressure_confidence_reads_the_attractors():
+    # the +-1 orbits of z^2 - 0.76 reach a 2-cycle with |multiplier| 0.96;
+    # a weakly attracting cycle makes the estimate low, as in the catalog,
+    # though its drift alone would pass
+    code, text = run(["dim", "--poly=-0.76,0,1", "--method", "pressure"])
+    assert code == 0
+    assert "(pressure, confidence low)" in text
+    drift = [l for l in text.splitlines() if l.startswith("  drift:")][0]
+    assert float(drift.split()[1]) <= 0.02
+
+
 def test_dim_failure_exit_1(capsys):
     code, _ = run(["dim", "--poly", "0,0,1", "--method", "pressure",
                    "--max-period", "30"])

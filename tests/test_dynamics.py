@@ -162,6 +162,18 @@ def test_classify_s2_two_cycles():
                        [-w for w in want[::-1]], atol=1e-4)
 
 
+def test_classify_s1_cycle_and_fixed_point():
+    # +1 reaches an attracting 4-cycle, -1 a weakly attracting fixed point
+    cls = classify(_solve("B(((((()()()))))())"))
+    assert cls.taxonomy == "s1"
+    assert cls.connectedness == "connected"
+    plus, minus = cls.fate_plus, cls.fate_minus
+    assert plus.kind == "attracting_cycle" and plus.period == 4
+    assert abs(abs(plus.multiplier) - 0.5609) < 1e-4
+    assert minus.kind == "attracting_point" and minus.period == 1
+    assert abs(abs(minus.multiplier) - 0.9071) < 1e-4
+
+
 def test_classify_s3_mixed():
     cls = classify(_solve("W(())((()))(())"))
     assert cls.taxonomy == "s3"

@@ -477,26 +477,44 @@ def test_julia_cloud_solves_no_parent_in_the_block(poly, monkeypatch):
     j0 = int(np.flatnonzero(levels[0] == z0)[0])
     n = d ** (k - 2)
     block = levels[-1][j0 * n:(j0 + 1) * n]
-    seen, preimages = [], fractal.preimages
+    seen, preimages = [], K.preimages
 
     def recording(c, z):
         seen.append(z.copy())
         return preimages(c, z)
 
-    monkeypatch.setattr(fractal, "preimages", recording)
+    monkeypatch.setattr(K, "preimages", recording)
     cloud = fractal.julia_cloud(poly, 3000, rng_seed=5)
     top, drawn = cloud[:d ** (k - 1)], cloud[d ** (k - 1):]
     np.testing.assert_array_equal(top, levels[-1])
     pick = np.random.default_rng(5).choice(d ** k, len(drawn), replace=False)
     inside = pick // d ** (k - 1) == j0
     assert inside.any() and not inside.all()
-    # one solve, of the distinct parents outside the block
-    assert len(seen) == 1 and not np.isin(seen[0], block).any()
-    assert len(seen[0]) == len(np.unique(pick[~inside] // d))
+    # one solve per level, the last k calls; the deepest is of the distinct
+    # parents outside the block
+    parents = len(np.unique(pick[~inside] // d))
+    assert [len(z) for z in seen[-k:]] == \
+        [1] + [d ** (j - 1) - d ** (j - 2) for j in range(2, k)] + [parents]
+    assert not np.isin(seen[-1], block).any()
     # a draw in the block is its point of level k-1, bit for bit
     assert drawn[inside].tobytes() == \
         top[pick[inside] - j0 * d ** (k - 1)].tobytes()
     assert not np.isin(drawn[~inside], top).any()
+
+
+def test_julia_cloud_draws_from_the_first_level(poly):
+    # a target of at most d points is z0 plus target - 1 points of level 1
+    d = poly.degree
+    z0 = repelling_fixed_point(poly)
+    level = K.cloud_chains(poly.as_array(), z0, 1)[0]
+    for target in (1, 2, d):
+        cloud = fractal.julia_cloud(poly, target, rng_seed=3)
+        assert len(cloud) == target and cloud[0] == z0
+        # drawn without replacement; a draw of root j0 repeats z0
+        assert len(set(cloud[1:])) == target - 1
+        assert np.isin(cloud, level).all()
+        # p maps every point onto z0, so the cloud into itself
+        assert np.abs(poly(cloud) - z0).max() <= 1e-8 * (1 + abs(z0))
 
 
 def test_cloud_chains_rejects_a_point_that_is_not_fixed():
@@ -605,7 +623,6 @@ def test_warm_cloud_takes_fewer_iterations(monkeypatch):
 
     monkeypatch.setattr(K, "_pair_sums", counted_sums)
     monkeypatch.setattr(K, "preimages", counted_rows)
-    monkeypatch.setattr(fractal, "preimages", counted_rows)
     fractal.julia_cloud(p, 50_000)
     assert iterations[0] <= 3 * rows[0]
 
