@@ -15,6 +15,17 @@ rotated copies of the solution.  Its affine image with sum x_i = 1 and
 sum y_j = -1, leading factor a = alpha^n for the scale alpha of the map, is
 the Zapponi form, which is unique.  A passport is solved tree by tree.
 
+A converged solution is matched to its tree by path lifting (below), unless
+the tree is alone on its passport.  Tutte's count of the plane trees with
+given white and black degree multisets, rooted at an edge, is
+n (s-1)! (t-1)! / (prod m_i! prod m'_j!), m_i (m'_j) the number of white
+(black) vertices of degree i (j) (W. T. Tutte, Amer. Math. Monthly 71,
+1964; in this bicoloured form, Goulden & Jackson, Europ. J. Combin. 13,
+1992).  A tree that is not rotational has n edge rootings, so when the
+count is n it is the passport's only tree.  Every accepted solution has
+that passport (distinct vertices of multiplicities k_i and l_j, s + t =
+n + 1), so it is that tree's, with no lift.
+
 The other way, a polynomial's vertices are the clustered roots of p - 1 and
 p + 1, found once and accepted by the Riemann-Hurwitz count s + t = n + 1.
 Path lifting joins them into its plane tree: each edge is lifted from both
@@ -26,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,6 +314,15 @@ def _same_vertex_set(w1, w2, tol=1e-6):
     return True
 
 
+def _one_tree(k, l):
+    """Whether Tutte's count of the edge-rooted plane trees with white
+    degrees k and black degrees l (module docstring) is n, that is
+    (s-1)! (t-1)! = prod m_i! prod m'_j!."""
+    mults = [*Counter(k).values(), *Counter(l).values()]
+    return (math.factorial(len(k) - 1) * math.factorial(len(l) - 1)
+            == math.prod(map(math.factorial, mults)))
+
+
 def _remove_leaf(tree, leaf):
     """Tree minus a degree-1 vertex; returns (subtree, attachment id, color
     of the removed leaf)."""
@@ -395,10 +416,12 @@ def _solve_tree_alt(tree, memo):
     continuations; ExhaustedError when none of them reaches the tree.
     memo maps plane codes to solutions, and to None for a tree whose seeds
     all failed: that tree raises again without a new search, unless an
-    identification has reached it since.  Each identification stores the
-    solution under the code of the tree it found, and its conjugate under
-    the code of that tree's mirror image, unless those trees are solved
-    already."""
+    identification has reached it since.  Each valid solution is identified
+    by path lifting, except for a tree that is not rotational and alone on
+    its passport (_one_tree): there it can belong to no other tree, so it
+    is the target's.  Each identification stores the solution under the
+    code of the tree it found, and its conjugate under the code of that
+    tree's mirror image, unless those trees are solved already."""
     target_code = pt.plane_code(tree)
     sol = memo.get(target_code)
     if sol is not None:
@@ -417,6 +440,7 @@ def _solve_tree_alt(tree, memo):
                         [pos[v] for v in blacks])
         yield from _alt_continuation_seeds(system, tree, memo)
 
+    alone = not pt.is_rotational(tree) and _one_tree(w, b)
     lifted = []  # white vertices of every solution lifted so far
     tries = 0
     for u0 in seed_iter():
@@ -425,16 +449,20 @@ def _solve_tree_alt(tree, memo):
         if not _is_valid_solution(system, u, norm):
             continue
         x, y = system.split(u)
-        # a repeat already lifted to a tree that is neither target nor mirror
-        whites = list(zip(x, system.k))
-        if any(_same_vertex_set(whites, seen) for seen in lifted):
-            continue
-        lifted.append(whites)
-        try:
-            found = _identify_from_vertices(
-                *_vertex_polynomial(system.k, system.l, x, y, 1.0))
-        except PathLiftingError:
-            continue
+        if alone:
+            found = tree
+        else:
+            # a repeat already lifted to a tree that is neither target nor
+            # mirror
+            whites = list(zip(x, system.k))
+            if any(_same_vertex_set(whites, seen) for seen in lifted):
+                continue
+            lifted.append(whites)
+            try:
+                found = _identify_from_vertices(
+                    *_vertex_polynomial(system.k, system.l, x, y, 1.0))
+            except PathLiftingError:
+                continue
         for code, sol in ((pt.plane_code(found), (x.copy(), y.copy())),
                           (pt.plane_code(pt.mirror(found)),
                            (np.conj(x), np.conj(y)))):

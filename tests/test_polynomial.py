@@ -150,6 +150,40 @@ def test_roots_rejects_non_finite_aberth_output(monkeypatch):
         roots(ComplexPoly((-1, 0, 1)))
 
 
+def test_roots_refuses_an_uncertified_clustering():
+    # 52.17 (z - r1)^5 (z - r2)^5 (z - r3)^5 (z - r4)^4 with r1 = 0.891 -
+    # 1.202i, r2 = -3.289 - 4.265i, r3 = 0.356 - 2.693i, r4 = -3.715 -
+    # 4.459i (r2 and r4 are 0.47 apart), drawn by a default_rng(5)
+    # generator of degree 18-26 polynomials with several roots of
+    # multiplicity 3-5: Aberth converges, but no rung of the clustering
+    # ladder re-expands to the coefficients (best error 0.08)
+    coeffs = (
+        -238240892965.12003 + 179285303911.14978j,
+        1326304273831.0635 + 1156151919634.0264j,
+        2545219388271.0825 - 4170921463301.399j,
+        -7774841981299.207 - 3457118872052.992j,
+        -3362276475508.2734 + 9881436328982.203j,
+        9235353893233.723 + 2614946774453.7695j,
+        1775392491271.1758 - 6635979486793.659j,
+        -3761514277991.6475 - 1096293302982.1481j,
+        -605632886906.1823 + 1703337120473.8008j,
+        617405495774.7375 + 286678188153.2617j,
+        111914309705.44464 - 177660845578.19705j,
+        -39751756865.080154 - 35094075479.521355j,
+        -8662929773.67909 + 6632212248.707557j,
+        749824563.4971867 + 1648663644.4211707j,
+        235403101.8893142 - 40050038.72938558j,
+        2942527.0724036503 - 24223595.91641773j,
+        -1683444.8559505478 - 793711.8668869952j,
+        -70701.47333313304 + 70108.54881407779j,
+        1307.8957811383939 + 3059.5184963682927j,
+        52.174113740065295 + 0j,
+    )
+    with pytest.raises(RootFindingError,
+                       match="could not certify a multiplicity clustering"):
+        roots(ComplexPoly(coeffs))
+
+
 def test_roots_of_a_linear_polynomial():
     (found,) = roots(ComplexPoly((1 - 2j, 4)))
     assert found == RootCluster(-(1 - 2j) / 4, 1)

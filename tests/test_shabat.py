@@ -3,9 +3,10 @@ import pytest
 
 from dessinjulia import _kernels, shabat
 from dessinjulia.catalog import catalog_trees, series_tree
-from dessinjulia.plane_tree import (Passport, enumerate_trees,
-                                    invert_colors, mirror, parse_plane_code,
-                                    passport_of, plane_code, symmetry_flags)
+from dessinjulia.plane_tree import (Passport, _partitions, enumerate_trees,
+                                    invert_colors, is_rotational, mirror,
+                                    parse_plane_code, passport_of, plane_code,
+                                    symmetry_flags, trees_with_passport)
 from dessinjulia.polynomial import (ComplexPoly, RootCluster, expand_roots,
                                     parse_poly, poly_from_roots, roots)
 from dessinjulia.shabat import (ExhaustedError, NoZapponiFormError,
@@ -306,6 +307,62 @@ def test_a_seed_whose_lift_fails_is_skipped(monkeypatch):
         plane_code(tree)
 
 
+def test_the_one_tree_rule_is_the_passport_count():
+    # a solve skips path lifting for a tree that is not rotational, on a
+    # passport of n edge-rooted trees (Tutte's count): exactly the trees
+    # alone on their passport, on 99 of the 401 passports of 2-10 edges
+    alone = 0
+    for n in range(2, 11):
+        parts = _partitions(n)
+        for k in parts:
+            for l in (l for l in parts if len(k) + len(l) == n + 1):
+                trees = trees_with_passport(k, l)
+                rule = [not is_rotational(t) and shabat._one_tree(k, l)
+                        for t in trees]
+                assert rule == [len(trees) == 1 and not is_rotational(t)
+                                for t in trees], (k, l)
+                alone += rule == [True]
+    assert alone == 99
+
+
+def test_a_tree_alone_on_its_passport_is_not_lifted(monkeypatch):
+    identify = shabat._identify_from_vertices
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return identify(*args)
+
+    monkeypatch.setattr(shabat, "_identify_from_vertices", counted)
+    for family in (1, 2, 3):
+        for n in range(10, 14):
+            solve_tree(series_tree(family, n))
+    assert not calls
+    solve_tree(parse_plane_code(_ANCHOR))  # a passport of several trees
+    assert calls
+
+
+def test_the_one_tree_rule_keeps_every_solution(monkeypatch):
+    # a solution taken without a lift is the one lifting would have kept
+    def solve_all():
+        out = {}
+        for n in range(2, 8):
+            for tree in _nonsym(n):
+                try:
+                    out[plane_code(tree)] = solve_tree(tree).poly.as_array()
+                except NoZapponiFormError:
+                    out[plane_code(tree)] = None
+        return out
+
+    ruled = solve_all()
+    monkeypatch.setattr(shabat, "_one_tree", lambda k, l: False)
+    lifted = solve_all()
+    assert ruled.keys() == lifted.keys()
+    for code, coeffs in ruled.items():
+        assert (coeffs is None and lifted[code] is None) or \
+            np.array_equal(coeffs, lifted[code]), code
+
+
 def test_color_inversion_negates():
     # p_inverted(z) = -p(z applied to -z): solve both colorings directly
     tree = parse_plane_code("W(())()()")
@@ -344,9 +401,16 @@ def test_aimed_seed_solves_caterpillars_in_one_run(monkeypatch):
 
 def test_lifting_newton_work_on_the_seven_edge_catalog(monkeypatch):
     # the power-law predictor lands each root within Newton's reach of the
-    # level set: 2135 evaluations of p -+ 1 over the 37 lifts that solving
-    # the 34 seven-edge trees makes; 2663 with steps sized by the Euler
-    # move, and 3253 with the Euler predictor as well
+    # level set: 1919 evaluations of p -+ 1 to lift the 33 solved
+    # seven-edge trees.  Each solution is lifted here, so the count does
+    # not depend on which solutions the solver itself lifts
+    sols = []
+    for tree in catalog_trees(7):
+        try:
+            sols.append(solve_tree(tree))
+        except NoZapponiFormError:
+            pass
+    assert len(sols) == 33
     evaluate_products = shabat._product_form
     calls = []
 
@@ -355,14 +419,9 @@ def test_lifting_newton_work_on_the_seven_edge_catalog(monkeypatch):
         return evaluate_products(*args, **kwargs)
 
     monkeypatch.setattr(shabat, "_product_form", counted)
-    trees = catalog_trees(7)
-    assert len(trees) == 34
-    for tree in trees:
-        try:
-            solve_tree(tree)
-        except NoZapponiFormError:
-            pass
-    assert len(calls) <= 2800, len(calls)
+    for sol in sols:
+        shabat._identify_from_vertices(sol.poly, sol.white, sol.black)
+    assert len(calls) <= 2500, len(calls)
 
 
 @pytest.mark.parametrize("family", [1, 2, 3])
