@@ -1,9 +1,10 @@
 """Numerical hot loops.
 
 Aberth and the render loop are vectorized numpy.  The orbit kernels follow
-one point in plain Python complex arithmetic, one ``_horner`` step at a
-time: Brent's cycle search (``orbit_brent``) and Newton on p^k(z) - z from
-one seed (``newton_periodic``).  There is one Aberth driver, ``preimages``:
+one point in plain Python complex arithmetic, one Horner step at a time:
+Brent's cycle search (``orbit_brent``, its steps written out in the loop)
+and Newton on p^k(z) - z from one seed (``newton_periodic``).  There is
+one Aberth driver, ``preimages``:
 each level of the backward tree of a fixed point z0 (``cloud_chains``) is
 one batched solve, and ``aberth_roots`` is its one-row case.  z0 is one of
 its own preimages, so the block of level k below it is a copy of level
@@ -29,6 +30,8 @@ its orbit can never escape.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -162,16 +165,22 @@ ORBIT_CYCLE = 2
 def orbit_brent(coeffs, z0, max_iter, radius, tol):
     """Brent's cycle search on the orbit of z0: (ORBIT_ESCAPE, 0, z, steps)
     once |z| > radius, (ORBIT_CYCLE, lam, z, steps) once z comes within tol
-    of the tortoise lam steps back, else ORBIT_RUNNING after max_iter."""
-    cl = [complex(x) for x in np.asarray(coeffs, dtype=np.complex128)]
+    of the tortoise lam steps back, else ORBIT_RUNNING after max_iter.
+    Each step is ``_horner`` written out in the loop, on the coefficients
+    reversed once, so the orbit has the same bits."""
+    top, *rest = [complex(x) for x in
+                  np.asarray(coeffs, dtype=np.complex128)[::-1]]
     tortoise = hare = complex(z0)
     power, lam, steps = 1, 0, 0
     while steps < max_iter:
-        hare = _horner(cl, hare)
+        acc = top
+        for a in rest:
+            acc = acc * hare + a
+        hare = acc
         steps += 1
         lam += 1
         ah = abs(hare)
-        if ah > radius or not np.isfinite(ah):
+        if ah > radius or not math.isfinite(ah):
             return ORBIT_ESCAPE, 0, hare, steps
         if abs(hare - tortoise) < tol * (1.0 + ah):
             return ORBIT_CYCLE, lam, hare, steps

@@ -1,6 +1,13 @@
 """Batch pipeline: enumerate trees, solve, classify, estimate dimensions,
 render, and persist everything in a resumable on-disk store.
 
+A tree whose mirror image, or the colour swap of that, was analysed before
+it in a run or is in the store is not analysed again: its record is that
+partner's, conjugated exactly (``_derive_record``).  The polynomial of the
+mirror is q(z) = conj(p(conj z)), and of the mirrored colour swap
+q(z) = -conj(p(-conj z)), so the forms, the critical orbits and the
+Hausdorff dimension of the two Julia sets correspond.
+
 Store layout: ``store/records/<sha1(code)>.json`` (one file per canonical
 tree code; the file's presence is the record) and
 ``store/images/<sha1(code)>-*.ppm``.  Every write is write-temp-then-rename,
@@ -21,11 +28,13 @@ from importlib import resources
 from itertools import repeat
 from pathlib import Path
 
-from .dynamics import DynamicsClassification, classify
+from .dynamics import CriticalOrbitFate, DynamicsClassification, classify
 from .fractal import (DimensionEstimate, FractalError, box_dim, julia_cloud,
                       pressure_dim, render_basins, render_escape)
-from .plane_tree import (enumerate_trees, parse_plane_code, passport_of,
-                         plane_code, symmetry_flags)
+from .plane_tree import (enumerate_trees, invert_colors, mirror,
+                         parse_plane_code, passport_of, plane_code,
+                         symmetry_flags)
+from .polynomial import ComplexPoly, RootCluster
 from .shabat import (ExhaustedError, NoZapponiFormError, SZSolution,
                      solve_tree)
 
@@ -112,12 +121,16 @@ class CatalogRecord:
         return out
 
 
+def _new_record(tree):
+    return CatalogRecord(plane_code(tree), str(passport_of(tree)),
+                         symmetry_flags(tree))
+
+
 def analyze_tree(tree, cfg=None, store=None):
     """Full pipeline on one tree; every stage failure is recorded in the
     returned CatalogRecord and later stages are skipped."""
     cfg = cfg or CatalogConfig()
-    code = plane_code(tree)
-    rec = CatalogRecord(code, str(passport_of(tree)), symmetry_flags(tree))
+    rec = _new_record(tree)
     t0 = time.perf_counter()
     try:
         rec.sz = solve_tree(tree)
@@ -138,10 +151,99 @@ def analyze_tree(tree, cfg=None, store=None):
 
     if cfg.with_dims:
         _attach_dims(rec, cfg)
+    return _finish(rec, cfg, store)
+
+
+def _finish(rec, cfg, store):
     if cfg.with_images and store is not None:
         _attach_images(rec, store)
     rec.validate()
     return rec
+
+
+# ------------------------------------------------------------- mirror class
+
+
+def _mirror_partners(tree):
+    """(code, swap) of the two trees whose records give this tree's by
+    conjugation (``_derive_record``): its mirror image (swap False), then
+    the colour swap of that (swap True)."""
+    m = mirror(tree)
+    return [(plane_code(m), False), (plane_code(invert_colors(m)), True)]
+
+
+def _conjugate(swap):
+    """z -> conj z, or z -> -conj z with the colour swap, exact in every
+    bit."""
+    if swap:
+        return lambda z: complex(-z.real, z.imag)
+    return lambda z: z.conjugate()
+
+
+def _conjugate_solution(sz, swap):
+    """The SZ solution of q = phi o p o phi, phi = _conjugate(swap): its
+    coefficients are conj(c_k), or -conj(c_k)(-1)^k with the swap, and its
+    vertices are phi of p's, whites and blacks trading places with the swap
+    (q = +1 exactly where p = phi(+1) = -1)."""
+    phi = _conjugate(swap)
+    coeffs = [c.conjugate() if k % 2 else phi(c)
+              for k, c in enumerate(sz.poly.coeffs)]
+    white, black = (sz.black, sz.white) if swap else (sz.white, sz.black)
+    return SZSolution(ComplexPoly(tuple(coeffs)),
+                      [RootCluster(phi(w.location), w.multiplicity)
+                       for w in white],
+                      [RootCluster(phi(b.location), b.multiplicity)
+                       for b in black])
+
+
+def _conjugate_classification(cls, swap):
+    """The fates of +1 and -1 under q = phi o p o phi: the orbit of +1 under
+    q is phi of the orbit of phi(+1) under p, the orbit of -1 with the
+    swap, so each cycle point moves by phi and each multiplier is
+    conjugated.  Horner's rule commutes with phi in floating point, so
+    these are the fates ``classify(q)`` gives, bit for bit."""
+    phi = _conjugate(swap)
+    plus, minus = ((cls.fate_minus, cls.fate_plus) if swap
+                   else (cls.fate_plus, cls.fate_minus))
+    return DynamicsClassification(
+        *(CriticalOrbitFate(f.kind, [phi(z) for z in f.cycle_points],
+                            f.period, f.multiplier.conjugate(),
+                            f.iterations_used) for f in (plus, minus)),
+        cls.taxonomy, cls.connectedness)
+
+
+def _derive_record(tree, partner, swap, cfg, store):
+    """The record of a tree from the record of its mirror partner (see
+    ``_mirror_partners``), with no solve and no orbit: the solution and the
+    fates are conjugated, the dimension estimates (and their stage errors)
+    copied, and the images rendered from the derived polynomial, as
+    ``analyze_tree`` renders them.  When cfg asks for dimensions and the
+    partner was analysed without them, they are estimated here.
+
+    The partner must not be exhausted.  A rotational or degenerate partner
+    passes its reason on: conjugation and the colour swap keep rotations
+    and the degenerate sums t*sum(x) = s*sum(y).  A failed search says
+    nothing of the tree's."""
+    rec = _new_record(tree)
+    t0 = time.perf_counter()
+    if partner.sz is None:
+        rec.sz_absent_reason, rec.error = (partner.sz_absent_reason,
+                                           partner.error)
+        rec.timings["derive"] = time.perf_counter() - t0
+        return rec
+    rec.sz = _conjugate_solution(partner.sz, swap)
+    rec.classification = _conjugate_classification(partner.classification,
+                                                   swap)
+    rec.timings["derive"] = time.perf_counter() - t0
+    if cfg.with_dims:
+        # a solved record's error comes from the dimension stages only
+        if partner.dims or partner.error:
+            rec.dims = [DimensionEstimate.from_json(d.to_json())
+                        for d in partner.dims]
+            rec.error = partner.error
+        else:
+            _attach_dims(rec, cfg)
+    return _finish(rec, cfg, store)
 
 
 def _attach_dims(rec, cfg):
@@ -260,27 +362,48 @@ def catalog_trees(n_edges):
 def _run_trees(trees, cfg=None, store_path=None, progress=None, jobs=1):
     """Analyze the trees, in up to ``jobs`` worker processes, never more
     than there are trees to analyze (none for one); resumable (existing
-    records are reused unless cfg.force).  Records are saved, reported and
-    returned in tree order."""
+    records are reused unless cfg.force).  A tree whose mirror partner
+    (``_mirror_partners``) comes before it or is in the store is not sent to
+    the workers: once the partner's record is there, the tree's is derived
+    from it in this process, or analysed here after an exhausted partner.
+    With cfg.force only the partners of this run count.  Records are saved,
+    reported and returned in tree order."""
     cfg = cfg or CatalogConfig()
     store = Store(store_path)
     codes = []
-    todo = []
+    todo = []  # (tree, code, partner (code, swap) or None)
+    earlier = set()  # the codes in todo
     for tree in trees:
-        codes.append(plane_code(tree))
-        if cfg.force or not store.has(codes[-1]):
-            todo.append(tree)
+        code = plane_code(tree)
+        codes.append(code)
+        if not cfg.force and store.has(code):
+            continue
+        partner = next(((c, swap) for c, swap in _mirror_partners(tree)
+                        if c != code and (c in earlier or not cfg.force
+                                          and store.has(c))), None)
+        todo.append((tree, code, partner))
+        earlier.add(code)
+    heads = [tree for tree, _, partner in todo if partner is None]
     fresh = {}
     # a fork-started pool forks all its workers at the first submit
-    workers = min(jobs, len(todo))
+    workers = min(jobs, len(heads))
     with (ProcessPoolExecutor(workers) if workers > 1
           else nullcontext()) as pool:
-        for rec in (pool.map if pool else map)(
-                analyze_tree, todo, repeat(cfg), repeat(store)):
+        analysed = (pool.map if pool else map)(
+            analyze_tree, heads, repeat(cfg), repeat(store))
+        for tree, code, partner in todo:
+            if partner is None:
+                rec = next(analysed)
+            else:
+                other, swap = partner
+                src = fresh[other] if other in fresh else store.load(other)
+                rec = (analyze_tree(tree, cfg, store)
+                       if src.sz_absent_reason == "exhausted"
+                       else _derive_record(tree, src, swap, cfg, store))
             store.save(rec)
             if progress:
                 progress(rec)
-            fresh[rec.tree_code] = rec
+            fresh[code] = rec
     return [fresh[c] if c in fresh else store.load(c) for c in codes]
 
 

@@ -239,12 +239,12 @@ def _tree_layout(tree, rounds=50):
             pos[u] = pos[v] + cmath.exp(1j * ang)
             spread = min(width, math.pi * 0.9)
             stack.append((u, v, ang - spread / 2.0, ang + spread / 2.0))
+    inner = [(v, tree.neighbors[v], tree.degree(v)) for v in range(n)
+             if tree.degree(v) >= 2]
     for _ in range(rounds):
         newpos = list(pos)
-        for v in range(n):
-            if tree.degree(v) >= 2:
-                newpos[v] = sum(pos[u] for u in tree.neighbors[v]) \
-                    / tree.degree(v)
+        for v, nb, deg in inner:
+            newpos[v] = sum(pos[u] for u in nb) / deg
         pos = newpos
     return pos
 

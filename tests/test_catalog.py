@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from dessinjulia import catalog
@@ -9,10 +10,10 @@ from dessinjulia.catalog import (CatalogConfig, CatalogRecord, Store,
                                  run_catalog, run_series, series_tree)
 from dessinjulia.dynamics import classify
 from dessinjulia.fractal import FractalError
-from dessinjulia.plane_tree import (Passport, parse_plane_code, plane_code,
-                                    trees_with_passport)
-from dessinjulia.shabat import (_same_vertex_set, identify_tree,
-                                solve_passport, solve_tree)
+from dessinjulia.plane_tree import (Passport, mirror, parse_plane_code,
+                                    plane_code, trees_with_passport)
+from dessinjulia.shabat import (ExhaustedError, _same_vertex_set,
+                                identify_tree, solve_passport, solve_tree)
 
 
 def _cfg(**kw):
@@ -317,3 +318,139 @@ def test_report_names_escaping_and_fixed_point_fates(tmp_path):
     assert "| `W(((())()))` | 3,1,1|2,2,1 | g4 | inf | inf |" in text
     assert "| `B(((((()()()))))())` | 4,3,2|2,2,1,1,1,1,1 | s1 | c(4) | p |" \
         in text
+
+
+# ------------------------------------------------------------ mirror classes
+
+
+def _derived(rec):
+    return "derive" in rec.timings
+
+
+def _assert_like_fresh(rec, fresh):
+    """A derived record against a fresh analysis of its tree: the same
+    outcome, coefficients within 1e-10 of the largest, vertices within
+    1e-9, and fates of equal kind, period and iterations whose points and
+    multipliers lie within 1e-9."""
+    assert (rec.tree_code, rec.passport, rec.symmetry, rec.sz_absent_reason) \
+        == (fresh.tree_code, fresh.passport, fresh.symmetry,
+            fresh.sz_absent_reason)
+    if fresh.sz is None:
+        assert rec.classification is None and rec.error == fresh.error
+        return
+    c, f = rec.sz.poly.as_array(), fresh.sz.poly.as_array()
+    assert len(c) == len(f)
+    assert np.max(np.abs(c - f)) <= 1e-10 * np.max(np.abs(f))
+    for side in ("white", "black"):
+        assert _same_vertex_set(
+            [(v.location, v.multiplicity) for v in getattr(rec.sz, side)],
+            [(v.location, v.multiplicity) for v in getattr(fresh.sz, side)],
+            tol=1e-9)
+    got, want = rec.classification, fresh.classification
+    assert (got.taxonomy, got.connectedness) == (want.taxonomy,
+                                                 want.connectedness)
+    for a, b in ((got.fate_plus, want.fate_plus),
+                 (got.fate_minus, want.fate_minus)):
+        assert (a.kind, a.period, a.iterations_used) == \
+            (b.kind, b.period, b.iterations_used)
+        assert len(a.cycle_points) == len(b.cycle_points)
+        assert all(abs(x - y) <= 1e-9
+                   for x, y in zip(a.cycle_points, b.cycle_points))
+        assert abs(a.multiplier - b.multiplier) <= 1e-9
+
+
+@pytest.mark.parametrize("edges, derived, solved, swapped", [
+    (7, 7, 7, 1), (8, 30, 29, 0)])
+def test_mirror_records_match_a_fresh_analysis(tmp_path, edges, derived,
+                                               solved, swapped):
+    # each tree whose mirror partner comes first in the catalog gets that
+    # record conjugated; its fates are what classify gives on the derived
+    # polynomial, bit for bit, and close to those of a fresh solve
+    recs = run_catalog(edges, _cfg(), str(tmp_path / "store"))
+    codes = {r.tree_code for r in recs}
+    mine = [r for r in recs if _derived(r)]
+    assert len(mine) == derived
+    assert sum(r.sz is not None for r in mine) == solved
+    assert sum(plane_code(mirror(parse_plane_code(r.tree_code))) not in codes
+               for r in mine) == swapped
+    for rec in mine:
+        assert "solve" not in rec.timings
+        if rec.sz is not None:
+            assert classify(rec.sz.poly) == rec.classification
+        _assert_like_fresh(rec, analyze_tree(parse_plane_code(rec.tree_code),
+                                             _cfg()))
+
+
+# both box values low: the sets are disconnected; box 1.4526 against 1.3921
+# when each tree is estimated on its own
+_PAIR = ("W(((((())()))))", "W(((((())))()))")
+
+
+def test_a_mirror_record_copies_its_partners_dimensions(tmp_path):
+    cfg = _cfg(with_dims=True)
+    first, second = map(parse_plane_code, _PAIR)
+    a, b = catalog._run_trees([first, second], cfg, str(tmp_path / "store"))
+    assert not _derived(a) and _derived(b)
+    assert [d.method for d in b.dims] == ["box_counting", "pressure"]
+    assert [d.to_json() for d in b.dims] == [d.to_json() for d in a.dims]
+    assert b.error == a.error
+    fresh = analyze_tree(second, cfg)
+    _assert_like_fresh(b, fresh)
+    assert abs(b.dims[1].value - fresh.dims[1].value) <= 1e-6
+
+
+def test_a_stored_partner_without_dimensions_gets_them(tmp_path):
+    root = str(tmp_path / "store")
+    first, second = map(parse_plane_code, _PAIR)
+    catalog._run_trees([first], _cfg(), root)
+    (b,) = catalog._run_trees([second], _cfg(with_dims=True), root)
+    assert _derived(b) and {"box_dim", "pressure_dim"} <= set(b.timings)
+    assert [d.method for d in b.dims] == ["box_counting", "pressure"]
+    # force counts only the partners of its own run
+    (again,) = catalog._run_trees([second], _cfg(force=True), root)
+    assert not _derived(again)
+
+
+def test_after_an_exhausted_partner_the_tree_is_analysed(tmp_path,
+                                                         monkeypatch):
+    first, second = map(parse_plane_code, _PAIR)
+
+    def exhausted_for_first(tree):
+        if plane_code(tree) == _PAIR[0]:
+            raise ExhaustedError("no seed converged")
+        return solve_tree(tree)
+
+    monkeypatch.setattr(catalog, "solve_tree", exhausted_for_first)
+    a, b = catalog._run_trees([first, second], _cfg(),
+                              str(tmp_path / "store"))
+    assert a.sz_absent_reason == "exhausted"
+    assert not _derived(b) and b.sz is not None
+
+
+def test_the_workers_get_one_tree_per_mirror_class(tmp_path, monkeypatch):
+    mapped = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        @staticmethod
+        def map(fn, trees, *rest):
+            trees = list(trees)
+            mapped.extend(plane_code(t) for t in trees)
+            return map(fn, trees, *rest)
+
+    monkeypatch.setattr(catalog, "ProcessPoolExecutor", InProcessPool)
+    seen = []
+    recs = run_catalog(7, _cfg(), str(tmp_path / "store"),
+                       progress=lambda r: seen.append(r.tree_code), jobs=2)
+    codes = [r.tree_code for r in recs]
+    assert seen == codes == sorted(codes)
+    assert mapped == [r.tree_code for r in recs if not _derived(r)]
+    assert len(mapped) == 27

@@ -179,6 +179,58 @@ def test_orbit_brent(poly):
             assert abs(z - orbit[steps - lam]) < 1e-9 * (1.0 + abs(z))
 
 
+def _brent_replay(c, z0, max_iter, radius, tol):
+    """orbit_brent's verdict from an orbit stepped by a plain Horner loop:
+    the tortoise sits at steps 0, 1, 3, 7, ..., 2^j - 1."""
+    cl = [complex(a) for a in c]
+    z, tortoise, mark = complex(z0), complex(z0), 1
+    for steps in range(1, max_iter + 1):
+        acc = cl[-1]
+        for a in reversed(cl[:-1]):
+            acc = acc * z + a
+        z = acc
+        if not abs(z) <= radius or not np.isfinite(abs(z)):
+            return K.ORBIT_ESCAPE, 0, z, steps
+        if abs(z - tortoise) < tol * (1.0 + abs(z)):
+            return K.ORBIT_CYCLE, steps - (mark - 1), z, steps
+        if steps == 2 * mark - 1:
+            tortoise, mark = z, 2 * mark
+    return K.ORBIT_RUNNING, 0, z, max_iter
+
+
+def _same_bits(a, b):
+    return np.array(a).tobytes() == np.array(b).tobytes()
+
+
+def test_orbit_brent_matches_a_plain_replay_on_a_long_orbit():
+    # both critical orbits of the <3,1> caterpillar W((()())) take 16,403
+    # steps to close on its weakly attracting 10-cycle, the longest search
+    # of the catalog; the verdict, the step count and the last point's bits
+    # are those of the replay
+    p = solve_tree(parse_plane_code("W((()()))")).poly
+    c = p.as_array()
+    radius = escape_radius(p)
+    for z0 in (1.0 + 0j, -1.0 + 0j):
+        got = K.orbit_brent(c, z0, 200_000, radius, 1e-9)
+        want = _brent_replay(c, z0, 200_000, radius, 1e-9)
+        assert got[:2] == want[:2] == (K.ORBIT_CYCLE, 20)
+        assert got[3] == want[3] == 16_403
+        assert _same_bits(got[2], want[2])
+
+
+def test_orbit_brent_escapes_on_nan_and_overflow():
+    # a NaN start is not finite at its first step; z^2 from 2 overflows to
+    # inf at its 10th step (2^1024), which an infinite radius lets through
+    c = np.array([0, 0, 1], dtype=np.complex128)
+    status, _, z, steps = K.orbit_brent(c, complex(np.nan, 0.0), 100, 2.0,
+                                        1e-9)
+    assert (status, steps) == (K.ORBIT_ESCAPE, 1) and np.isnan(z.real)
+    got = K.orbit_brent(c, 2.0 + 0j, 100, np.inf, 1e-9)
+    assert got[0] == K.ORBIT_ESCAPE and got[3] == 10
+    assert got[2] == complex(np.inf, 0.0)
+    assert _same_bits(got, _brent_replay(c, 2.0, 100, np.inf, 1e-9))
+
+
 def _grids():
     """A square grid with ys close to xs, and a non-square off-centre one
     that a row/column mix-up in the flat pixel indexing would fail on."""

@@ -1,9 +1,11 @@
 import importlib.util
+import io
 import json
 import shutil
 from pathlib import Path
 
 from dessinjulia.catalog import CatalogConfig, run_catalog
+from dessinjulia.cli import run_cli
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "record_diff.py"
 _spec = importlib.util.spec_from_file_location("record_diff", _TOOL)
@@ -45,3 +47,14 @@ def test_record_diff_lists_a_record_in_one_store(tmp_path, capsys):
     assert record_diff.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out == f"{code}: only in {a}\n"
     assert record_diff.main([str(a), str(tmp_path / "none")]) == 2
+
+
+def test_catalog_records_do_not_depend_on_jobs(tmp_path, capsys):
+    # with two workers the trees derived from a mirror partner are derived
+    # in the parent, so both stores hold the same records
+    stores = [tmp_path / f"jobs{jobs}" for jobs in ("1", "2")]
+    for jobs, store in zip(("1", "2"), stores):
+        assert run_cli(["catalog", "--edges", "7", "--jobs", jobs,
+                        "--store", str(store)], out=io.StringIO()) == 0
+    assert record_diff.main([str(s) for s in stores]) == 0
+    assert capsys.readouterr().out == ""
