@@ -167,7 +167,10 @@ def orbit_brent(coeffs, z0, max_iter, radius, tol):
     once |z| > radius, (ORBIT_CYCLE, lam, z, steps) once z comes within tol
     of the tortoise lam steps back, else ORBIT_RUNNING after max_iter.
     Each step is ``_horner`` written out in the loop, on the coefficients
-    reversed once, so the orbit has the same bits."""
+    reversed once, so the orbit has the same bits.  A point that is not
+    finite has escaped, and so has one whose modulus, or distance to the
+    tortoise, is past the largest double (``abs`` raises OverflowError):
+    the orbit has left what doubles hold."""
     top, *rest = [complex(x) for x in
                   np.asarray(coeffs, dtype=np.complex128)[::-1]]
     tortoise = hare = complex(z0)
@@ -179,11 +182,14 @@ def orbit_brent(coeffs, z0, max_iter, radius, tol):
         hare = acc
         steps += 1
         lam += 1
-        ah = abs(hare)
-        if ah > radius or not math.isfinite(ah):
+        try:
+            ah = abs(hare)
+            if ah > radius or not math.isfinite(ah):
+                return ORBIT_ESCAPE, 0, hare, steps
+            if abs(hare - tortoise) < tol * (1.0 + ah):
+                return ORBIT_CYCLE, lam, hare, steps
+        except OverflowError:
             return ORBIT_ESCAPE, 0, hare, steps
-        if abs(hare - tortoise) < tol * (1.0 + ah):
-            return ORBIT_CYCLE, lam, hare, steps
         if lam == power:
             tortoise = hare
             power *= 2

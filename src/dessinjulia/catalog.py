@@ -1,12 +1,15 @@
 """Batch pipeline: enumerate trees, solve, classify, estimate dimensions,
 render, and persist everything in a resumable on-disk store.
 
-A tree whose mirror image, or the colour swap of that, was analysed before
-it in a run or is in the store is not analysed again: its record is that
-partner's, conjugated exactly (``_derive_record``).  The polynomial of the
-mirror is q(z) = conj(p(conj z)), and of the mirrored colour swap
-q(z) = -conj(p(-conj z)), so the forms, the critical orbits and the
-Hausdorff dimension of the two Julia sets correspond.
+Every record passes through the same stages: solve, classify, dims,
+images, validate (``_build_record``).  A tree whose mirror image, or the
+colour swap of that, was analysed before it in a run or is in the store is
+not solved again: its solve stage is ``derive``, the partner's solution
+conjugated exactly, and its dimension estimates are the partner's.  The
+polynomial of the mirror is q(z) = conj(p(conj z)), and of the mirrored
+colour swap q(z) = -conj(p(-conj z)), so the forms, the critical orbits and
+the Hausdorff dimension of the two Julia sets correspond; ``classify`` runs
+on the derived polynomial as on any other.
 
 Store layout: ``store/records/<sha1(code)>.json`` (one file per canonical
 tree code; the file's presence is the record) and
@@ -22,13 +25,13 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
 
-from .dynamics import CriticalOrbitFate, DynamicsClassification, classify
+from .dynamics import DynamicsClassification, classify
 from .fractal import (DimensionEstimate, FractalError, box_dim, julia_cloud,
                       pressure_dim, render_basins, render_escape)
 from .plane_tree import (enumerate_trees, invert_colors, mirror,
@@ -43,6 +46,7 @@ DEFAULT_STORE = os.environ.get("DESSIN_STORE", "store")
 
 CLOUD_POINTS = 200_000  # julia_cloud size behind each record's box_dim
 IMAGE_SIZE = (400, 400)  # pixels of each record's escape and basin rasters
+_RENDER_ITER = {"escape": 500, "basins": 2000}  # their iteration caps
 
 
 @dataclass
@@ -126,35 +130,66 @@ def _new_record(tree):
                          symmetry_flags(tree))
 
 
+@contextmanager
+def _stage(rec, name):
+    """Time the block as stage ``name`` of the record."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        rec.timings[name] = time.perf_counter() - t0
+
+
 def analyze_tree(tree, cfg=None, store=None):
     """Full pipeline on one tree; every stage failure is recorded in the
     returned CatalogRecord and later stages are skipped."""
-    cfg = cfg or CatalogConfig()
+    return _build_record(tree, cfg or CatalogConfig(), store)
+
+
+def _build_record(tree, cfg, store, partner=None, swap=False):
+    """The stages of every record: solve, classify, dims, images, validate.
+    With a mirror partner (see ``_mirror_partners``) the solve stage is
+    ``derive``: the partner's solution is conjugated, and its dimension
+    estimates (and their stage errors) are copied when it has them.  A
+    rotational or degenerate partner passes its reason on: conjugation and
+    the colour swap keep rotations and the degenerate sums
+    t*sum(x) = s*sum(y).  An exhausted partner derives nothing, since a
+    failed search says nothing of the tree's."""
+    if partner is not None and partner.sz_absent_reason == "exhausted":
+        partner = None
     rec = _new_record(tree)
-    t0 = time.perf_counter()
-    try:
-        rec.sz = solve_tree(tree)
-    except NoZapponiFormError as exc:
-        rec.sz_absent_reason = ("symmetric" if rec.symmetry["rotational"]
-                                else "degenerate")
-        rec.error = str(exc)
-    except ExhaustedError as exc:
-        rec.sz_absent_reason = "exhausted"
-        rec.error = str(exc)
-    rec.timings["solve"] = time.perf_counter() - t0
+    if partner is None:
+        with _stage(rec, "solve"):
+            try:
+                rec.sz = solve_tree(tree)
+            except NoZapponiFormError as exc:
+                rec.sz_absent_reason = ("symmetric"
+                                        if rec.symmetry["rotational"]
+                                        else "degenerate")
+                rec.error = str(exc)
+            except ExhaustedError as exc:
+                rec.sz_absent_reason = "exhausted"
+                rec.error = str(exc)
+    else:
+        with _stage(rec, "derive"):
+            if partner.sz is None:
+                rec.sz_absent_reason = partner.sz_absent_reason
+                rec.error = partner.error
+            else:
+                rec.sz = _conjugate_solution(partner.sz, swap)
     if rec.sz is None:
         return rec
 
-    t0 = time.perf_counter()
-    rec.classification = classify(rec.sz.poly)
-    rec.timings["classify"] = time.perf_counter() - t0
-
+    with _stage(rec, "classify"):
+        rec.classification = classify(rec.sz.poly)
     if cfg.with_dims:
-        _attach_dims(rec, cfg)
-    return _finish(rec, cfg, store)
-
-
-def _finish(rec, cfg, store):
+        # a solved record's error comes from the dimension stages only
+        if partner is not None and (partner.dims or partner.error):
+            rec.dims = [DimensionEstimate.from_json(d.to_json())
+                        for d in partner.dims]
+            rec.error = partner.error
+        else:
+            _attach_dims(rec, cfg)
     if cfg.with_images and store is not None:
         _attach_images(rec, store)
     rec.validate()
@@ -166,26 +201,20 @@ def _finish(rec, cfg, store):
 
 def _mirror_partners(tree):
     """(code, swap) of the two trees whose records give this tree's by
-    conjugation (``_derive_record``): its mirror image (swap False), then
+    conjugation (``_build_record``): its mirror image (swap False), then
     the colour swap of that (swap True)."""
     m = mirror(tree)
     return [(plane_code(m), False), (plane_code(invert_colors(m)), True)]
 
 
-def _conjugate(swap):
-    """z -> conj z, or z -> -conj z with the colour swap, exact in every
-    bit."""
-    if swap:
-        return lambda z: complex(-z.real, z.imag)
-    return lambda z: z.conjugate()
-
-
 def _conjugate_solution(sz, swap):
-    """The SZ solution of q = phi o p o phi, phi = _conjugate(swap): its
-    coefficients are conj(c_k), or -conj(c_k)(-1)^k with the swap, and its
-    vertices are phi of p's, whites and blacks trading places with the swap
-    (q = +1 exactly where p = phi(+1) = -1)."""
-    phi = _conjugate(swap)
+    """The SZ solution of q = phi o p o phi, phi(z) = conj z, or -conj z
+    with the swap: its coefficients are conj(c_k), or -conj(c_k)(-1)^k
+    with the swap, and its vertices are phi of p's, whites and blacks
+    trading places with the swap (q = +1 exactly where p = phi(+1) = -1).
+    Exact in every bit."""
+    phi = ((lambda z: complex(-z.real, z.imag)) if swap
+           else complex.conjugate)
     coeffs = [c.conjugate() if k % 2 else phi(c)
               for k, c in enumerate(sz.poly.coeffs)]
     white, black = (sz.black, sz.white) if swap else (sz.white, sz.black)
@@ -196,76 +225,24 @@ def _conjugate_solution(sz, swap):
                        for b in black])
 
 
-def _conjugate_classification(cls, swap):
-    """The fates of +1 and -1 under q = phi o p o phi: the orbit of +1 under
-    q is phi of the orbit of phi(+1) under p, the orbit of -1 with the
-    swap, so each cycle point moves by phi and each multiplier is
-    conjugated.  Horner's rule commutes with phi in floating point, so
-    these are the fates ``classify(q)`` gives, bit for bit."""
-    phi = _conjugate(swap)
-    plus, minus = ((cls.fate_minus, cls.fate_plus) if swap
-                   else (cls.fate_plus, cls.fate_minus))
-    return DynamicsClassification(
-        *(CriticalOrbitFate(f.kind, [phi(z) for z in f.cycle_points],
-                            f.period, f.multiplier.conjugate(),
-                            f.iterations_used) for f in (plus, minus)),
-        cls.taxonomy, cls.connectedness)
-
-
-def _derive_record(tree, partner, swap, cfg, store):
-    """The record of a tree from the record of its mirror partner (see
-    ``_mirror_partners``), with no solve and no orbit: the solution and the
-    fates are conjugated, the dimension estimates (and their stage errors)
-    copied, and the images rendered from the derived polynomial, as
-    ``analyze_tree`` renders them.  When cfg asks for dimensions and the
-    partner was analysed without them, they are estimated here.
-
-    The partner must not be exhausted.  A rotational or degenerate partner
-    passes its reason on: conjugation and the colour swap keep rotations
-    and the degenerate sums t*sum(x) = s*sum(y).  A failed search says
-    nothing of the tree's."""
-    rec = _new_record(tree)
-    t0 = time.perf_counter()
-    if partner.sz is None:
-        rec.sz_absent_reason, rec.error = (partner.sz_absent_reason,
-                                           partner.error)
-        rec.timings["derive"] = time.perf_counter() - t0
-        return rec
-    rec.sz = _conjugate_solution(partner.sz, swap)
-    rec.classification = _conjugate_classification(partner.classification,
-                                                   swap)
-    rec.timings["derive"] = time.perf_counter() - t0
-    if cfg.with_dims:
-        # a solved record's error comes from the dimension stages only
-        if partner.dims or partner.error:
-            rec.dims = [DimensionEstimate.from_json(d.to_json())
-                        for d in partner.dims]
-            rec.error = partner.error
-        else:
-            _attach_dims(rec, cfg)
-    return _finish(rec, cfg, store)
-
-
 def _attach_dims(rec, cfg):
     p = rec.sz.poly
     cls = rec.classification
     disconnected = cls.connectedness == "totally_disconnected"
     errors = []
-    t0 = time.perf_counter()
-    try:
-        cloud = julia_cloud(p, CLOUD_POINTS, rng_seed=cfg.rng_seed)
-        rec.dims.append(box_dim(cloud, disconnected=disconnected))
-    except (FractalError, ValueError) as exc:
-        errors.append(f"box_dim: {exc}")
-    rec.timings["box_dim"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    try:
-        mults = [abs(f.multiplier) for f in (cls.fate_plus, cls.fate_minus)
-                 if f.bounded]
-        rec.dims.append(pressure_dim(p, attractor_multipliers=mults))
-    except (FractalError, ValueError) as exc:
-        errors.append(f"pressure_dim: {exc}")
-    rec.timings["pressure_dim"] = time.perf_counter() - t0
+    with _stage(rec, "box_dim"):
+        try:
+            cloud = julia_cloud(p, CLOUD_POINTS, rng_seed=cfg.rng_seed)
+            rec.dims.append(box_dim(cloud, disconnected=disconnected))
+        except (FractalError, ValueError) as exc:
+            errors.append(f"box_dim: {exc}")
+    with _stage(rec, "pressure_dim"):
+        try:
+            mults = [abs(f.multiplier)
+                     for f in (cls.fate_plus, cls.fate_minus) if f.bounded]
+            rec.dims.append(pressure_dim(p, attractor_multipliers=mults))
+        except (FractalError, ValueError) as exc:
+            errors.append(f"pressure_dim: {exc}")
     if errors:
         rec.error = "; ".join(errors)
 
@@ -276,16 +253,17 @@ def _attach_images(rec, store):
                      max(abs(b.location) for b in rec.sz.black), 1.0)
     viewport = (0.0, 0.0, span, span)
     key = _key(rec.tree_code)
-    t0 = time.perf_counter()
-    esc = render_escape(p, viewport, IMAGE_SIZE, max_iter=500)
-    rec.artifacts["escape"] = store.save_image(esc, f"{key}-escape.ppm")
-    try:
-        bas = render_basins(p, rec.classification, viewport, IMAGE_SIZE,
-                            max_iter=2000)
-        rec.artifacts["basins"] = store.save_image(bas, f"{key}-basins.ppm")
-    except FractalError:
-        pass
-    rec.timings["render"] = time.perf_counter() - t0
+    with _stage(rec, "render"):
+        esc = render_escape(p, viewport, IMAGE_SIZE,
+                            max_iter=_RENDER_ITER["escape"])
+        rec.artifacts["escape"] = store.save_image(esc, f"{key}-escape.ppm")
+        try:
+            bas = render_basins(p, rec.classification, viewport, IMAGE_SIZE,
+                                max_iter=_RENDER_ITER["basins"])
+            rec.artifacts["basins"] = store.save_image(bas,
+                                                       f"{key}-basins.ppm")
+        except FractalError:
+            pass
 
 
 # ------------------------------------------------------------------- store
@@ -364,8 +342,8 @@ def _run_trees(trees, cfg=None, store_path=None, progress=None, jobs=1):
     than there are trees to analyze (none for one); resumable (existing
     records are reused unless cfg.force).  A tree whose mirror partner
     (``_mirror_partners``) comes before it or is in the store is not sent to
-    the workers: once the partner's record is there, the tree's is derived
-    from it in this process, or analysed here after an exhausted partner.
+    the workers: once the partner's record is there, the tree's is built
+    from it in this process (``_build_record``).
     With cfg.force only the partners of this run count.  Records are saved,
     reported and returned in tree order."""
     cfg = cfg or CatalogConfig()
@@ -397,9 +375,7 @@ def _run_trees(trees, cfg=None, store_path=None, progress=None, jobs=1):
             else:
                 other, swap = partner
                 src = fresh[other] if other in fresh else store.load(other)
-                rec = (analyze_tree(tree, cfg, store)
-                       if src.sz_absent_reason == "exhausted"
-                       else _derive_record(tree, src, swap, cfg, store))
+                rec = _build_record(tree, cfg, store, src, swap)
             store.save(rec)
             if progress:
                 progress(rec)

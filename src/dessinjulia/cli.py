@@ -89,10 +89,10 @@ def _build_parser():
     p.add_argument("--mode", choices=("escape", "basins"), default="escape")
     p.add_argument("--out", required=True)
     p.add_argument("--viewport", type=_viewport, default=(0.0, 0.0, 2.0, 2.0))
-    p.add_argument("--size", type=_size, default=(400, 400))
+    p.add_argument("--size", type=_size, default=cat.IMAGE_SIZE)
     p.add_argument("--max-iter", type=_positive(int),
-                   help="iteration cap (default 500 for escape, 2000 for "
-                        "basins)")
+                   help="iteration cap (default {escape} for escape, "
+                        "{basins} for basins)".format(**cat._RENDER_ITER))
     p.add_argument("--trap-radius", type=_positive(float), default=0.01)
     p.add_argument("--escape-bound", type=_positive(float),
                    help="escape radius of --mode basins")
@@ -102,7 +102,7 @@ def _build_parser():
     g.add_argument("--poly")
     g.add_argument("--tree")
     p.add_argument("--method", choices=("box", "pressure"), required=True)
-    p.add_argument("--points", type=_positive(int), default=200_000)
+    p.add_argument("--points", type=_positive(int), default=cat.CLOUD_POINTS)
     p.add_argument("--max-period", type=_positive(int))
     p.add_argument("--seed", type=int, default=0)
 
@@ -123,6 +123,7 @@ def _build_parser():
     p.add_argument("--store", default=None)
     p.add_argument("--dims", action="store_true")
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(images=False, force=False)
 
     p = sub.add_parser("report", help="Markdown summary of a store")
     p.add_argument("--store", default=None)
@@ -224,14 +225,14 @@ def _cmd_classify(args, out):
 
 def _cmd_render(args, out):
     p = _poly_or_tree(args, out)
+    max_iter = args.max_iter or cat._RENDER_ITER[args.mode]
     try:
         if args.mode == "escape":
-            raster = render_escape(p, args.viewport, args.size,
-                                   args.max_iter or 500)
+            raster = render_escape(p, args.viewport, args.size, max_iter)
         else:
             raster = render_basins(p, classify(p), args.viewport, args.size,
                                    trap_radius=args.trap_radius,
-                                   max_iter=args.max_iter or 2000,
+                                   max_iter=max_iter,
                                    escape_bound=args.escape_bound)
     except (FractalError, ValueError) as exc:
         raise _CliError(str(exc))
@@ -264,11 +265,8 @@ def _cmd_dim(args, out):
 
 
 def _run_batch(args, runner, out):
-    cfg = cat.CatalogConfig(rng_seed=args.seed,
-                            with_dims=getattr(args, "dims", False),
-                            with_images=getattr(args, "images", False),
-                            force=args.force if hasattr(args, "force")
-                            else False)
+    cfg = cat.CatalogConfig(rng_seed=args.seed, with_dims=args.dims,
+                            with_images=args.images, force=args.force)
     print(f"seed: {args.seed}", file=out)
 
     def progress(rec):

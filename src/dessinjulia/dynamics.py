@@ -165,17 +165,21 @@ def iterate_orbit(p, z0, max_iter=MAX_ITER):
     # attracting) convergence
     cl = [complex(x) for x in c]
     tail = [z]
-    for _ in range(2 * WEAK_MAX_PERIOD + 1):
-        z = _horner(cl, z)
-        steps += 1
-        if not abs(z) <= radius:
-            return CriticalOrbitFate("escape", [], 1, 0j, steps)
-        tail.append(z)
-    for per in range(1, WEAK_MAX_PERIOD + 1):
-        if abs(tail[-1 - per] - z) < WEAK_TOL * (1.0 + abs(z)):
-            fate = _fate_from_candidate(p, per, z, steps)
-            if fate.kind != "undetermined":
-                return fate
+    try:
+        for _ in range(2 * WEAK_MAX_PERIOD + 1):
+            z = _horner(cl, z)
+            steps += 1
+            if not abs(z) <= radius:
+                return CriticalOrbitFate("escape", [], 1, 0j, steps)
+            tail.append(z)
+        near = [per for per in range(1, WEAK_MAX_PERIOD + 1)
+                if abs(tail[-1 - per] - z) < WEAK_TOL * (1.0 + abs(z))]
+    except OverflowError:  # past the largest double, as in orbit_brent
+        return CriticalOrbitFate("escape", [], 1, 0j, steps)
+    for per in near:
+        fate = _fate_from_candidate(p, per, z, steps)
+        if fate.kind != "undetermined":
+            return fate
     return CriticalOrbitFate("undetermined", [], 1, 0j, steps)
 
 

@@ -364,8 +364,9 @@ def _assert_like_fresh(rec, fresh):
 def test_mirror_records_match_a_fresh_analysis(tmp_path, edges, derived,
                                                solved, swapped):
     # each tree whose mirror partner comes first in the catalog gets that
-    # record conjugated; its fates are what classify gives on the derived
-    # polynomial, bit for bit, and close to those of a fresh solve
+    # partner's solution conjugated in place of a solve, then the stages of
+    # any record: its fates are what classify gives on the derived
+    # polynomial, and close to those of a fresh solve
     recs = run_catalog(edges, _cfg(), str(tmp_path / "store"))
     codes = {r.tree_code for r in recs}
     mine = [r for r in recs if _derived(r)]
@@ -374,8 +375,10 @@ def test_mirror_records_match_a_fresh_analysis(tmp_path, edges, derived,
     assert sum(plane_code(mirror(parse_plane_code(r.tree_code))) not in codes
                for r in mine) == swapped
     for rec in mine:
-        assert "solve" not in rec.timings
-        if rec.sz is not None:
+        if rec.sz is None:
+            assert set(rec.timings) == {"derive"}
+        else:
+            assert set(rec.timings) == {"derive", "classify"}
             assert classify(rec.sz.poly) == rec.classification
         _assert_like_fresh(rec, analyze_tree(parse_plane_code(rec.tree_code),
                                              _cfg()))

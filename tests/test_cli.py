@@ -123,6 +123,22 @@ def test_degree_one_poly_fails(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_orbit_past_the_largest_double_escapes(tmp_path):
+    # |c| of c = 1.3e308(1 + i) is past the largest double: both critical
+    # orbits escape at their first step, and render draws the image
+    poly = "1.3e308+1.3e308i,0,1"
+    code, text = run(["classify", "--poly", poly])
+    assert code == 0
+    assert text.splitlines() == ["g4 totally_disconnected",
+                                 "+1: escape after 1 iterations",
+                                 "-1: escape after 1 iterations"]
+    for mode in ("escape", "basins"):
+        out = tmp_path / f"{mode}.ppm"
+        code, _ = run(["render", "--poly", poly, "--mode", mode,
+                       "--out", str(out), "--size", "8x8"])
+        assert code == 0 and out.read_bytes().startswith(b"P6\n8 8\n")
+
+
 def test_classify_tree():
     code, text = run(["classify", "--tree", "W((()))()()()"])
     assert code == 0

@@ -87,6 +87,22 @@ def test_weak_pass_finds_a_weakly_attracting_cycle():
     assert 0 < extra <= 2 * WEAK_MAX_PERIOD + 1
 
 
+def test_an_orbit_past_the_largest_double_escapes():
+    # z^2 + c, c = 3u^2 + 4u^2 i with u = 1.875 * 2^510: c is finite but
+    # |c| = 5u^2 is not a double.  From 0 the orbit reaches c at step 1;
+    # from u - 2u i, a square root of -c in exact arithmetic, it reaches 0
+    # and then c, at step 2, in the weak pass after max_iter = 1
+    u = 1.875 * 2.0 ** 510
+    p = ComplexPoly((complex(3 * u * u, 4 * u * u), 0, 1))
+    with np.errstate(over="ignore"):
+        assert escape_radius(p) == np.inf
+        for z0, max_iter, steps in ((0.0, MAX_ITER, 1),
+                                    (complex(u, -2 * u), 1, 2)):
+            fate = iterate_orbit(p, z0, max_iter)
+            assert (fate.kind, fate.iterations_used) == ("escape", steps)
+        assert classify(p).taxonomy == "g4"
+
+
 def test_least_period_is_read_from_the_refined_orbit():
     # a candidate period that is a multiple of the cycle's
     fate = _fate_from_candidate(ComplexPoly((-1, 0, 1)), 6, 1e-3, 0)

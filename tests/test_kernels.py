@@ -231,6 +231,18 @@ def test_orbit_brent_escapes_on_nan_and_overflow():
     assert _same_bits(got, _brent_replay(c, 2.0, 100, np.inf, 1e-9))
 
 
+def test_orbit_brent_escapes_past_the_largest_double():
+    # c = 1.3e308(1 + i) is finite, but |c| is not a double: abs raises
+    # OverflowError, and the orbit of 0 under z^2 + c escapes at step 1
+    c = 1.3e308 + 1.3e308j
+    coeffs = np.array([c, 0, 1], dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        radius = escape_radius(ComplexPoly(tuple(coeffs)))
+    assert radius == np.inf
+    assert K.orbit_brent(coeffs, 0j, 100, radius, 1e-9) == \
+        (K.ORBIT_ESCAPE, 0, c, 1)
+
+
 def _grids():
     """A square grid with ys close to xs, and a non-square off-centre one
     that a row/column mix-up in the flat pixel indexing would fail on."""
