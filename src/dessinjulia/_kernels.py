@@ -246,9 +246,9 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
         m = 0
         for a in range(0, live, _TILE):
             b = min(a + _TILE, live)
-            zt = _polyval(c, z[a:b]) if it else z[a:b]
             pt = pix[a:b]
             with np.errstate(invalid="ignore", over="ignore"):
+                zt = _polyval(c, z[a:b]) if it else z[a:b]
                 done = ~(np.abs(zt) <= radius)
             if len(traps):
                 near = np.flatnonzero(~done & (zt.real >= x0)

@@ -227,8 +227,7 @@ def _conjugate_solution(sz, swap):
 
 def _attach_dims(rec, cfg):
     p = rec.sz.poly
-    cls = rec.classification
-    disconnected = cls.connectedness == "totally_disconnected"
+    disconnected = rec.classification.connectedness == "totally_disconnected"
     errors = []
     with _stage(rec, "box_dim"):
         try:
@@ -238,9 +237,7 @@ def _attach_dims(rec, cfg):
             errors.append(f"box_dim: {exc}")
     with _stage(rec, "pressure_dim"):
         try:
-            mults = [abs(f.multiplier)
-                     for f in (cls.fate_plus, cls.fate_minus) if f.bounded]
-            rec.dims.append(pressure_dim(p, attractor_multipliers=mults))
+            rec.dims.append(pressure_dim(p))
         except (FractalError, ValueError) as exc:
             errors.append(f"pressure_dim: {exc}")
     if errors:

@@ -244,17 +244,13 @@ def _cmd_render(args, out):
 def _cmd_dim(args, out):
     p = _poly_or_tree(args, out)
     try:
-        cls = classify(p)
         if args.method == "box":
             print(f"seed: {args.seed}", file=out)
             cloud = julia_cloud(p, args.points, rng_seed=args.seed)
             est = box_dim(cloud, disconnected=(
-                cls.connectedness == "totally_disconnected"))
+                classify(p).connectedness == "totally_disconnected"))
         else:
-            mults = [abs(f.multiplier) for f in (cls.fate_plus, cls.fate_minus)
-                     if f.bounded]
-            est = pressure_dim(p, max_period=args.max_period,
-                               attractor_multipliers=mults)
+            est = pressure_dim(p, max_period=args.max_period)
     except (FractalError, ValueError) as exc:
         raise _CliError(str(exc))
     print(f"dimension: {est.value:.4f} ({est.method}, "

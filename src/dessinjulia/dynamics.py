@@ -88,14 +88,15 @@ def escape_radius(p):
     return max(1.0, (2.0 + float(np.sum(np.abs(c[:-1])))) / abs(c[-1]))
 
 
-def trapping_radius(p, cycle_points, bound):
+def trapping_radius(p, cycle_points):
     """Radii rho_0, ..., rho_(m-1) of discs D(c_j, rho_j) around the points
     of a cycle c_0 -> c_1 -> ... -> c_(m-1) -> c_0 of p such that p, in
     double-precision Horner steps, maps each disc into the next and the
-    last into D(c_0, rho_0), and every disc lies in |z| < bound: an orbit
-    that enters a disc never escapes.  None when no rho_0 in 2^0, 2^-1,
-    ..., 2^-60 gives such a chain (repelling, neutral and too weakly
-    attracting cycles, or points not on a cycle).
+    last into D(c_0, rho_0), and every disc lies inside the escape disc
+    |z| < escape_radius(p): an orbit that enters a disc never escapes.
+    None when no rho_0 in 2^0, 2^-1, ..., 2^-60 gives such a chain
+    (repelling, neutral and too weakly attracting cycles, or points not on
+    a cycle).
 
     With b_jk the Taylor coefficients of p at c_j, |p(z) - c_(j+1)| is at
     most |b_j0 - c_(j+1)| + sum_(k>=1) |b_jk| rho_j^k on D(c_j, rho_j).
@@ -105,6 +106,7 @@ def trapping_radius(p, cycle_points, bound):
     rho_m <= 0.999 rho_0.  All 61 candidates for rho_0 run at once, and the
     largest that closes is taken."""
     pts = [complex(z) for z in cycle_points]
+    bound = escape_radius(p)
     mags = np.abs(p.as_array())[::-1]
     rho0 = 2.0 ** -np.arange(61.0)
     rho, ok, radii = rho0, np.ones(len(rho0), dtype=bool), []

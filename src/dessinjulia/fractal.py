@@ -118,7 +118,7 @@ def render_escape(p, viewport=(0.0, 0.0, 2.0, 2.0), size=(400, 400),
     interior = []
     if max_iter >= 1:
         for cyc in attracting_cycles(classify(p, max_iter)):
-            rho = trapping_radius(p, cyc, radius)
+            rho = trapping_radius(p, cyc)
             if rho is not None:
                 interior.append((cyc[0], rho[0]))
     raster.escaped_at = render_escape_grid(p.as_array(), xs, ys, max_iter,
@@ -170,11 +170,13 @@ def repelling_fixed_point(p):
     |p'| within 1e-9 relative of the largest (the two points of a conjugate
     pair of a real polynomial), goes to the largest imaginary part, compared
     with a 1e-9(1 + |z|) tolerance, then to the largest real part, so that
-    the rounding of the root solve does not decide it."""
+    the rounding of the root solve does not decide it.  A root of
+    p(z) - z that the solve overflowed to inf or NaN is no candidate."""
     c = p.as_array().copy()
     c[1] -= 1.0  # p(z) - z
     dp = derivative(p)
-    cand = [complex(z) for z in aberth_roots(c)]
+    cand = aberth_roots(c)
+    cand = [complex(z) for z in cand[np.isfinite(cand)]]
     mult = [abs(evaluate(dp, z)) for z in cand]
     top = max(mult, default=0.0)
     if not top > 1.0 + 1e-9:
@@ -348,7 +350,7 @@ def _step_root(prev, cur):
     return 0.5 * (lo + hi), hi - lo
 
 
-def pressure_dim(p, max_period=None, attractor_multipliers=()):
+def pressure_dim(p, max_period=None):
     """Hausdorff dimension by tree pressure (Przytycki, Rivera-Letelier &
     Smirnov 2004).
 
@@ -358,8 +360,8 @@ def pressure_dim(p, max_period=None, attractor_multipliers=()):
     one.  max_period is that depth bound, by default the largest with
     d^k <= LEVEL_CAP.  drift is the spread of the roots over the last three
     depths; confidence is low when it exceeds 0.02, when one of those
-    depths brackets no root, or on a weakly hyperbolic attractor
-    (|multiplier| > 0.9)."""
+    depths brackets no root, or when ``classify`` finds +1 or -1 attracted
+    by a weakly hyperbolic cycle (|multiplier| > 0.9)."""
     d = p.degree
     if d < 2:
         raise FractalError("need degree >= 2")
@@ -391,7 +393,9 @@ def pressure_dim(p, max_period=None, attractor_multipliers=()):
     root, width = roots[depth - 1]
     last = [r[0] for r in roots[-3:] if r]
     drift = max(last) - min(last) if last else 0.0
-    weak = any(abs(m) > 0.9 for m in attractor_multipliers)
+    cls = classify(p)
+    weak = any(abs(f.multiplier) > 0.9
+               for f in (cls.fate_plus, cls.fate_minus) if f.bounded)
     conf = "ok" if (drift <= 0.02 and len(last) == len(roots[-3:])
                     and not weak) else "low"
     diag = {"pressure_bracket": width, "max_period": max_period,

@@ -237,9 +237,6 @@ def _cluster_quality(p, clusters):
     locs = [c.location for c in clusters]
     mults = [c.multiplicity for c in clusters]
     pa, qa = p.as_array(), expand_roots(locs, mults, p.leading)
-    n = max(len(pa), len(qa))
-    pa = np.pad(pa, (0, n - len(pa)))
-    qa = np.pad(qa, (0, n - len(qa)))
     return float(np.max(np.abs(pa - qa)) / np.max(np.abs(pa)))
 
 

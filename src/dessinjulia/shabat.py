@@ -252,15 +252,6 @@ def _tree_layout(tree, rounds=50):
 # ------------------------------------------------------------ solving
 
 
-def _vertex_polynomial(k, l, x, y, a):
-    """p = a*prod (z - x_i)^{k_i} + 1 with its white and black vertices."""
-    pa = a * expand_roots(x, k)
-    pa[0] += 1.0
-    return (ComplexPoly(tuple(pa)),
-            [RootCluster(complex(z), m) for z, m in zip(x, k)],
-            [RootCluster(complex(z), m) for z, m in zip(y, l)])
-
-
 def _zapponi_form(k, l, x, y, a):
     """Zapponi form q(w) = p(alpha*w + beta), with its white and black
     vertices, of the Shabat polynomial p = a*prod (z - x_i)^{k_i} + 1 whose
@@ -277,8 +268,12 @@ def _zapponi_form(k, l, x, y, a):
         raise NoZapponiFormError(
             "degenerate vertex sums (t*sum(x) = s*sum(y)); tree has no "
             "Zapponi form")
-    return _vertex_polynomial(k, l, (x - beta) / alpha, (y - beta) / alpha,
-                              a * alpha ** sum(k))
+    x, y = (x - beta) / alpha, (y - beta) / alpha
+    q = a * alpha ** sum(k) * expand_roots(x, k)
+    q[0] += 1.0
+    return (ComplexPoly(tuple(q)),
+            [RootCluster(complex(z), m) for z, m in zip(x, k)],
+            [RootCluster(complex(z), m) for z, m in zip(y, l)])
 
 
 def _is_valid_solution(system, u, norm):
@@ -459,8 +454,8 @@ def _solve_tree_alt(tree, memo):
                 continue
             lifted.append(whites)
             try:
-                found = _identify_from_vertices(
-                    *_vertex_polynomial(system.k, system.l, x, y, 1.0))
+                found = _identify_from_vertices((x, system.k),
+                                                (y, system.l), 1.0)
             except PathLiftingError:
                 continue
         for code, sol in ((pt.plane_code(found), (x.copy(), y.copy())),
@@ -527,9 +522,7 @@ def zapponi_normalize(p):
     degeneracy rule (_zapponi_form): p's vertices are found once, in p's
     coordinates, and p - 1 = leading * prod (z - x_i)^{k_i} is rebuilt from
     their images."""
-    (x, k), (y, l) = ((np.array([v.location for v in vs]),
-                       [v.multiplicity for v in vs])
-                      for vs in _tree_vertices(p))
+    (x, k), (y, l) = _tree_vertices(p)
     return SZSolution(*_zapponi_form(k, l, x, y, p.leading))
 
 
@@ -602,10 +595,10 @@ def _lift_edges(whites, blacks, a):
     v1^(1/k), and would hold a degree-k vertex's roots to far shorter
     steps.)  At the end each white lift must meet exactly one black lift,
     within 1e-6 * its distance to the nearest other zero of p."""
-    verts = np.array([v.location for v in (*whites, *blacks)],
-                     dtype=np.complex128)
-    mult = np.array([v.multiplicity for v in (*whites, *blacks)])
-    s, n = len(whites), sum(w.multiplicity for w in whites)
+    (x, k), (y, l) = whites, blacks
+    verts = np.concatenate([x, y]).astype(np.complex128)
+    mult = np.concatenate([k, l])
+    s, n = len(x), sum(k)
     diff = verts[:, None] - verts
     gaps = np.abs(diff)
     np.fill_diagonal(gaps, np.inf)
@@ -679,16 +672,19 @@ def _lift_edges(whites, blacks, a):
                     theta[:n].tolist(), theta[n:][bi].tolist()))
 
 
-def _identify_from_vertices(p, whites, blacks):
-    s = len(whites)
+def _identify_from_vertices(whites, blacks, a):
+    """The plane tree of p - 1 = a*prod (z - x_i)^{k_i}, p + 1 =
+    a*prod (z - y_j)^{l_j}, by path lifting between its vertices, each
+    colour given as (locations, multiplicities)."""
+    s, t = len(whites[0]), len(blacks[0])
     # (white index, black index, angle at white, angle at black)
-    edges = _lift_edges(whites, blacks, complex(p.leading))
-    colors = [pt.WHITE] * s + [pt.BLACK] * len(blacks)
+    edges = _lift_edges(whites, blacks, complex(a))
+    colors = [pt.WHITE] * s + [pt.BLACK] * t
     neighbors = [[] for _ in colors]
     for wi in range(s):
         mine = sorted((e for e in edges if e[0] == wi), key=lambda e: e[2])
         neighbors[wi] = [s + e[1] for e in mine]
-    for bi in range(len(blacks)):
+    for bi in range(t):
         mine = sorted((e for e in edges if e[1] == bi), key=lambda e: e[3])
         neighbors[s + bi] = [e[0] for e in mine]
     tree = pt.PlaneTree(colors, neighbors)
@@ -701,11 +697,12 @@ def _identify_from_vertices(p, whites, blacks):
 
 
 def _tree_vertices(p):
-    """White and black vertices of a Shabat polynomial of degree n: the
-    clustered roots of p - 1 and p + 1.  With s and t distinct roots they
-    carry 2n - s - t of the n - 1 critical points, so (Riemann-Hurwitz) p
-    is Shabat exactly when s + t = n + 1 and s, t < n; ShabatError
-    otherwise, also when a split multiple root stayed unclustered."""
+    """White and black vertices of a Shabat polynomial of degree n, each
+    colour as (locations, multiplicities): the clustered roots of p - 1 and
+    p + 1.  With s and t distinct roots they carry 2n - s - t of the n - 1
+    critical points, so (Riemann-Hurwitz) p is Shabat exactly when
+    s + t = n + 1 and s, t < n; ShabatError otherwise, also when a split
+    multiple root stayed unclustered."""
     n = p.degree
     try:
         whites = roots(p - 1.0)
@@ -717,11 +714,12 @@ def _tree_vertices(p):
         raise ShabatError(
             f"polynomial is not Shabat: p - 1 and p + 1 have {s} and {t} "
             f"distinct roots, degree {n}")
-    return whites, blacks
+    return tuple((np.array([v.location for v in vs]),
+                  [v.multiplicity for v in vs]) for vs in (whites, blacks))
 
 
 def identify_tree(p):
     """Reconstruct the plane tree p^{-1}([-1, 1]) of a Shabat polynomial
     by path lifting between its vertices."""
-    return _identify_from_vertices(p, *_tree_vertices(p))
+    return _identify_from_vertices(*_tree_vertices(p), p.leading)
 

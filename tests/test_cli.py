@@ -1,5 +1,6 @@
 import io
 import os
+import warnings
 
 import pytest
 
@@ -134,9 +135,22 @@ def test_an_orbit_past_the_largest_double_escapes(tmp_path):
                                  "-1: escape after 1 iterations"]
     for mode in ("escape", "basins"):
         out = tmp_path / f"{mode}.ppm"
-        code, _ = run(["render", "--poly", poly, "--mode", mode,
-                       "--out", str(out), "--size", "8x8"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run(["render", "--poly", poly, "--mode", mode,
+                           "--out", str(out), "--size", "8x8"])
         assert code == 0 and out.read_bytes().startswith(b"P6\n8 8\n")
+        assert not [w.message for w in caught]
+
+
+def test_dim_pressure_with_no_finite_fixed_point(capsys):
+    # both fixed points of z^2 + 1.3e308(1 + i) overflow to inf in the root
+    # solve; the estimate is refused with an error line
+    code, _ = run(["dim", "--poly", "1.3e308+1.3e308i,0,1",
+                   "--method", "pressure"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: no repelling fixed point found\n"
 
 
 def test_classify_tree():

@@ -235,7 +235,7 @@ def test_trapping_radius_maps_each_disc_into_the_next(name):
         if not fate.bounded:
             continue
         pts = fate.cycle_points
-        rho = trapping_radius(p, pts, radius)
+        rho = trapping_radius(p, pts)
         assert rho is not None and len(rho) == len(pts)
         for j, (z, r) in enumerate(zip(pts, rho)):
             assert 0 < r and abs(z) + r < radius
@@ -253,4 +253,4 @@ def test_trapping_radius_refuses_non_attracting_points():
     for p, pts in ((ComplexPoly((0, 0, 1)), [1.0]),
                    (ComplexPoly((0.25, 0, 1)), [0.5]),
                    (ComplexPoly((0, 0, 1)), [0.3])):
-        assert trapping_radius(p, pts, escape_radius(p)) is None
+        assert trapping_radius(p, pts) is None

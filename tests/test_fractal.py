@@ -337,8 +337,22 @@ def test_pressure_dim_circle():
 def test_pressure_dim_validation():
     with pytest.raises(FractalError):
         pressure_dim(SQUARE, max_period=20)  # 2^20 over the root cap
-    d = pressure_dim(SQUARE, max_period=8, attractor_multipliers=(0.95,))
-    assert d.confidence == "low"
+    # +1 and -1 fall into the fixed point -0.46 of z^2 - 0.6716, of
+    # multiplier -0.92: the depths agree within the drift bound, so the weak
+    # attractor alone makes the estimate low
+    d = pressure_dim(ComplexPoly((-0.6716, 0, 1)), max_period=10)
+    assert d.diagnostics["drift"] <= 0.02 and d.confidence == "low"
+
+
+def test_pressure_dim_refuses_fixed_points_past_the_largest_double():
+    # both fixed points of z^2 + 1.3e308(1 + i) overflow to inf in the root
+    # solve.  classify first catches an OverflowError of the built-in abs,
+    # and CPython's abs of a complex NaN, which leaves errno as it finds
+    # it, then raises too: the non-finite candidates are never measured
+    p = ComplexPoly((1.3e308 + 1.3e308j, 0, 1))
+    classify(p)
+    with pytest.raises(FractalError, match="no repelling fixed point"):
+        pressure_dim(p)
 
 
 def test_pressure_dim_rejects_a_bad_max_period():

@@ -311,7 +311,7 @@ def test_render_tiles(poly, tile, monkeypatch):
     _check_basins(poly, 10)
     radius = escape_radius(poly)
     interior = [(cyc[0], rho[0]) for cyc in attracting_cycles(classify(poly))
-                if (rho := trapping_radius(poly, cyc, radius)) is not None]
+                if (rho := trapping_radius(poly, cyc)) is not None]
     _check_escape(poly, interior, 10)
     _check_escape(poly, (), 10)
     # 7 pixels a row, the first row outside the escape disc: with tiles of

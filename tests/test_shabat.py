@@ -15,6 +15,14 @@ from dessinjulia.shabat import (ExhaustedError, NoZapponiFormError,
                                 zapponi_normalize)
 
 
+def _vertices(sol, black=None):
+    """The arguments of _identify_from_vertices for a solution's vertices,
+    or for its whites with other black clusters."""
+    return (*(([v.location for v in vs], [v.multiplicity for v in vs])
+              for vs in (sol.white, sol.black if black is None else black)),
+            sol.leading)
+
+
 _DEGENERATE = (r"^degenerate vertex sums \(t\*sum\(x\) = s\*sum\(y\)\); "
                r"tree has no Zapponi form$")
 
@@ -104,8 +112,8 @@ def test_no_zapponi_form_degenerate_nonsymmetric():
     assert not symmetry_flags(tree)["rotational"]
     with pytest.raises(NoZapponiFormError, match=_DEGENERATE):
         solve_tree(tree)
-    monic, _, _ = shabat._vertex_polynomial(
-        *shabat._degrees(tree), *shabat._solve_tree_alt(tree, {}), 1.0)
+    x, _ = shabat._solve_tree_alt(tree, {})
+    monic = poly_from_roots(x, shabat._degrees(tree)[0]) + 1.0
     with pytest.raises(NoZapponiFormError, match=_DEGENERATE):
         zapponi_normalize(monic)
 
@@ -303,8 +311,7 @@ def test_a_seed_whose_lift_fails_is_skipped(monkeypatch):
     tree = parse_plane_code(_ANCHOR)
     sol = solve_tree(tree)
     assert len(calls) > 1
-    assert plane_code(identify(sol.poly, sol.white, sol.black)) == \
-        plane_code(tree)
+    assert plane_code(identify(*_vertices(sol))) == plane_code(tree)
 
 
 def test_the_one_tree_rule_is_the_passport_count():
@@ -420,7 +427,7 @@ def test_lifting_newton_work_on_the_seven_edge_catalog(monkeypatch):
 
     monkeypatch.setattr(shabat, "_product_form", counted)
     for sol in sols:
-        shabat._identify_from_vertices(sol.poly, sol.white, sol.black)
+        shabat._identify_from_vertices(*_vertices(sol))
     assert len(calls) <= 2500, len(calls)
 
 
@@ -440,7 +447,7 @@ def test_lifting_steps_around_a_degree_13_hub(monkeypatch, family):
         return to_level(z, v, *args)
 
     monkeypatch.setattr(shabat, "_to_level", counted)
-    shabat._identify_from_vertices(sol.poly, sol.white, sol.black)
+    shabat._identify_from_vertices(*_vertices(sol))
     # after the start, one call per step; a halved step retries lower
     steps = levels[1:]
     assert all(b > a for a, b in zip(steps, steps[1:])), "halved a step"
@@ -509,12 +516,12 @@ def test_lifts_must_meet_at_the_zeros_of_p():
     # distance to the nearest other zero
     tree = parse_plane_code("W((()()())())")
     sol = solve_tree(tree)
-    got = shabat._identify_from_vertices(sol.poly, sol.white, sol.black)
+    got = shabat._identify_from_vertices(*_vertices(sol))
     assert plane_code(got) == plane_code(tree)
     moved = [RootCluster(b.location + 1e-3, b.multiplicity)
              for b in sol.black]
     with pytest.raises(PathLiftingError, match="do not meet"):
-        shabat._identify_from_vertices(sol.poly, sol.white, moved)
+        shabat._identify_from_vertices(*_vertices(sol, moved))
 
 
 @pytest.fixture(scope="module")
@@ -536,7 +543,7 @@ def _lift(sol, dp_factor):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shabat, "_product_form", scaled)
-        tree = shabat._identify_from_vertices(sol.poly, sol.white, sol.black)
+        tree = shabat._identify_from_vertices(*_vertices(sol))
     return plane_code(tree), len(calls)
 
 
@@ -565,7 +572,7 @@ def test_lift_refuses_coincident_vertices(anchor):
     black = [RootCluster(anchor.white[0].location,
                          anchor.black[0].multiplicity), *anchor.black[1:]]
     with pytest.raises(PathLiftingError, match="coincident vertices"):
-        shabat._identify_from_vertices(anchor.poly, anchor.white, black)
+        shabat._identify_from_vertices(*_vertices(anchor, black))
 
 
 def test_identify_rejects_non_shabat():
