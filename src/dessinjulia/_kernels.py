@@ -17,16 +17,20 @@ batched Aberth step works on a (d, rows) array, root i of every row one
 contiguous vector: one Horner pass gives p and p', each pair i < j is
 reciprocated once for the pair sums of both its points, and the correction
 is p / (p' - p s), one division; zero differences (two equal points) are
-repaired only when the sums come out non-finite.  Both renderers run one
-first-entry loop (``render_basin_grid``) over the pixels still live,
-testing trap distances only inside the traps' bounding box; escape time is
-that loop with no traps.  Each step of the loop goes over the live pixels in tiles of _TILE
-points and does all its work on a tile (Horner step, tests, writes and
-moving the survivors down in place) while the tile is still in cache: a
-400x400 grid's values are 2.5 MB, more than an L2 cache holds.  An escape
-raster drops a pixel unwritten once it lies in a disc that p provably maps
-into a chain of discs around an attracting cycle, inside the escape disc:
-its orbit can never escape.
+repaired only when the sums come out non-finite.  Every array Horner
+evaluation (``_polyval``, ``_polyval2``) starts from one multiply,
+c[-1] z + c[-2], and runs its later steps in place.  Both renderers run one
+first-entry loop (``render_basin_grid``) over the pixels still live;
+escape time is that loop with no traps.  Each step of the loop goes over
+the live pixels in tiles of _TILE points and does all its work on a tile
+(Horner step, tests, writes and moving the survivors down in place) while
+the tile is still in cache: a 400x400 grid's values are 2.5 MB, more than
+an L2 cache holds.  Its trap test takes two stages: one pass picks the
+points in the traps' imaginary band, and only those are tested on the real
+range and by one membership matrix that decides every trap at once.  An
+escape raster drops a pixel unwritten once it lies in a disc that p
+provably maps into a chain of discs around an attracting cycle, inside the
+escape disc: its orbit can never escape.
 """
 
 from __future__ import annotations
@@ -39,9 +43,13 @@ import numpy as np
 
 
 def _polyval(c, z):
-    """p(z) elementwise for an array z, accumulated in place."""
-    acc = np.full_like(z, c[-1], dtype=np.complex128)
-    for i in range(len(c) - 2, -1, -1):
+    """p(z) elementwise for an array z: the first Horner step c[-1] z +
+    c[-2] makes the accumulator, the later ones run in place."""
+    if len(c) == 1:
+        return np.full_like(z, c[0], dtype=np.complex128)
+    acc = np.multiply(c[-1], z)
+    acc += c[-2]
+    for i in range(len(c) - 3, -1, -1):
         acc *= z
         acc += c[i]
     return acc
@@ -50,9 +58,13 @@ def _polyval(c, z):
 def _polyval2(c, dc, z):
     """p(z) and p'(z) in one Horner pass, dc the coefficients of p'; each
     is accumulated as ``_polyval`` does, so both match it bit for bit."""
-    p = np.full_like(z, c[-1], dtype=np.complex128)
-    dp = np.full_like(z, dc[-1], dtype=np.complex128)
-    for i in range(len(dc) - 2, -1, -1):
+    if len(dc) == 1:
+        return _polyval(c, z), _polyval(dc, z)
+    p = np.multiply(c[-1], z)
+    p += c[-2]
+    dp = np.multiply(dc[-1], z)
+    dp += dc[-2]
+    for i in range(len(dc) - 3, -1, -1):
         p *= z
         p += c[i + 1]
         dp *= z
@@ -116,7 +128,11 @@ def _aberth_iterate(c, dc, w, z, maxiter, tol):
     or an overflow) takes no step.  A row stops when its largest relative
     correction falls below tol.  Two equal points make their pair sums
     non-finite; only then are the sums taken again with the zero
-    differences repaired."""
+    differences repaired.  Both repairs are guarded by one sum over the
+    array, not a test of every entry: a non-finite entry makes the sum
+    non-finite, and a sum that overflows from finite entries only takes
+    the repair, which changes nothing when no difference is zero and no
+    correction is non-finite, so the bits are those of a test per entry."""
     out = np.empty_like(w)
     w = w.T.copy()
     rows = np.arange(len(out))
@@ -125,12 +141,13 @@ def _aberth_iterate(c, dc, w, z, maxiter, tol):
             p, dp = _polyval2(c, dc, w)
             p -= z
             s = _pair_sums(w, False)
-            if not np.isfinite(s).all():
+            if not np.isfinite(s.sum()):
                 s = _pair_sums(w, True)
             s *= p
             np.subtract(dp, s, out=s)
             corr = np.divide(p, s, out=p)
-            corr[~np.isfinite(corr)] = 0.0
+            if not np.isfinite(corr.sum()):
+                corr[~np.isfinite(corr)] = 0.0
             w -= corr
             done = (np.abs(corr) / (1.0 + np.abs(w))).max(axis=0) < tol
             if done.any():
@@ -210,18 +227,26 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
                       interior=()):
     """Per pixel, the first step at which the orbit leaves the disc of the
     given radius (attractor id 0) or comes within trap_r of traps[t]
-    (attractor id groups[t] + 1); -1 and 0 if neither within max_iter.
+    (attractor id groups[t] + 1, the lowest such t); -1 and 0 if neither
+    within max_iter.
 
     The loop runs over the live pixels only: their values and flat pixel
     indices sit at the front of two 1-D arrays, z and pix.  Each step goes
     over them in tiles of _TILE points and, while a tile is still in cache,
     takes its Horner step, tests it, writes the pixels that entered through
     their indices and moves the survivors down to the front of z and pix
-    (never past the tile, so nothing is overwritten before it is read).
-    The trap distances are taken only for the live pixels inside the traps'
-    bounding box widened by 2 trap_r, whose corners are compared with
-    directly: every pixel within trap_r of a trap in floating point passes
-    that test.  ``interior`` is a list of (centre, rho) discs whose orbits
+    (never past the tile, so nothing is overwritten before it is read); a
+    tile that drops nothing while nothing has moved down stays where it
+    is.  The traps are tested in two stages.  One ``flatnonzero`` picks the
+    tile's points inside the imaginary band of the traps' bounding box
+    widened by 2 trap_r, and only those are tested on its real range and
+    for not having escaped: every pixel within trap_r of a trap in floating
+    point passes both, as the box's edges are compared with directly.  One
+    membership matrix |z - traps[t]| <= trap_r, a row per trap and a
+    column per point left, then decides every trap at once, the first True
+    of a column its lowest-index trap.  It is taken in blocks of trap rows
+    of at most _TILE entries, and a point that hits leaves the later
+    blocks.  ``interior`` is a list of (centre, rho) discs whose orbits
     provably never leave the escape disc (``dynamics.trapping_radius``); a
     pixel with |z - centre| <= rho(1 - 1e-9) is dropped unwritten, as the
     full loop would also leave it at -1.  Only an escape raster may pass
@@ -240,39 +265,53 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
     z = z.ravel()
     steps = np.full(z.size, -1, dtype=np.int32)
     which = np.zeros(z.size, dtype=np.int16)
-    pix = np.arange(z.size)
+    pix = np.arange(z.size, dtype=np.int32)
     live = z.size
-    for it in range(max_iter + 1):
-        m = 0
-        for a in range(0, live, _TILE):
-            b = min(a + _TILE, live)
-            pt = pix[a:b]
-            with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
+        for it in range(max_iter + 1):
+            m = 0
+            for a in range(0, live, _TILE):
+                b = min(a + _TILE, live)
+                pt = pix[a:b]
                 zt = _polyval(c, z[a:b]) if it else z[a:b]
                 done = ~(np.abs(zt) <= radius)
-            if len(traps):
-                near = np.flatnonzero(~done & (zt.real >= x0)
-                                      & (zt.real <= x1) & (zt.imag >= y0)
-                                      & (zt.imag <= y1))
-                zn = zt[near]
-                for t in range(len(traps)):
-                    hit = near[np.abs(zn - traps[t]) <= trap_r]
-                    hit = hit[~done[hit]]
-                    which[pt[hit]] = groups[t] + 1
-                    done[hit] = True
-            drop = done
-            for centre, rho in discs:
-                drop = drop | (np.abs(zt - centre) <= rho)
-            if drop.any():
-                steps[pt[done]] = it
-                keep = ~drop
-                zt, pt = zt[keep], pt[keep]
-            z[m:m + zt.size] = zt
-            pix[m:m + pt.size] = pt
-            m += zt.size
-        live = m
-        if not live:
-            break
+                if len(traps):
+                    near = np.flatnonzero((zt.imag >= y0) & (zt.imag <= y1))
+                    zn = zt[near]
+                    box = (zn.real >= x0) & (zn.real <= x1) & ~done[near]
+                    near, zn = near[box], zn[box]
+                    t0 = 0
+                    while len(near) and t0 < len(traps):
+                        t1 = t0 + max(1, _TILE // len(near))
+                        inside = np.abs(zn - traps[t0:t1, None]) <= trap_r
+                        hit = inside.any(axis=0)
+                        if hit.any():
+                            first = t0 + inside[:, hit].argmax(axis=0)
+                            h = near[hit]
+                            which[pt[h]] = groups[first] + 1
+                            done[h] = True
+                            if t1 < len(traps):
+                                near, zn = near[~hit], zn[~hit]
+                        t0 = t1
+                drop = done
+                for centre, rho in discs:
+                    drop = drop | (np.abs(zt - centre) <= rho)
+                if drop.any():
+                    steps[pt[done]] = it
+                    keep = ~drop
+                    zt, pt = zt[keep], pt[keep]
+                elif m == a:
+                    # nothing dropped here or before: the tile stays put
+                    if it:
+                        z[a:b] = zt
+                    m = b
+                    continue
+                z[m:m + zt.size] = zt
+                pix[m:m + pt.size] = pt
+                m += zt.size
+            live = m
+            if not live:
+                break
     return steps.reshape(shape), which.reshape(shape)
 
 

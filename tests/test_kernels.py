@@ -72,6 +72,48 @@ def test_polyval2_is_polyval_bit_for_bit(poly):
     assert dp.tobytes() == K._polyval(dc, w).tobytes()
 
 
+def _horner_targets():
+    """Complex points with inf and NaN entries in a (3, 257) array, and
+    their real parts as a real-valued array."""
+    w = np.random.default_rng(5).normal(size=(2, 3, 257))
+    z = 3.0 * (w[0] + 1j * w[1])
+    z[0, :6] = [complex(np.inf, 0.0), complex(np.nan, 1.0),
+                complex(1.0, np.inf), complex(-np.inf, np.nan),
+                1e300 + 1e300j, complex(0.0, -np.inf)]
+    return z, z.real.copy()
+
+
+def _same_values(got, want, z):
+    """got holds want broadcast to z's shape, to the last bit."""
+    want = np.broadcast_to(np.asarray(want, dtype=np.complex128), z.shape)
+    return got.dtype == np.complex128 and got.shape == z.shape \
+        and got.tobytes() == want.tobytes()
+
+
+def _check_horner_start(c):
+    """_polyval and _polyval2 against ``_horner`` run on whole arrays: one
+    new array per Horner step, the first one c[-1] z + c[-2]."""
+    c = np.asarray(c, dtype=np.complex128)
+    dc = _derivative(c)
+    for z in _horner_targets():
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert _same_values(K._polyval(c, z), K._horner(c, z), z)
+            if len(dc):
+                p, dp = K._polyval2(c, dc, z)
+                assert _same_values(p, K._horner(c, z), z)
+                assert _same_values(dp, K._horner(dc, z), z)
+
+
+@pytest.mark.parametrize("c", [[2 - 1j], [0.5, -1.5 + 2j],
+                               [1.0, 0.0, -1.0 + 0.3j]])
+def test_polyval_of_low_degree_is_horner_bit_for_bit(c):
+    _check_horner_start(c)
+
+
+def test_polyval_is_horner_bit_for_bit(poly):
+    _check_horner_start(poly.as_array())
+
+
 def test_aberth_start_radius_fits_the_roots():
     # the 7-edge anchor tree's Zapponi polynomial leads with 5.5e-10 while
     # its roots and those of p(w) - z lie within |w| <= 33: the start circle
@@ -364,6 +406,39 @@ def test_render_edge_grids():
         steps = _basin_pair(q1.as_array(), xs, ys, 200, escape_radius(q1),
                             traps, groups, trap_r)
         assert (steps > 0).any()
+
+
+@pytest.mark.parametrize("tile", [2, 3, K._TILE])
+def test_render_trap_stages(poly, tile, monkeypatch):
+    # the band and box stages and the membership matrix against the plain
+    # loop; tiles of 2 or 3 points split the matrix into blocks of one or
+    # two traps, so a point that hits one block must leave the later ones
+    monkeypatch.setattr(K, "_TILE", tile)
+    c = poly.as_array()
+    radius = escape_radius(poly)
+    xs, ys = np.linspace(-1.2, 1.2, 13), np.linspace(-0.9, 1.0, 11)
+    # traps spread over the plane: the band holds most of the grid
+    traps = [1, 1j] @ np.random.default_rng(8).uniform(-1.2, 1.2, (2, 30))
+    groups = np.arange(30, dtype=np.int16)
+    steps = _basin_pair(c, xs, ys, 40, radius, traps, groups, 0.15)
+    assert (steps == 0).sum() > 20
+    # two traps 0.12 apart, trap radius 0.1: the pixel between them is in
+    # both discs and enters the lower-index one
+    pixel = complex(xs[6], ys[5])
+    for order in (1, -1):
+        pair = np.array([pixel - 0.06, pixel + 0.06])[::order]
+        which = K.render_basin_grid(c, xs, ys, 40, radius, pair,
+                                    np.array([4, 7], dtype=np.int16), 0.1)[1]
+        assert which[5, 6] == 5
+        _basin_pair(c, xs, ys, 40, radius, pair,
+                    np.array([4, 7], dtype=np.int16), 0.1)
+    # traps whose band spans the grid but whose real range lies outside
+    # it: live pixels pass the band and none hits
+    far = np.array([60 - 1j, 60 + 1j, 61 + 0j])
+    steps = _basin_pair(c, xs, ys, 40, radius, far,
+                        np.zeros(3, dtype=np.int16), 0.1)
+    np.testing.assert_array_equal(
+        steps, K.render_escape_grid(c, xs, ys, 40, radius))
 
 
 def _first_entry_plain(c, xs, ys, max_iter, radius, traps, groups, trap_r):
