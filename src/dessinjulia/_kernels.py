@@ -3,16 +3,13 @@
 Aberth and the render loop are vectorized numpy.  The orbit kernels follow
 one point in plain Python complex arithmetic, one Horner step at a time:
 Brent's cycle search (``orbit_brent``, its steps written out in the loop)
-and Newton on p^k(z) - z from one seed (``newton_periodic``).  There is
-one Aberth driver, ``preimages``:
-each level of the backward tree of a fixed point z0 (``cloud_chains``) is
-one batched solve, and ``aberth_roots`` is its one-row case.  z0 is one of
-its own preimages, so the block of level k below it is a copy of level
-k-1: a full or sampled level k >= 2 reads its points there from level k-1
-and solves only the distinct parents of the others.  A solve of
-_CHUNK rows or more is warm-started: its rows are sorted along a Morton
-curve, every _STRIDE-th is solved cold from the Fujiwara circle, and the
-others start from their leader's roots moved by one predictor step.  A
+and Newton on p^k(z) - z from one seed (``newton_periodic``).  One Aberth
+iteration runs in batches of _CHUNK rows: ``preimages`` starts each row
+cold and ``aberth_roots`` is its one-row case.  In the backward tree of a
+fixed point z0 (``cloud_chains``, one batched solve per level), level k-1
+holds level k-2 with the roots of each of its points, as z0 is one of its
+own preimages: from level 2 on a row starts from the roots of its nearest
+such anchor, moved by one predictor step (``_anchored``).  A
 batched Aberth step works on a (d, rows) array, root i of every row one
 contiguous vector: one Horner pass gives p and p', each pair i < j is
 reciprocated once for the pair sums of both its points, and the correction
@@ -42,15 +39,16 @@ import numpy as np
 # ---------------------------------------------------------------- polyval
 
 
-def _polyval(c, z):
+def _polyval(c, z, out=None):
     """p(z) elementwise for an array z: the first Horner step c[-1] z +
-    c[-2] makes the accumulator, the later ones run in place."""
+    c[-2] makes the accumulator, the later ones run in place, and for p not
+    constant the last one writes into out when given (out may be z)."""
     if len(c) == 1:
         return np.full_like(z, c[0], dtype=np.complex128)
-    acc = np.multiply(c[-1], z)
+    acc = np.multiply(c[-1], z, out=out if len(c) == 2 else None)
     acc += c[-2]
     for i in range(len(c) - 3, -1, -1):
-        acc *= z
+        acc = np.multiply(acc, z, out=acc if i or out is None else out)
         acc += c[i]
     return acc
 
@@ -162,7 +160,7 @@ def _aberth_iterate(c, dc, w, z, maxiter, tol):
 
 def aberth_roots(coeffs):
     """All roots of the dense ascending-coefficient polynomial at once: the
-    one-row case of ``preimages`` (p(w) = 0)."""
+    one-row case of ``preimages`` (p(w) = 0), solved cold."""
     c = np.asarray(coeffs, dtype=np.complex128)
     n = len(c) - 1
     if n < 1:
@@ -233,24 +231,25 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
     The loop runs over the live pixels only: their values and flat pixel
     indices sit at the front of two 1-D arrays, z and pix.  Each step goes
     over them in tiles of _TILE points and, while a tile is still in cache,
-    takes its Horner step, tests it, writes the pixels that entered through
-    their indices and moves the survivors down to the front of z and pix
-    (never past the tile, so nothing is overwritten before it is read); a
-    tile that drops nothing while nothing has moved down stays where it
-    is.  The traps are tested in two stages.  One ``flatnonzero`` picks the
-    tile's points inside the imaginary band of the traps' bounding box
-    widened by 2 trap_r, and only those are tested on its real range and
-    for not having escaped: every pixel within trap_r of a trap in floating
-    point passes both, as the box's edges are compared with directly.  One
-    membership matrix |z - traps[t]| <= trap_r, a row per trap and a
-    column per point left, then decides every trap at once, the first True
-    of a column its lowest-index trap.  It is taken in blocks of trap rows
-    of at most _TILE entries, and a point that hits leaves the later
-    blocks.  ``interior`` is a list of (centre, rho) discs whose orbits
-    provably never leave the escape disc (``dynamics.trapping_radius``); a
-    pixel with |z - centre| <= rho(1 - 1e-9) is dropped unwritten, as the
-    full loop would also leave it at -1.  Only an escape raster may pass
-    discs: a basin pixel inside one would still enter a trap later."""
+    takes its Horner step (the last multiply and add writing into z), tests
+    it, writes the pixels that entered through their indices and moves the
+    survivors down to the front of z and pix (never past the tile, so
+    nothing is overwritten before it is read); a tile that drops nothing
+    while nothing has moved down stays where it is, not copied.  The traps
+    are tested in two stages.  One ``flatnonzero`` picks the tile's points
+    inside the imaginary band of the traps' bounding box widened by 2
+    trap_r, and only those are tested on its real range and for not having
+    escaped: every pixel within trap_r of a trap in floating point passes
+    both, as the box's edges are compared with directly.  One membership
+    matrix |z - traps[t]| <= trap_r, a row per trap and a column per point
+    left, then decides every trap at once, the first True of a column its
+    lowest-index trap.  It is taken in blocks of trap rows of at most _TILE
+    entries, and a point that hits leaves the later blocks.  ``interior`` is
+    a list of (centre, rho) discs whose orbits provably never leave the
+    escape disc (``dynamics.trapping_radius``); a pixel with |z - centre| <=
+    rho(1 - 1e-9) is dropped unwritten, as the full loop would also leave it
+    at -1.  Only an escape raster may pass discs: a basin pixel inside one
+    would still enter a trap later."""
     c = np.asarray(coeffs, dtype=np.complex128)
     traps = np.asarray(traps, dtype=np.complex128)
     groups = np.asarray(groups, dtype=np.int16)
@@ -273,7 +272,7 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
             for a in range(0, live, _TILE):
                 b = min(a + _TILE, live)
                 pt = pix[a:b]
-                zt = _polyval(c, z[a:b]) if it else z[a:b]
+                zt = _polyval(c, z[a:b], z[a:b]) if it else z[a:b]
                 done = ~(np.abs(zt) <= radius)
                 if len(traps):
                     near = np.flatnonzero((zt.imag >= y0) & (zt.imag <= y1))
@@ -302,8 +301,6 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
                     zt, pt = zt[keep], pt[keep]
                 elif m == a:
                     # nothing dropped here or before: the tile stays put
-                    if it:
-                        z[a:b] = zt
                     m = b
                     continue
                 z[m:m + zt.size] = zt
@@ -325,7 +322,6 @@ def render_escape_grid(coeffs, xs, ys, max_iter, radius, interior=()):
 # ------------------------------------------------------------ backward tree
 
 _CHUNK = 1024  # rows per batched Aberth solve; bounds its (d, rows) arrays
-_STRIDE = 16   # a warm solve takes every _STRIDE-th Morton-sorted row cold
 
 
 def _morton(ix, iy):
@@ -342,11 +338,13 @@ def _morton(ix, iy):
     return spread(ix) | (spread(iy) << np.uint64(1))
 
 
-def _cold(c, dc, z):
-    """All d roots of p(w) = z[r] for every row r, as a (len(z), d) array,
-    in batches of _CHUNK rows.  Each row starts on a circle at the Fujiwara
-    bound of p(w) - z[r]."""
+def preimages(coeffs, z):
+    """All d roots of p(w) = z[r] for every r, as a (len(z), d) array, in
+    batches of _CHUNK rows.  Each row starts cold, on a circle at the
+    Fujiwara bound of p(w) - z[r]."""
+    c = np.asarray(coeffs, dtype=np.complex128)
     d = len(c) - 1
+    dc = c[1:] * np.arange(1, d + 1)
     circle = np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.77))
     out = np.empty((len(z), d), dtype=np.complex128)
     for i in range(0, len(z), _CHUNK):
@@ -356,50 +354,47 @@ def _cold(c, dc, z):
     return out
 
 
-def preimages(coeffs, z):
-    """All d roots of p(w) = z[r] for every r, as a (len(z), d) array.
+def _anchored(c, dc, z, a, ra):
+    """``preimages`` of z, given the roots ra[j] of p(w) = a[j] of anchors a.
 
-    Fewer than _CHUNK rows are one ``_cold`` solve.  From _CHUNK rows on
-    the solve is warm-started: the rows are sorted by the Morton key of z,
-    every _STRIDE-th sorted row (a leader) is solved cold, and each other
-    row starts from the roots w of its leader z_lead, moved by one
-    predictor step (z - z_lead) / p'(w), since nearby targets have
-    nearby preimage sets.  Those rows take the same Aberth iteration and
-    stop rule, in batches of _CHUNK; a row left with a residual above
-    1e-8(|z| + 1) is solved again cold.  Only the order of the d roots
-    inside a row depends on the path taken."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    deg = len(c) - 1
-    dc = c[1:] * np.arange(1, deg + 1)
-    n = len(z)
-    if n < _CHUNK:
-        return _cold(c, dc, z)
-    x, y = z.real - z.real.min(), z.imag - z.imag.min()
-    extent = max(x.max(), y.max())
+    A row starts from the roots w of its nearest anchor a along one Morton
+    sort of targets and anchors (the nearer of the two beside it), moved by
+    one predictor step (z - a) / p'(w).  The anchors are sorted once, the
+    targets keyed per batch of _CHUNK rows.  A row left with a residual
+    above 1e-8(|z| + 1) is solved again by ``preimages``.  Only the order
+    of the d roots inside a row depends on the start."""
+    x0 = z.real.min(initial=a.real.min())
+    y0 = z.imag.min(initial=a.imag.min())
+    extent = max(z.real.max(initial=a.real.max()) - x0,
+                 z.imag.max(initial=a.imag.max()) - y0)
     scale = (2 ** 20 - 1) / extent if extent > 0 else 0.0
-    order = np.argsort(_morton(np.floor(x * scale).astype(np.int64),
-                               np.floor(y * scale).astype(np.int64)))
-    zs = z[order]
-    out = np.empty((n, deg), dtype=np.complex128)
-    lead = _cold(c, dc, zs[::_STRIDE])
-    out[order[::_STRIDE]] = lead
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = 1.0 / _polyval(dc, lead)
-    # a leader root at a critical point takes no predictor step
-    step[~np.isfinite(step)] = 0.0
-    rows = np.flatnonzero(np.arange(n) % _STRIDE)
-    bad = []
-    for i in range(0, len(rows), _CHUNK):
-        r = rows[i:i + _CHUNK]
-        k = r // _STRIDE
-        start = lead[k] + (zs[r] - zs[k * _STRIDE])[:, None] * step[k]
-        w = _aberth_iterate(c, dc, start, zs[r], 80, 1e-13)
-        resid = np.abs(_polyval(c, w) - zs[r, None]).max(axis=1)
-        bad.append(r[~(resid <= 1e-8 * (np.abs(zs[r]) + 1.0))])
-        out[order[r]] = w
-    bad = np.concatenate(bad)
-    if len(bad):
-        out[order[bad]] = _cold(c, dc, zs[bad])
+
+    def key(v):
+        return _morton(np.floor((v.real - x0) * scale).astype(np.int64),
+                       np.floor((v.imag - y0) * scale).astype(np.int64))
+
+    keys = key(a)
+    order = np.argsort(keys)
+    keys = keys[order]
+    out = np.empty((len(z), len(c) - 1), dtype=np.complex128)
+    fail = np.zeros(len(z), dtype=bool)
+    for i in range(0, len(z), _CHUNK):
+        zi = z[i:i + _CHUNK]
+        j = np.searchsorted(keys, key(zi))
+        lo, hi = order[np.maximum(j - 1, 0)], order[np.minimum(j, len(a) - 1)]
+        near = np.where(np.abs(zi - a[lo]) <= np.abs(zi - a[hi]), lo, hi)
+        w = ra[near]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = 1.0 / _polyval(dc, w)
+        # an anchor root at a critical point takes no predictor step
+        step[~np.isfinite(step)] = 0.0
+        w = _aberth_iterate(c, dc, w + (zi - a[near])[:, None] * step, zi,
+                            80, 1e-13)
+        resid = np.abs(_polyval(c, w) - zi[:, None]).max(axis=1)
+        fail[i:i + _CHUNK] = ~(resid <= 1e-8 * (np.abs(zi) + 1.0))
+        out[i:i + _CHUNK] = w
+    if fail.any():
+        out[fail] = preimages(c, z[fail])
     return out
 
 
@@ -414,10 +409,12 @@ def cloud_chains(coeffs, z0, depth, pick=None):
     1e-8(1 + |z0|) of it.  The points of level k below that root, the block
     [j0 d^(k-1), (j0 + 1) d^(k-1)), are then level k-1 itself in layout
     order, so from level 2 on a point in the block is read from level k-1
-    and ``preimages`` solves the distinct parents of the others once each,
-    in ascending order."""
+    and ``_anchored`` solves the distinct parents of the others once each,
+    in ascending order.  Its anchors are the block of level k-1 (level k-2),
+    whose point i has the roots [d*i, d*i + d) of level k-1."""
     c = np.asarray(coeffs, dtype=np.complex128)
     d = len(c) - 1
+    dc = c[1:] * np.arange(1, d + 1)
     level = preimages(c, np.array([z0], dtype=np.complex128))[0]
     gap = np.abs(level - z0)
     j0 = int(gap.argmin())
@@ -435,7 +432,9 @@ def cloud_chains(coeffs, z0, depth, pick=None):
         solve = np.zeros(n, dtype=bool)
         solve[parent] = True
         row = np.cumsum(solve)[parent] - 1
-        level[~inside] = preimages(c, top[solve])[row, root]
+        m = n // d
+        level[~inside] = _anchored(c, dc, top[solve], top[j0 * m:(j0 + 1) * m],
+                                   top.reshape(m, d))[row, root]
         levels.append(level)
     return levels[:depth]
 

@@ -335,7 +335,8 @@ def _log_sum_exp(x):
 def _step_root(prev, cur):
     """Bisection root on (0, 2) of P_k(s) - P_(k-1)(s), where P_k(s) =
     log sum exp(-s L) over the log-derivatives L of level k; None when s = 2
-    does not bracket it (the difference is log d > 0 at s = 0)."""
+    does not bracket it (the difference is log d > 0 at s = 0).  Once the
+    midpoint is lo or hi, no later step of the 60 moves them."""
     def f(s):
         return _log_sum_exp(-s * cur) - _log_sum_exp(-s * prev)
     lo, hi = 0.0, 2.0
@@ -343,10 +344,9 @@ def _step_root(prev, cur):
         return None
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+        if not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
     return 0.5 * (lo + hi), hi - lo
 
 

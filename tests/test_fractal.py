@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from dessinjulia import fractal
-from dessinjulia._kernels import _morton
+from dessinjulia._kernels import _morton, cloud_chains
 from dessinjulia.dynamics import classify
 from dessinjulia.fractal import (DimensionEstimate, FractalError,
                                  _box_ladder, box_dim, julia_cloud,
                                  pressure_dim, render_basins, render_escape,
                                  repelling_fixed_point)
 from dessinjulia.plane_tree import parse_plane_code
-from dessinjulia.polynomial import ComplexPoly
+from dessinjulia.polynomial import ComplexPoly, derivative, evaluate
 from dessinjulia.shabat import solve_tree
 from test_acceptance import QUINTICS
 
@@ -369,3 +369,53 @@ def test_pressure_dim_confidence_on_the_quintics():
     for q in (QUINTICS[0], QUINTICS[1], QUINTICS[3], QUINTICS[4]):
         d = pressure_dim(q)
         assert d.confidence == "low" and 0.0 < d.value < 2.0
+
+
+def _full_bisection(prev, cur):
+    """``_step_root`` as 60 bisection steps with no early end."""
+    def f(s):
+        return (fractal._log_sum_exp(-s * cur)
+                - fractal._log_sum_exp(-s * prev))
+    lo, hi = 0.0, 2.0
+    if not f(hi) < 0:
+        return None
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), hi - lo
+
+
+def test_step_root_is_the_full_bisection_bit_for_bit():
+    # the bisection ends once the midpoint is lo or hi, and the root and
+    # bracket width keep their bits: on the depths of pressure_dim on z^2,
+    # the section-4 quintics and the 7-edge anchor tree, and on random
+    # log-derivative levels
+    t7 = solve_tree(parse_plane_code("W((())())()(())")).poly
+    cases = []
+    for p, depth in [(SQUARE, 9), *[(q, 3) for q in QUINTICS], (t7, 2)]:
+        dp = derivative(p)
+        prev = np.zeros(1)
+        for level in cloud_chains(p.as_array(), repelling_fixed_point(p),
+                                  depth):
+            cur = (np.repeat(prev, p.degree)
+                   + np.log(np.abs(evaluate(dp, level))))
+            cases.append((prev, cur))
+            prev = cur
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        d = int(rng.integers(2, 8))
+        prev = rng.normal(0.0, 1.0, d ** int(rng.integers(0, 3)))
+        mu = rng.uniform(0.3, 3.0) * np.log(d)
+        cases.append((prev, np.repeat(prev, d)
+                      + rng.normal(mu, rng.uniform(0.0, 2.0), len(prev) * d)))
+    found = 0
+    for prev, cur in cases:
+        got, want = fractal._step_root(prev, cur), _full_bisection(prev, cur)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            found += 1
+    assert found > 200

@@ -2,7 +2,7 @@
 ``np.roots``, Brent's orbit kernel against a replay with
 ``polynomial.evaluate``, the render loop against a plain-Python first-entry
 loop and periodic Newton against the roots of p(p(z)) - z; and the
-backward-tree kernel solves p(w) = z level by level, its warm-started
+backward-tree kernel solves p(w) = z level by level, its anchored
 solve against the cold one."""
 
 import numpy as np
@@ -473,9 +473,9 @@ def _counting_polyval(monkeypatch):
     sizes = []
     polyval = K._polyval
 
-    def counting(c, z):
+    def counting(c, z, out=None):
         sizes.append(z.size)
-        return polyval(c, z)
+        return polyval(c, z, out)
 
     monkeypatch.setattr(K, "_polyval", counting)
     return sizes
@@ -556,8 +556,8 @@ def test_interior_exit_saves_most_steps_on_q2(monkeypatch):
 
 def test_backward_tree(poly):
     # the deepest level of each polynomial solves at least 2 * _CHUNK rows
-    # (the rows of level depth-1 outside the copied block), so it takes the
-    # warm-started path of preimages
+    # (the rows of level depth-1 outside the copied block), so its anchored
+    # solve takes more than one batch
     c = poly.as_array()
     d = poly.degree
     z0 = repelling_fixed_point(poly)
@@ -581,29 +581,50 @@ def test_backward_tree(poly):
         parents = level
 
 
+def _recording(monkeypatch):
+    """Patch the cold and the anchored solve to record, in call order, the
+    name, targets, anchors and anchor roots of each call; returns the
+    list."""
+    calls, preimages, anchored = [], K.preimages, K._anchored
+
+    def cold(c, z):
+        calls.append(("cold", z.copy(), None, None))
+        return preimages(c, z)
+
+    def warm(c, dc, z, a, ra):
+        calls.append(("anchored", z.copy(), a.copy(), ra.copy()))
+        return anchored(c, dc, z, a, ra)
+
+    monkeypatch.setattr(K, "preimages", cold)
+    monkeypatch.setattr(K, "_anchored", warm)
+    return calls
+
+
 def test_backward_tree_copies_the_fixed_points_block(poly, monkeypatch):
     # z0 is the level-1 root j0, so the block [j0 d^(k-1), (j0+1) d^(k-1))
     # of level k is level k-1 bit for bit, and only the other
-    # d^(k-1) - d^(k-2) rows of level k-1 are solved
+    # d^(k-1) - d^(k-2) rows of level k-1 are solved: level 1 cold, each
+    # later level anchored on the block of level k-1 (level k-2 itself),
+    # whose point i has the roots [d i, d i + d) of level k-1
     c = poly.as_array()
     d = poly.degree
     z0 = repelling_fixed_point(poly)
-    rows, preimages = [], K.preimages
-
-    def counting(c, z):
-        rows.append(len(z))
-        return preimages(c, z)
-
-    monkeypatch.setattr(K, "preimages", counting)
+    calls = _recording(monkeypatch)
     depth = {2: 8, 5: 4}.get(d, 3)
     levels = K.cloud_chains(c, z0, depth)
-    assert rows == [1] + [d ** (k - 1) - d ** (k - 2)
-                          for k in range(2, depth + 1)]
+    assert [(name, len(z)) for name, z, _, _ in calls] == \
+        [("cold", 1)] + [("anchored", d ** (k - 1) - d ** (k - 2))
+                         for k in range(2, depth + 1)]
     j0 = int(np.flatnonzero(levels[0] == z0)[0])
     for k in range(2, depth + 1):
         n = d ** (k - 1)
         assert levels[k - 1][j0 * n:(j0 + 1) * n].tobytes() == \
             levels[k - 2].tobytes()
+        _, z, a, ra = calls[k - 1]
+        below = levels[k - 3] if k > 2 else np.array([z0])
+        assert a.tobytes() == below.tobytes()
+        assert ra.tobytes() == levels[k - 2].reshape(n // d, d).tobytes()
+        assert not np.isin(z, a).any()
 
 
 def test_julia_cloud_solves_no_parent_in_the_block(poly, monkeypatch):
@@ -616,24 +637,21 @@ def test_julia_cloud_solves_no_parent_in_the_block(poly, monkeypatch):
     j0 = int(np.flatnonzero(levels[0] == z0)[0])
     n = d ** (k - 2)
     block = levels[-1][j0 * n:(j0 + 1) * n]
-    seen, preimages = [], K.preimages
-
-    def recording(c, z):
-        seen.append(z.copy())
-        return preimages(c, z)
-
-    monkeypatch.setattr(K, "preimages", recording)
+    calls = _recording(monkeypatch)
     cloud = fractal.julia_cloud(poly, 3000, rng_seed=5)
+    seen = [z for _, z, _, _ in calls]
     top, drawn = cloud[:d ** (k - 1)], cloud[d ** (k - 1):]
     np.testing.assert_array_equal(top, levels[-1])
     pick = np.random.default_rng(5).choice(d ** k, len(drawn), replace=False)
     inside = pick // d ** (k - 1) == j0
     assert inside.any() and not inside.all()
-    # one solve per level, the last k calls; the deepest is of the distinct
-    # parents outside the block
+    # one solve per level, the last k calls: level 1 cold, the others
+    # anchored; the deepest is of the distinct parents outside the block
     parents = len(np.unique(pick[~inside] // d))
     assert [len(z) for z in seen[-k:]] == \
         [1] + [d ** (j - 1) - d ** (j - 2) for j in range(2, k)] + [parents]
+    assert [name for name, _, _, _ in calls[-k:]] == \
+        ["cold"] + ["anchored"] * (k - 1)
     assert not np.isin(seen[-1], block).any()
     # a draw in the block is its point of level k-1, bit for bit
     assert drawn[inside].tobytes() == \
@@ -679,6 +697,15 @@ def _warm_targets(poly):
     return rng.permutation(z), crit
 
 
+def _anchors(poly, z):
+    """Anchors for the targets z with their cold roots: one target in five,
+    and the critical values of p and +-1 (anchors with multiple roots)."""
+    c = poly.as_array()
+    crit = poly(np.roots(_derivative(c)[::-1]))
+    a = np.concatenate([z[::5], crit, [1.0, -1.0]]).astype(np.complex128)
+    return a, K.preimages(c, a)
+
+
 def _assert_solved(c, w, z):
     """Every row holds finite roots with residual <= 1e-8(|z| + 1)."""
     assert np.isfinite(w).all()
@@ -687,13 +714,15 @@ def _assert_solved(c, w, z):
 
 
 def test_warm_preimages_match_cold(poly):
-    # the warm path against a cold solve of every row: generic rows hold
-    # the cold root set one to one, rows at or next to a critical value
-    # (multiple roots, split by ~1e-6 on both paths) are held to the residual
+    # the anchored solve against a cold solve of every row: generic rows
+    # hold the cold root set one to one, rows at or next to a critical
+    # value (multiple roots, split by ~1e-6 on both paths) are held to the
+    # residual; the targets that are anchors too start at their own roots
     c = poly.as_array()
     z, crit = _warm_targets(poly)
-    warm = K.preimages(c, z)
-    cold = K._cold(c, _derivative(c), z)
+    a, ra = _anchors(poly, z)
+    warm = K._anchored(c, _derivative(c), z, a, ra)
+    cold = K.preimages(c, z)
     _assert_solved(c, warm, z)
     _assert_solved(c, cold, z)
     generic = np.abs(z[:, None] - crit[None, :]).min(axis=1) > 1e-3
@@ -705,65 +734,83 @@ def test_warm_preimages_match_cold(poly):
 
 
 def test_warm_rows_that_fail_are_solved_cold(poly, monkeypatch):
-    # a warm row left above the residual bound (here: every warm row is cut
-    # to one Aberth step) is solved again by the cold solve
+    # an anchored row left above the residual bound (here: every anchored
+    # row is cut to one Aberth step) is solved again by the cold solve
     c = poly.as_array()
     z, _ = _warm_targets(poly)
-    cold, iterate = K._cold, K._aberth_iterate
+    a, ra = _anchors(poly, z)
+    cold, iterate = K.preimages, K._aberth_iterate
     inside, again = [], []
 
-    def flagged(c, dc, z):
-        again.append(len(z))
+    def flagged(c, z):
+        again.append(z.copy())
         inside.append(True)
         try:
-            return cold(c, dc, z)
+            return cold(c, z)
         finally:
             inside.pop()
 
     def cut(c, dc, w, z, maxiter, tol):
         return iterate(c, dc, w, z, maxiter if inside else 1, tol)
 
-    monkeypatch.setattr(K, "_cold", flagged)
+    monkeypatch.setattr(K, "preimages", flagged)
     monkeypatch.setattr(K, "_aberth_iterate", cut)
-    w = K.preimages(c, z)
-    # the leaders, then the failed rows
-    assert len(again) == 2 and again[1] > 0
+    w = K._anchored(c, _derivative(c), z, a, ra)
+    # one cold solve, of the failed rows
+    assert len(again) == 1 and 0 < len(again[0]) <= len(z)
     _assert_solved(c, w, z)
+    failed = np.isin(z, again[0])
+    monkeypatch.undo()
+    np.testing.assert_array_equal(w[failed], K.preimages(c, z[failed]))
 
 
 def test_small_solves_stay_cold(poly):
-    # below _CHUNK rows preimages is one _cold solve, bit for bit,
-    # and aberth_roots is its one-row case at z = 0
+    # preimages is the cold solve, batch by batch from the start circle, bit
+    # for bit; aberth_roots is its one-row case at z = 0, and level 1 of
+    # the backward tree its one row at z0 (with root j0 set to z0)
     c = poly.as_array()
     dc = _derivative(c)
     z, _ = _warm_targets(poly)
-    z = z[:K._CHUNK - 1]
-    np.testing.assert_array_equal(K.preimages(c, z), K._cold(c, dc, z))
+    want = np.concatenate([
+        K._aberth_iterate(c, dc, _start_circle(c, z[i:i + K._CHUNK]),
+                          z[i:i + K._CHUNK], 80, 1e-13)
+        for i in range(0, len(z), K._CHUNK)])
+    np.testing.assert_array_equal(K.preimages(c, z), want)
     np.testing.assert_array_equal(K.aberth_roots(c),
-                                  K._cold(c, dc, np.zeros(1))[0])
+                                  K.preimages(c, np.zeros(1))[0])
+    z0 = repelling_fixed_point(poly)
+    level = K.cloud_chains(c, z0, 1)[0]
+    cold = K.preimages(c, np.array([z0]))[0]
+    differ = level != cold
+    assert differ.sum() <= 1 and (level[differ] == z0).all()
 
 
 def test_warm_cloud_takes_fewer_iterations(monkeypatch):
-    # a regression guard on the warm start: the 50k-point cloud of the
-    # 7-edge anchor tree takes 2.4 Aberth row-iterations per solved row,
-    # 3.2 without the predictor step and 5.7 when every row starts cold
+    # a regression guard on the anchored start: the 50k-point cloud of the
+    # 7-edge anchor tree takes 2.03 Aberth row-iterations per solved row,
+    # 2.96 without the predictor step and 5.65 when every row starts cold
     p = solve_tree(parse_plane_code("W((())())()(())")).poly
     iterations, rows = [0], [0]
-    pair_sums, preimages = K._pair_sums, K.preimages
+    pair_sums, preimages, anchored = K._pair_sums, K.preimages, K._anchored
 
     def counted_sums(w, repair):
         # w is (d, rows): one row-iteration per column
         iterations[0] += w.shape[1]
         return pair_sums(w, repair)
 
-    def counted_rows(c, z):
+    def counted_cold(c, z):
         rows[0] += len(z)
         return preimages(c, z)
 
+    def counted_anchored(c, dc, z, a, ra):
+        rows[0] += len(z)
+        return anchored(c, dc, z, a, ra)
+
     monkeypatch.setattr(K, "_pair_sums", counted_sums)
-    monkeypatch.setattr(K, "preimages", counted_rows)
+    monkeypatch.setattr(K, "preimages", counted_cold)
+    monkeypatch.setattr(K, "_anchored", counted_anchored)
     fractal.julia_cloud(p, 50_000)
-    assert iterations[0] <= 3 * rows[0]
+    assert iterations[0] <= 2.2 * rows[0]
 
 
 def test_newton_periodic(poly):
