@@ -9,7 +9,7 @@ from .dynamics import (CriticalOrbitFate, DynamicsClassification, classify,
                        escape_radius, iterate_orbit)
 from .fractal import (DimensionEstimate, FractalError, Raster, box_dim,
                       julia_cloud, pressure_dim, render_basins, render_escape,
-                      repelling_fixed_point, write_ppm)
+                      repelling_fixed_point)
 from .plane_tree import (BLACK, WHITE, Passport, PlaneTree, PlaneTreeError,
                          enumerate_trees, invert_colors, mirror,
                          parse_plane_code, passport_of, plane_code,

@@ -221,12 +221,11 @@ def orbit_brent(coeffs, z0, max_iter, radius, tol):
 _TILE = 16384
 
 
-def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
+def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, trap_r,
                       interior=()):
     """Per pixel, the first step at which the orbit leaves the disc of the
-    given radius (attractor id 0) or comes within trap_r of traps[t]
-    (attractor id groups[t] + 1, the lowest such t); -1 and 0 if neither
-    within max_iter.
+    given radius or comes within trap_r of a trap; -1 if neither within
+    max_iter.
 
     The loop runs over the live pixels only: their values and flat pixel
     indices sit at the front of two 1-D arrays, z and pix.  Each step goes
@@ -242,8 +241,8 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
     escaped: every pixel within trap_r of a trap in floating point passes
     both, as the box's edges are compared with directly.  One membership
     matrix |z - traps[t]| <= trap_r, a row per trap and a column per point
-    left, then decides every trap at once, the first True of a column its
-    lowest-index trap.  It is taken in blocks of trap rows of at most _TILE
+    left, then decides every trap at once: a point enters if its column
+    holds a True.  It is taken in blocks of trap rows of at most _TILE
     entries, and a point that hits leaves the later blocks.  ``interior`` is
     a list of (centre, rho) discs whose orbits provably never leave the
     escape disc (``dynamics.trapping_radius``); a pixel with |z - centre| <=
@@ -252,7 +251,6 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
     would still enter a trap later."""
     c = np.asarray(coeffs, dtype=np.complex128)
     traps = np.asarray(traps, dtype=np.complex128)
-    groups = np.asarray(groups, dtype=np.int16)
     if len(traps):
         x0, x1 = traps.real.min() - 2 * trap_r, traps.real.max() + 2 * trap_r
         y0, y1 = traps.imag.min() - 2 * trap_r, traps.imag.max() + 2 * trap_r
@@ -263,7 +261,6 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
     z.imag = ys[:, None]
     z = z.ravel()
     steps = np.full(z.size, -1, dtype=np.int32)
-    which = np.zeros(z.size, dtype=np.int16)
     pix = np.arange(z.size, dtype=np.int32)
     live = z.size
     with np.errstate(invalid="ignore", over="ignore"):
@@ -282,13 +279,10 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
                     t0 = 0
                     while len(near) and t0 < len(traps):
                         t1 = t0 + max(1, _TILE // len(near))
-                        inside = np.abs(zn - traps[t0:t1, None]) <= trap_r
-                        hit = inside.any(axis=0)
+                        hit = (np.abs(zn - traps[t0:t1, None])
+                               <= trap_r).any(axis=0)
                         if hit.any():
-                            first = t0 + inside[:, hit].argmax(axis=0)
-                            h = near[hit]
-                            which[pt[h]] = groups[first] + 1
-                            done[h] = True
+                            done[near[hit]] = True
                             if t1 < len(traps):
                                 near, zn = near[~hit], zn[~hit]
                         t0 = t1
@@ -309,14 +303,14 @@ def render_basin_grid(coeffs, xs, ys, max_iter, radius, traps, groups, trap_r,
             live = m
             if not live:
                 break
-    return steps.reshape(shape), which.reshape(shape)
+    return steps.reshape(shape)
 
 
 def render_escape_grid(coeffs, xs, ys, max_iter, radius, interior=()):
     """Escape time: the first-entry loop with no traps, dropping the pixels
     that reach an ``interior`` disc as never escaping."""
-    return render_basin_grid(coeffs, xs, ys, max_iter, radius, (), (), 0.0,
-                             interior)[0]
+    return render_basin_grid(coeffs, xs, ys, max_iter, radius, (), 0.0,
+                             interior)
 
 
 # ------------------------------------------------------------ backward tree

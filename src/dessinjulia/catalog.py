@@ -426,8 +426,12 @@ def _fate_text(fate):
 
 
 def report(store_path=None):
-    """Markdown summary table of every record in the store."""
-    store = Store(store_path)
+    """Markdown summary table of every record in the store; a root with no
+    ``records`` directory is no store, and is not created."""
+    root = store_path or DEFAULT_STORE
+    if not os.path.isdir(os.path.join(root, "records")):
+        raise FileNotFoundError(f"{root} has no records directory")
+    store = Store(root)
     lines = ["| tree | passport | taxonomy | +1 | -1 | connectedness | dims |",
              "|---|---|---|---|---|---|---|"]
     for rec in store.all_records():

@@ -281,6 +281,8 @@ def _cmd_catalog(args, out):
 
 
 def _cmd_series(args, out):
+    if args.min < 3:
+        raise _CliError("--min must be >= 3")
     if args.max < args.min:
         raise _CliError("--max must be >= --min")
     return _run_batch(
@@ -290,7 +292,11 @@ def _cmd_series(args, out):
 
 
 def _cmd_report(args, out):
-    print(cat.report(args.store), file=out, end="")
+    try:
+        text = cat.report(args.store)
+    except FileNotFoundError as exc:
+        raise _CliError(str(exc))
+    print(text, file=out, end="")
     return 0
 
 

@@ -42,9 +42,8 @@ class Raster:
     ``viewport`` is (center_x, center_y, half_width, half_height), all
     finite and both halves > 0; pixel centers sample the rectangle
     uniformly, row 0 at the bottom.
-    ``escaped_at[i, j]`` is the first-entry iteration count (-1 = never),
-    ``attractor_id`` 0 for the escape trap, 1.. for bounded attractors
-    and ``band`` the entry-time band (both basin rasters only).  The five
+    ``escaped_at[i, j]`` is the first-entry iteration count (-1 = never)
+    and ``band`` the entry-time band (basin rasters only).  The five
     band codes are the rows of ``_BAND_RGB``: 0 white, 1 green, 2 light
     red, 3 deep red and 4 blue (never entered).
     """
@@ -52,7 +51,6 @@ class Raster:
     height: int
     viewport: tuple
     escaped_at: np.ndarray
-    attractor_id: np.ndarray = None
     band: np.ndarray = None
 
     def __post_init__(self):
@@ -86,17 +84,13 @@ class Raster:
         return img
 
     def write_ppm(self, path):
-        write_ppm(self.to_rgb(), path)
-
-
-def write_ppm(rgb, path):
-    """Binary P6 image; rows are written top-down, so the raster's bottom-up
-    row order is flipped here."""
-    rgb = np.asarray(rgb, dtype=np.uint8)
-    h, w, _ = rgb.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(rgb[::-1].tobytes())
+        """Binary P6 image; rows are written top-down, so the raster's
+        bottom-up row order is flipped here."""
+        rgb = self.to_rgb()
+        h, w, _ = rgb.shape
+        with open(path, "wb") as fh:
+            fh.write(f"P6\n{w} {h}\n255\n".encode())
+            fh.write(rgb[::-1].tobytes())
 
 
 def render_escape(p, viewport=(0.0, 0.0, 2.0, 2.0), size=(400, 400),
@@ -141,9 +135,7 @@ def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
         raise ValueError("thresholds must be three non-decreasing steps")
     if not 0 <= trap_radius < np.inf:
         raise ValueError("trap_radius must be finite and >= 0")
-    cycles = attracting_cycles(classification)
-    traps = [z for cyc in cycles for z in cyc]
-    groups = [gid for gid, cyc in enumerate(cycles) for _ in cyc]
+    traps = [z for cyc in attracting_cycles(classification) for z in cyc]
     if not traps and "escape" not in (classification.fate_plus.kind,
                                       classification.fate_minus.kind):
         raise FractalError("no attractor and no escaping critical orbit; "
@@ -154,11 +146,11 @@ def render_basins(p, classification, viewport=(0.0, 0.0, 2.0, 2.0),
         raise ValueError("escape_bound must be > 0")
     raster = Raster(int(size[0]), int(size[1]), tuple(viewport), None)
     xs, ys = raster.pixel_axes()
-    steps, which = render_basin_grid(p.as_array(), xs, ys, max_iter,
-                                     escape_bound, traps, groups, trap_radius)
+    steps = render_basin_grid(p.as_array(), xs, ys, max_iter, escape_bound,
+                              traps, trap_radius)
     band = np.searchsorted(thresholds, steps).astype(np.int8)
     band[steps < 0] = 4
-    raster.escaped_at, raster.attractor_id, raster.band = steps, which, band
+    raster.escaped_at, raster.band = steps, band
     return raster
 
 

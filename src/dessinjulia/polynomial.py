@@ -129,13 +129,16 @@ def derivative(p):
 
 
 def _parse_real(text):
+    """A finite float from a decimal or a fraction; nan, inf and literals
+    past the largest double are refused."""
     text = text.replace(" ", "")
     try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        x = float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise PolynomialError(f"bad coefficient {text!r}") from exc
+    if not np.isfinite(x):
+        raise PolynomialError(f"non-finite coefficient {text!r}")
+    return x
 
 
 def parse_complex(token):

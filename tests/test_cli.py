@@ -109,6 +109,16 @@ def test_classify_empty_poly(capsys):
     assert "bad polynomial" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["classify", "--poly", "inf,0,1"],
+                                  ["render", "--poly", "nan,0,1"]])
+def test_non_finite_poly_fails(argv, tmp_path, capsys):
+    out = tmp_path / "img.ppm"
+    code, _ = run(argv + (["--out", str(out)] if argv[0] == "render" else []))
+    assert code == 1
+    assert "bad polynomial" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["classify"],
                                   ["render", "--mode", "escape"],
                                   ["render", "--mode", "basins"]])
@@ -270,6 +280,20 @@ def test_catalog_and_report(tmp_path):
     assert rep.startswith("| tree | passport |")
 
 
+def test_report_refuses_a_missing_store(tmp_path, capsys):
+    store = tmp_path / "typo"
+    code, text = run(["report", "--store", str(store)])
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not store.exists()
+    # an empty store is a store: the table header alone
+    cat.Store(str(store))
+    code, text = run(["report", "--store", str(store)])
+    assert code == 0
+    assert text.startswith("| tree | passport |")
+    assert len(text.splitlines()) == 2
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_catalog_edge_cap_is_a_usage_error(tmp_path, monkeypatch, jobs):
     def no_solving(*args, **kwargs):
@@ -302,6 +326,17 @@ def test_series_command(tmp_path):
                       "--store", store])
     assert code == 0
     assert sum("g2" in l for l in text.splitlines()) == 2
+
+
+@pytest.mark.parametrize("lo, hi, flag", [("1", "3", "--min"),
+                                          ("5", "4", "--max")])
+def test_series_refuses_a_bad_range(lo, hi, flag, tmp_path, capsys):
+    store = tmp_path / "store"
+    code, _ = run(["series", "--family", "1", "--min", lo, "--max", hi,
+                   "--store", str(store)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be")
+    assert not store.exists()
 
 
 # ------------------------------------------------------------ helper logic

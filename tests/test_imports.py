@@ -2,8 +2,8 @@
 ``tools/`` imports a name it never uses (``__init__.py`` is left out,
 since its imports are its exports), nothing defines a private module-level
 name that no module of the package reads, and every public module-level
-name has a reader in the package, ``perfbench/`` or ``tools/`` (tests do
-not count)."""
+name, and every field of a public dataclass of the package, has a reader
+in the package, ``perfbench/`` or ``tools/`` (tests do not count)."""
 
 import ast
 from collections import Counter
@@ -140,3 +140,50 @@ def test_every_public_name_has_a_reader():
                for p in sorted((ROOT / folder).glob("*.py"))]
     unread = _unread_public_names(sources, readers)
     assert {name for _, name in unread} == set(UNREAD_PUBLIC_NAMES), unread
+
+
+def _dataclass_fields(tree):
+    """(class, field) of each annotated field of a public module-level
+    class that a ``dataclass`` decorator makes a dataclass."""
+    def is_dataclass(dec):
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        return getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass"
+    return [(node.name, stmt.target.id) for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            and any(map(is_dataclass, node.decorator_list))
+            for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)]
+
+
+def _unread_fields(sources, readers):
+    """(module, class, field) of each dataclass field of the sources, a
+    dict of module name to source text, whose name no attribute load of the
+    sources or the reader texts reads."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    loads = {n.attr for tree in [*trees.values(), *map(ast.parse, readers)]
+             for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted((mod, cls, name) for mod, tree in trees.items()
+                  for cls, name in _dataclass_fields(tree)
+                  if name not in loads)
+
+
+def test_unread_fields_are_found():
+    sources = {
+        "a": ("from dataclasses import dataclass\nimport dataclasses\n"
+              "@dataclass\nclass A:\n    x: int\n    y: int = 0\n"
+              "    def f(self):\n        return self.x\n"
+              "@dataclasses.dataclass(frozen=True)\nclass B:\n    u: int\n"
+              "    v: int\n    w = 0\n"
+              "@dataclass\nclass _C:\n    z: int\n"
+              "class D:\n    t: int\n"),
+        "b": "def g(b):\n    b.v = 1\n    return b.u\n"}
+    assert _unread_fields(sources, ["import a\na.A().y\n"]) == \
+        [("a", "B", "v")]
+
+
+def test_every_dataclass_field_has_a_reader():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    readers = [p.read_text() for folder in ("perfbench", "tools")
+               for p in sorted((ROOT / folder).glob("*.py"))]
+    assert _unread_fields(sources, readers) == []

@@ -293,18 +293,15 @@ def _grids():
     yield np.linspace(-1.3, 0.9, 37), np.linspace(-0.4, 1.1, 23)
 
 
-_NO_TRAPS = (np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.int16))
+_NO_TRAPS = np.empty(0, dtype=np.complex128)
 
 
-def _basin_pair(c, xs, ys, max_iter, radius, traps, groups, trap_r):
+def _basin_pair(c, xs, ys, max_iter, radius, traps, trap_r):
     """The numpy loop against the plain-Python one; returns the steps."""
-    sa, wa = K.render_basin_grid(c, xs, ys, max_iter, radius, traps, groups,
-                                 trap_r)
-    sb, wb = _first_entry_plain(c, xs, ys, max_iter, radius, traps, groups,
-                                trap_r)
+    sa = K.render_basin_grid(c, xs, ys, max_iter, radius, traps, trap_r)
+    sb = _first_entry_plain(c, xs, ys, max_iter, radius, traps, trap_r)
     assert sa.shape == (len(ys), len(xs))
     np.testing.assert_array_equal(sa, sb)
-    np.testing.assert_array_equal(wa, wb)
     return sa
 
 
@@ -314,8 +311,8 @@ def _check_escape(poly, interior=(), max_iter=60):
     for xs, ys in _grids():
         np.testing.assert_array_equal(
             K.render_escape_grid(c, xs, ys, max_iter, radius, interior),
-            _first_entry_plain(c, xs, ys, max_iter, radius, *_NO_TRAPS,
-                               0.0)[0])
+            _first_entry_plain(c, xs, ys, max_iter, radius, _NO_TRAPS,
+                               0.0))
 
 
 def test_render_escape_is_basin_without_traps(poly):
@@ -328,16 +325,14 @@ def _check_basins(poly, max_iter=200):
     traps = [z for f in (cls.fate_plus, cls.fate_minus) if f.bounded
              for z in f.cycle_points] or [1e6 + 0j]  # beyond escape
     traps = np.asarray(traps, dtype=np.complex128)
-    groups = np.arange(len(traps), dtype=np.int16)
     radius = escape_radius(poly)
     for xs, ys in _grids():
-        _basin_pair(c, xs, ys, max_iter, radius, traps, groups, 0.05)
-        _basin_pair(c, xs, ys, max_iter, radius, *_NO_TRAPS, 0.0)
+        _basin_pair(c, xs, ys, max_iter, radius, traps, 0.05)
+        _basin_pair(c, xs, ys, max_iter, radius, _NO_TRAPS, 0.0)
         # traps whose bounding box holds the whole grid: the box test
         # passes every live pixel
         corners = np.array([-9 - 9j, 9 + 9j, 9 - 9j])
-        _basin_pair(c, xs, ys, max_iter // 2, radius, corners,
-                    np.arange(3, dtype=np.int16), 0.5)
+        _basin_pair(c, xs, ys, max_iter // 2, radius, corners, 0.5)
 
 
 def test_render_basin(poly):
@@ -363,7 +358,7 @@ def test_render_tiles(poly, tile, monkeypatch):
     c = poly.as_array()
     xs = np.linspace(-0.7, 0.7, 7)
     ys = np.concatenate([[2 * radius], np.linspace(0.9, 1.6, 5) * radius / 2])
-    steps = _basin_pair(c, xs, ys, 200, radius, *_NO_TRAPS, 0.0)
+    steps = _basin_pair(c, xs, ys, 200, radius, _NO_TRAPS, 0.0)
     assert (steps[0] == 0).all() and (steps[1:] != 0).all()
     assert (steps[1:] > 0).mean() > 0.5
 
@@ -376,35 +371,31 @@ def test_render_edge_grids():
     cycle = np.array(classify(q2).fate_plus.cycle_points)
     # every pixel outside the radius at step 0
     xs, ys = np.linspace(300, 320, 7), np.linspace(-5, 5, 4)
-    steps = _basin_pair(c, xs, ys, 50, radius, cycle, np.zeros(2, np.int16),
-                        0.01)
+    steps = _basin_pair(c, xs, ys, 50, radius, cycle, 0.01)
     assert (steps == 0).all()
     # a small grid inside the cycle's basin: nothing escapes by max_iter,
     # and with the cycle as traps every pixel enters one
     z = cycle[0]
     xs = np.linspace(z.real - 0.05, z.real + 0.05, 9)
     ys = np.linspace(z.imag - 0.03, z.imag + 0.04, 7)
-    steps = _basin_pair(c, xs, ys, 100, radius, *_NO_TRAPS, 0.0)
+    steps = _basin_pair(c, xs, ys, 100, radius, _NO_TRAPS, 0.0)
     assert (steps == -1).all()
-    steps = _basin_pair(c, xs, ys, 100, radius, cycle,
-                        np.zeros(2, np.int16), 0.01)
+    steps = _basin_pair(c, xs, ys, 100, radius, cycle, 0.01)
     assert (steps >= 0).all()
     # trap radius 0: only a pixel exactly on a trap enters it
     xs, ys = np.linspace(-3, 3, 13), np.linspace(-2, 2, 9)
     exact = np.array([xs[4] + 1j * ys[6], cycle[0]])
-    steps = _basin_pair(c, xs, ys, 60, radius, exact,
-                        np.arange(2, dtype=np.int16), 0.0)
+    steps = _basin_pair(c, xs, ys, 60, radius, exact, 0.0)
     assert steps[6, 4] == 0
     # q1's 48 traps: the 24-cycle of +1 and again of -1 (g3)
     q1 = QUINTICS[0]
     cls = classify(q1)
     traps = np.array(cls.fate_plus.cycle_points + cls.fate_minus.cycle_points)
-    groups = np.repeat(np.arange(2, dtype=np.int16), 24)
     assert len(traps) == 48
     xs, ys = np.linspace(-2, 2, 31), np.linspace(-0.6, 0.8, 17)
     for trap_r in (0.01, 0.2):
         steps = _basin_pair(q1.as_array(), xs, ys, 200, escape_radius(q1),
-                            traps, groups, trap_r)
+                            traps, trap_r)
         assert (steps > 0).any()
 
 
@@ -419,34 +410,26 @@ def test_render_trap_stages(poly, tile, monkeypatch):
     xs, ys = np.linspace(-1.2, 1.2, 13), np.linspace(-0.9, 1.0, 11)
     # traps spread over the plane: the band holds most of the grid
     traps = [1, 1j] @ np.random.default_rng(8).uniform(-1.2, 1.2, (2, 30))
-    groups = np.arange(30, dtype=np.int16)
-    steps = _basin_pair(c, xs, ys, 40, radius, traps, groups, 0.15)
+    steps = _basin_pair(c, xs, ys, 40, radius, traps, 0.15)
     assert (steps == 0).sum() > 20
     # two traps 0.12 apart, trap radius 0.1: the pixel between them is in
-    # both discs and enters the lower-index one
+    # both discs and enters at step 0
     pixel = complex(xs[6], ys[5])
-    for order in (1, -1):
-        pair = np.array([pixel - 0.06, pixel + 0.06])[::order]
-        which = K.render_basin_grid(c, xs, ys, 40, radius, pair,
-                                    np.array([4, 7], dtype=np.int16), 0.1)[1]
-        assert which[5, 6] == 5
-        _basin_pair(c, xs, ys, 40, radius, pair,
-                    np.array([4, 7], dtype=np.int16), 0.1)
+    pair = np.array([pixel - 0.06, pixel + 0.06])
+    assert _basin_pair(c, xs, ys, 40, radius, pair, 0.1)[5, 6] == 0
     # traps whose band spans the grid but whose real range lies outside
     # it: live pixels pass the band and none hits
     far = np.array([60 - 1j, 60 + 1j, 61 + 0j])
-    steps = _basin_pair(c, xs, ys, 40, radius, far,
-                        np.zeros(3, dtype=np.int16), 0.1)
+    steps = _basin_pair(c, xs, ys, 40, radius, far, 0.1)
     np.testing.assert_array_equal(
         steps, K.render_escape_grid(c, xs, ys, 40, radius))
 
 
-def _first_entry_plain(c, xs, ys, max_iter, radius, traps, groups, trap_r):
+def _first_entry_plain(c, xs, ys, max_iter, radius, traps, trap_r):
     """The first-entry raster in plain Python complex arithmetic, every
     step up to max_iter with no early exit."""
     cl = [complex(a) for a in c]
     steps = np.full((len(ys), len(xs)), -1, dtype=np.int32)
-    which = np.zeros(steps.shape, dtype=np.int16)
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
             z = complex(x, y)
@@ -454,17 +437,14 @@ def _first_entry_plain(c, xs, ys, max_iter, radius, traps, groups, trap_r):
                 if not abs(z) <= radius:
                     steps[iy, ix] = it
                     break
-                hit = [t for t, trap in enumerate(traps)
-                       if abs(z - trap) <= trap_r]
-                if hit:
+                if any(abs(z - trap) <= trap_r for trap in traps):
                     steps[iy, ix] = it
-                    which[iy, ix] = groups[hit[0]] + 1
                     break
                 acc = cl[-1]
                 for a in cl[-2::-1]:
                     acc = acc * z + a
                 z = acc
-    return steps, which
+    return steps
 
 
 def _counting_polyval(monkeypatch):
@@ -523,8 +503,8 @@ def test_render_is_exact_with_the_interior_exit(interior_case, monkeypatch):
         sizes.clear()
         r = fractal.render_escape(p, viewport, size, max_iter)
         xs, ys = r.pixel_axes()
-        steps = _first_entry_plain(c, xs, ys, max_iter, radius,
-                                   *_NO_TRAPS, 0.0)[0]
+        steps = _first_entry_plain(c, xs, ys, max_iter, radius, _NO_TRAPS,
+                                   0.0)
         np.testing.assert_array_equal(r.escaped_at, steps)
         if has_disc:
             assert sum(sizes) < _full_steps(steps, max_iter)
@@ -541,7 +521,7 @@ def test_render_is_exact_with_the_interior_exit(interior_case, monkeypatch):
     xs, ys = r.pixel_axes()
     np.testing.assert_array_equal(
         r.escaped_at,
-        _first_entry_plain(c, xs, ys, 0, radius, *_NO_TRAPS, 0.0)[0])
+        _first_entry_plain(c, xs, ys, 0, radius, _NO_TRAPS, 0.0))
 
 
 def test_interior_exit_saves_most_steps_on_q2(monkeypatch):

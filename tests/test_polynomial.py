@@ -96,9 +96,14 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1,,2", "abc", "1+2"):
+    # nan, inf and literals past the largest double are not coefficients
+    huge = "1" + "0" * 400 + "/3"
+    for bad in ("", "1,,2", "abc", "1+2", "nan,0,1", "inf,0,1", "-infinity",
+                "1e400", "1,1e400i", "1+nani", "1e400/3", huge):
         with pytest.raises(PolynomialError):
             parse_poly(bad)
+    # finite, though |c| is past the largest double
+    assert parse_poly("1.3e308+1.3e308i,0,1").coeffs[0] == 1.3e308 + 1.3e308j
     for empty in ("", "1,,2"):
         with pytest.raises(PolynomialError, match="empty coefficient"):
             parse_poly(empty)
