@@ -3,8 +3,7 @@ and the dynamics, rendering, and dimension estimation of the resulting Julia
 sets."""
 
 from .catalog import (CatalogConfig, CatalogRecord, Store, analyze_tree,
-                      big_passport_trees, report, run_catalog, run_series,
-                      series_tree)
+                      report, run_catalog, run_series, series_tree)
 from .dynamics import (CriticalOrbitFate, DynamicsClassification, classify,
                        escape_radius, iterate_orbit)
 from .fractal import (DimensionEstimate, FractalError, Raster, box_dim,

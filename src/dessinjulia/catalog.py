@@ -3,8 +3,8 @@ render, and persist everything in a resumable on-disk store.
 
 Every record passes through the same stages: solve, classify, dims,
 images, validate (``_build_record``).  A tree whose mirror image, or the
-colour swap of that, was analysed before it in a run or is in the store is
-not solved again: its solve stage is ``derive``, the partner's solution
+colour swap of that, was analysed before it in a run or is reused from the
+store (``_run_trees``) is not solved again: its solve stage is ``derive``, the partner's solution
 conjugated exactly, and its dimension estimates are the partner's.  The
 polynomial of the mirror is q(z) = conj(p(conj z)), and of the mirrored
 colour swap q(z) = -conj(p(-conj z)), so the forms, the critical orbits and
@@ -27,7 +27,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from importlib import resources
 from itertools import repeat
 from pathlib import Path
 
@@ -51,7 +50,6 @@ _RENDER_ITER = {"escape": 500, "basins": 2000}  # their iteration caps
 
 @dataclass
 class CatalogConfig:
-    rng_seed: int = 0
     with_dims: bool = False
     with_images: bool = False
     force: bool = False
@@ -150,7 +148,8 @@ def _build_record(tree, cfg, store, partner=None, swap=False):
     """The stages of every record: solve, classify, dims, images, validate.
     With a mirror partner (see ``_mirror_partners``) the solve stage is
     ``derive``: the partner's solution is conjugated, and its dimension
-    estimates (and their stage errors) are copied when it has them.  A
+    estimates (and their stage errors) are copied: a partner holds every
+    stage the run asks for (``_run_trees``).  A
     rotational or degenerate partner passes its reason on: conjugation and
     the colour swap keep rotations and the degenerate sums
     t*sum(x) = s*sum(y).  An exhausted partner derives nothing, since a
@@ -184,12 +183,12 @@ def _build_record(tree, cfg, store, partner=None, swap=False):
         rec.classification = classify(rec.sz.poly)
     if cfg.with_dims:
         # a solved record's error comes from the dimension stages only
-        if partner is not None and (partner.dims or partner.error):
+        if partner is None:
+            _attach_dims(rec)
+        else:
             rec.dims = [DimensionEstimate.from_json(d.to_json())
                         for d in partner.dims]
             rec.error = partner.error
-        else:
-            _attach_dims(rec, cfg)
     if cfg.with_images and store is not None:
         _attach_images(rec, store)
     rec.validate()
@@ -225,13 +224,13 @@ def _conjugate_solution(sz, swap):
                        for b in black])
 
 
-def _attach_dims(rec, cfg):
+def _attach_dims(rec):
     p = rec.sz.poly
     disconnected = rec.classification.connectedness == "totally_disconnected"
     errors = []
     with _stage(rec, "box_dim"):
         try:
-            cloud = julia_cloud(p, CLOUD_POINTS, rng_seed=cfg.rng_seed)
+            cloud = julia_cloud(p, CLOUD_POINTS)
             rec.dims.append(box_dim(cloud, disconnected=disconnected))
         except (FractalError, ValueError) as exc:
             errors.append(f"box_dim: {exc}")
@@ -279,8 +278,14 @@ def _atomic_write(path, write):
 
 
 def _read_record(path):
+    """The record in the file at ``path``.  The file is outside input:
+    ValueError, naming the path, if it holds no valid record."""
     with open(path) as fh:
-        return CatalogRecord.from_json(json.load(fh))
+        try:
+            return CatalogRecord.from_json(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path} holds no catalog record "
+                             f"({type(exc).__name__}: {exc})") from exc
 
 
 class Store:
@@ -336,26 +341,41 @@ def catalog_trees(n_edges):
 
 def _run_trees(trees, cfg=None, store_path=None, progress=None, jobs=1):
     """Analyze the trees, in up to ``jobs`` worker processes, never more
-    than there are trees to analyze (none for one); resumable (existing
-    records are reused unless cfg.force).  A tree whose mirror partner
-    (``_mirror_partners``) comes before it or is in the store is not sent to
-    the workers: once the partner's record is there, the tree's is built
-    from it in this process (``_build_record``).
-    With cfg.force only the partners of this run count.  Records are saved,
-    reported and returned in tree order."""
+    than there are trees to analyze (none for one); resumable.  Without
+    cfg.force a stored record is reused, as its tree's own or as a mirror
+    partner's, when it holds every stage the run asks for: with dims, a
+    solved record has estimates or a dimension-stage error; with images,
+    a solved record has artifacts.  Otherwise its tree is analysed again.
+    Each stored record is loaded at most once.  A tree whose mirror partner
+    (``_mirror_partners``) comes before it or is reused from the store is
+    not sent to the workers: once the partner's record is there, the
+    tree's is built from it in this process (``_build_record``).  Records
+    are saved, reported and returned in tree order."""
     cfg = cfg or CatalogConfig()
     store = Store(store_path)
+    stored = {}  # code -> the stored record that answers the run, or None
+
+    def reuse(code):
+        if code not in stored:
+            rec = (store.load(code) if not cfg.force and store.has(code)
+                   else None)
+            if rec is not None and rec.sz is not None and (
+                    cfg.with_dims and not (rec.dims or rec.error)
+                    or cfg.with_images and not rec.artifacts):
+                rec = None
+            stored[code] = rec
+        return stored[code]
+
     codes = []
     todo = []  # (tree, code, partner (code, swap) or None)
     earlier = set()  # the codes in todo
     for tree in trees:
         code = plane_code(tree)
         codes.append(code)
-        if not cfg.force and store.has(code):
+        if reuse(code):
             continue
         partner = next(((c, swap) for c, swap in _mirror_partners(tree)
-                        if c != code and (c in earlier or not cfg.force
-                                          and store.has(c))), None)
+                        if c != code and (c in earlier or reuse(c))), None)
         todo.append((tree, code, partner))
         earlier.add(code)
     heads = [tree for tree, _, partner in todo if partner is None]
@@ -371,13 +391,13 @@ def _run_trees(trees, cfg=None, store_path=None, progress=None, jobs=1):
                 rec = next(analysed)
             else:
                 other, swap = partner
-                src = fresh[other] if other in fresh else store.load(other)
+                src = fresh[other] if other in fresh else stored[other]
                 rec = _build_record(tree, cfg, store, src, swap)
             store.save(rec)
             if progress:
                 progress(rec)
             fresh[code] = rec
-    return [fresh[c] if c in fresh else store.load(c) for c in codes]
+    return [fresh[c] if c in fresh else stored[c] for c in codes]
 
 
 def run_catalog(n_edges, cfg=None, store_path=None, progress=None, jobs=1):
@@ -403,13 +423,6 @@ def run_series(family, n_range, cfg=None, store_path=None, progress=None):
     order of n."""
     return _run_trees((series_tree(family, n) for n in n_range), cfg,
                      store_path, progress)
-
-
-def big_passport_trees():
-    """Bundled embeddings of the <13,1,1|2,2,1,...,1> passport."""
-    with resources.files("dessinjulia.fixtures") \
-            .joinpath("big_passport_trees.json").open() as fh:
-        return json.load(fh)
 
 
 # ----------------------------------------------------------------- report

@@ -2,8 +2,9 @@
 
 Subcommands: enumerate, solve, classify, render, dim, catalog, series,
 report.  Exit status 0 on success, 1 on a domain failure (no Zapponi form,
-search exhausted, not a tree passport, estimator failure), 2 on usage
-errors.
+search exhausted, not a tree passport, estimator failure, a path that
+cannot be read or written, a store file that holds no record), 2 on usage
+errors.  ``run_cli`` turns every such failure into one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -114,7 +115,6 @@ def _build_parser():
     p.add_argument("--images", action="store_true")
     p.add_argument("--force", action="store_true")
     p.add_argument("--jobs", type=_positive(int), default=1)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("series", help="caterpillar series <n,k|2,1,...,1>")
     p.add_argument("--family", type=int, choices=(1, 2, 3), required=True)
@@ -122,7 +122,6 @@ def _build_parser():
     p.add_argument("--max", type=_positive(int), required=True)
     p.add_argument("--store", default=None)
     p.add_argument("--dims", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(images=False, force=False)
 
     p = sub.add_parser("report", help="Markdown summary of a store")
@@ -150,10 +149,7 @@ def _solve_tree_arg(args, out):
     if swapped:
         print(f"note: colors swapped to pair representative "
               f"{plane_code(tree)}", file=out)
-    try:
-        return solve_tree(tree)
-    except ShabatError as exc:
-        raise _CliError(str(exc))
+    return solve_tree(tree)
 
 
 def _poly_or_tree(args, out):
@@ -193,10 +189,7 @@ def _cmd_solve(args, out):
         passport = Passport.parse(args.passport)
     except PlaneTreeError as exc:
         raise _CliError(f"bad passport: {exc}")
-    try:
-        sols = solve_passport(passport)
-    except ShabatError as exc:
-        raise _CliError(str(exc))
+    sols = solve_passport(passport)
     for i, sz in enumerate(sols):
         print(f"-- solution {i + 1} of {len(sols)}", file=out)
         _print_solution(sz, out)
@@ -205,10 +198,7 @@ def _cmd_solve(args, out):
 
 def _cmd_classify(args, out):
     p = _poly_or_tree(args, out)
-    try:
-        cls = classify(p, args.max_iter)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    cls = classify(p, args.max_iter)
     print(f"{cls.taxonomy} {cls.connectedness}", file=out)
     for name, fate in (("+1", cls.fate_plus), ("-1", cls.fate_minus)):
         if fate.kind == "escape":
@@ -226,16 +216,13 @@ def _cmd_classify(args, out):
 def _cmd_render(args, out):
     p = _poly_or_tree(args, out)
     max_iter = args.max_iter or cat._RENDER_ITER[args.mode]
-    try:
-        if args.mode == "escape":
-            raster = render_escape(p, args.viewport, args.size, max_iter)
-        else:
-            raster = render_basins(p, classify(p), args.viewport, args.size,
-                                   trap_radius=args.trap_radius,
-                                   max_iter=max_iter,
-                                   escape_bound=args.escape_bound)
-    except (FractalError, ValueError) as exc:
-        raise _CliError(str(exc))
+    if args.mode == "escape":
+        raster = render_escape(p, args.viewport, args.size, max_iter)
+    else:
+        raster = render_basins(p, classify(p), args.viewport, args.size,
+                               trap_radius=args.trap_radius,
+                               max_iter=max_iter,
+                               escape_bound=args.escape_bound)
     raster.write_ppm(args.out)
     print(f"wrote {args.out} ({args.size[0]}x{args.size[1]})", file=out)
     return 0
@@ -243,16 +230,13 @@ def _cmd_render(args, out):
 
 def _cmd_dim(args, out):
     p = _poly_or_tree(args, out)
-    try:
-        if args.method == "box":
-            print(f"seed: {args.seed}", file=out)
-            cloud = julia_cloud(p, args.points, rng_seed=args.seed)
-            est = box_dim(cloud, disconnected=(
-                classify(p).connectedness == "totally_disconnected"))
-        else:
-            est = pressure_dim(p, max_period=args.max_period)
-    except (FractalError, ValueError) as exc:
-        raise _CliError(str(exc))
+    if args.method == "box":
+        print(f"seed: {args.seed}", file=out)
+        cloud = julia_cloud(p, args.points, rng_seed=args.seed)
+        est = box_dim(cloud, disconnected=(
+            classify(p).connectedness == "totally_disconnected"))
+    else:
+        est = pressure_dim(p, max_period=args.max_period)
     print(f"dimension: {est.value:.4f} ({est.method}, "
           f"confidence {est.confidence})", file=out)
     for k, v in sorted(est.diagnostics.items()):
@@ -261,9 +245,8 @@ def _cmd_dim(args, out):
 
 
 def _run_batch(args, runner, out):
-    cfg = cat.CatalogConfig(rng_seed=args.seed, with_dims=args.dims,
-                            with_images=args.images, force=args.force)
-    print(f"seed: {args.seed}", file=out)
+    cfg = cat.CatalogConfig(with_dims=args.dims, with_images=args.images,
+                            force=args.force)
 
     def progress(rec):
         tax = rec.classification.taxonomy if rec.classification \
@@ -292,11 +275,7 @@ def _cmd_series(args, out):
 
 
 def _cmd_report(args, out):
-    try:
-        text = cat.report(args.store)
-    except FileNotFoundError as exc:
-        raise _CliError(str(exc))
-    print(text, file=out, end="")
+    print(cat.report(args.store), file=out, end="")
     return 0
 
 
@@ -321,7 +300,7 @@ def run_cli(argv=None, out=None):
         parser.error("render: --escape-bound applies to --mode basins only")
     try:
         return _DISPATCH[args.command](args, out)
-    except _CliError as exc:
+    except (_CliError, ShabatError, FractalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

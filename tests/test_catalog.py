@@ -1,13 +1,15 @@
+import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dessinjulia import catalog
 from dessinjulia.catalog import (CatalogConfig, CatalogRecord, Store,
-                                 analyze_tree, big_passport_trees, report,
-                                 run_catalog, run_series, series_tree)
+                                 analyze_tree, report, run_catalog,
+                                 run_series, series_tree)
 from dessinjulia.dynamics import classify
 from dessinjulia.fractal import FractalError
 from dessinjulia.plane_tree import (Passport, mirror, parse_plane_code,
@@ -16,8 +18,9 @@ from dessinjulia.shabat import (ExhaustedError, _same_vertex_set,
                                 identify_tree, solve_passport, solve_tree)
 
 
-def _cfg(**kw):
-    return CatalogConfig(rng_seed=0, **kw)
+# the six embeddings of the 15-edge passport <13,1,1|2,2,1,...,1>
+BIG_PASSPORT = json.loads(
+    (Path(__file__).parent / "big_passport_trees.json").read_text())
 
 
 def _whites(sol):
@@ -29,7 +32,7 @@ def _whites(sol):
 
 def test_analyze_tree_full_record():
     tree = parse_plane_code("W(())()()()")
-    rec = analyze_tree(tree, _cfg())
+    rec = analyze_tree(tree, CatalogConfig())
     assert rec.tree_code == plane_code(tree)
     assert rec.passport == "4,1|2,1,1,1"
     assert rec.sz is not None and rec.sz_absent_reason is None
@@ -39,7 +42,7 @@ def test_analyze_tree_full_record():
 
 
 def test_analyze_symmetric_tree():
-    rec = analyze_tree(parse_plane_code("W(()()())"), _cfg())
+    rec = analyze_tree(parse_plane_code("W(()()())"), CatalogConfig())
     assert rec.sz is None
     assert rec.sz_absent_reason == "symmetric"
     assert rec.classification is None
@@ -47,13 +50,13 @@ def test_analyze_symmetric_tree():
 
 
 def test_analyze_degenerate_tree():
-    rec = analyze_tree(parse_plane_code("W(((((())(())))))"), _cfg())
+    rec = analyze_tree(parse_plane_code("W(((((())(())))))"), CatalogConfig())
     assert rec.sz_absent_reason == "degenerate"
     rec.validate()
 
 
 def test_record_json_round_trip():
-    rec = analyze_tree(parse_plane_code("W((()))()()"), _cfg())
+    rec = analyze_tree(parse_plane_code("W((()))()()"), CatalogConfig())
     back = CatalogRecord.from_json(rec.to_json())
     assert back.tree_code == rec.tree_code
     assert back.classification.taxonomy == rec.classification.taxonomy
@@ -61,7 +64,7 @@ def test_record_json_round_trip():
 
 
 def test_record_validation_errors():
-    rec = analyze_tree(parse_plane_code("W((()))()()"), _cfg())
+    rec = analyze_tree(parse_plane_code("W((()))()()"), CatalogConfig())
     rec.sz_absent_reason = "symmetric"  # sz present and a reason: invalid
     with pytest.raises(ValueError):
         rec.validate()
@@ -74,7 +77,7 @@ def test_record_validation_errors():
 def test_analyze_with_images(tmp_path):
     store = Store(str(tmp_path / "store"))
     rec = analyze_tree(parse_plane_code("W((()))()()"),
-                       _cfg(with_images=True), store)
+                       CatalogConfig(with_images=True), store)
     assert set(rec.artifacts) == {"escape", "basins"}
     for rel in rec.artifacts.values():
         path = os.path.join(store.root, rel)
@@ -84,7 +87,8 @@ def test_analyze_with_images(tmp_path):
 def test_analyze_with_dims(tmp_path):
     # the box estimate, then the pressure one, each with its confidence; the
     # values are not pinned, so that tuning an estimator does not break this
-    rec = analyze_tree(parse_plane_code("W((()))"), _cfg(with_dims=True))
+    rec = analyze_tree(parse_plane_code("W((()))"),
+                       CatalogConfig(with_dims=True))
     assert [d.method for d in rec.dims] == ["box_counting", "pressure"]
     for d in rec.dims:
         assert 0.0 <= d.value <= 2.0 and d.confidence in ("ok", "low")
@@ -108,7 +112,8 @@ def test_a_failed_dimension_stage_keeps_the_other(monkeypatch, failing, stage,
         raise FractalError("refused")
 
     monkeypatch.setattr(catalog, failing, refuse)
-    rec = analyze_tree(parse_plane_code("W((()))"), _cfg(with_dims=True))
+    rec = analyze_tree(parse_plane_code("W((()))"),
+                       CatalogConfig(with_dims=True))
     assert [d.method for d in rec.dims] == [kept]
     assert rec.error == f"{stage}: refused"
     rec.validate()
@@ -122,7 +127,8 @@ def test_both_failed_dimension_stages_keep_both_errors(monkeypatch):
 
     monkeypatch.setattr(catalog, "box_dim", refuse("box"))
     monkeypatch.setattr(catalog, "pressure_dim", refuse("pressure"))
-    rec = analyze_tree(parse_plane_code("W((()))"), _cfg(with_dims=True))
+    rec = analyze_tree(parse_plane_code("W((()))"),
+                       CatalogConfig(with_dims=True))
     assert rec.dims == []
     assert rec.error == "box_dim: box refused; pressure_dim: pressure refused"
     rec.validate()
@@ -135,7 +141,7 @@ def test_store_round_trip_gives_back_the_saved_record(tmp_path):
     # a solved record with dims loads back equal to the one saved, its
     # vertex clusters included
     rec = analyze_tree(parse_plane_code("W((())())()(())"),
-                       _cfg(with_dims=True))
+                       CatalogConfig(with_dims=True))
     assert rec.sz is not None and len(rec.dims) == 2
     store = Store(str(tmp_path / "store"))
     store.save(rec)
@@ -145,11 +151,13 @@ def test_store_round_trip_gives_back_the_saved_record(tmp_path):
 def test_store_save_load_and_resume(tmp_path):
     root = str(tmp_path / "store")
     seen = []
-    run_catalog(4, _cfg(), root, progress=lambda r: seen.append(r.tree_code))
+    run_catalog(4, CatalogConfig(), root,
+                progress=lambda r: seen.append(r.tree_code))
     assert len(seen) == 3
     # second run reuses every record
     seen2 = []
-    out = run_catalog(4, _cfg(), root, progress=lambda r: seen2.append(r))
+    out = run_catalog(4, CatalogConfig(), root,
+                      progress=lambda r: seen2.append(r))
     assert seen2 == []
     assert sorted(r.tree_code for r in out) == sorted(seen)
     # no stray temp files from the atomic writes
@@ -186,9 +194,9 @@ def test_store_concurrent_writers_lose_nothing(tmp_path):
 
 def test_store_force_reanalyzes(tmp_path):
     root = str(tmp_path / "store")
-    run_catalog(3, _cfg(), root)
+    run_catalog(3, CatalogConfig(), root)
     seen = []
-    run_catalog(3, _cfg(force=True), root,
+    run_catalog(3, CatalogConfig(force=True), root,
                 progress=lambda r: seen.append(r.tree_code))
     assert len(seen) == 2  # both 3-edge representatives redone
 
@@ -219,10 +227,11 @@ def test_jobs_never_exceed_the_trees_to_analyze(tmp_path, monkeypatch):
 
     monkeypatch.setattr(catalog, "ProcessPoolExecutor", InProcessPool)
     root = str(tmp_path / "store")
-    assert len(run_catalog(2, _cfg(), root, jobs=8)) == 1
-    assert len(run_catalog(4, _cfg(), root, jobs=8)) == 3
-    assert len(run_catalog(4, _cfg(), root, jobs=8)) == 3  # all resumed
-    assert len(run_catalog(5, _cfg(), root, jobs=2)) == 6
+    assert len(run_catalog(2, CatalogConfig(), root, jobs=8)) == 1
+    assert len(run_catalog(4, CatalogConfig(), root, jobs=8)) == 3
+    # all resumed
+    assert len(run_catalog(4, CatalogConfig(), root, jobs=8)) == 3
+    assert len(run_catalog(5, CatalogConfig(), root, jobs=2)) == 6
     assert sizes == [3, 2]
 
 
@@ -241,7 +250,7 @@ def test_series_tree_codes():
 
 def test_run_series_small(tmp_path):
     root = str(tmp_path / "store")
-    recs = run_series(2, range(3, 5), _cfg(), root)
+    recs = run_series(2, range(3, 5), CatalogConfig(), root)
     assert [r.classification.taxonomy for r in recs] == ["g2", "g2"]
     assert all(r.classification.fate_plus.period == 2 for r in recs)
 
@@ -250,7 +259,7 @@ def test_run_series_small(tmp_path):
 
 
 def test_big_passport_fixture():
-    data = big_passport_trees()
+    data = BIG_PASSPORT
     assert data["passport"] == "13,1,1|" + ",".join(["2", "2"] + ["1"] * 11)
     entries = data["trees"]
     assert len(entries) == 6
@@ -269,7 +278,7 @@ def test_big_passport_fixture():
 
 def test_big_passport_separation_one_recomputed():
     # solved, identified and classified here, not read back from the JSON
-    entry = next(e for e in big_passport_trees()["trees"]
+    entry = next(e for e in BIG_PASSPORT["trees"]
                  if e["separation"] == 1)
     tree = parse_plane_code(entry["code"])
     sz = solve_tree(tree)
@@ -280,7 +289,7 @@ def test_big_passport_separation_one_recomputed():
 def test_big_passport_recomputed():
     # every fixture taxonomy recomputed, and the passport solve returns one
     # solution per fixture tree, in the order of their plane codes
-    data = big_passport_trees()
+    data = BIG_PASSPORT
     passport = Passport.parse("13,1,1|2,2,1,1,1,1,1,1,1,1,1,1,1")
     assert data["passport"] == str(passport)
     solved = {}
@@ -302,7 +311,7 @@ def test_big_passport_recomputed():
 
 def test_report_renders_markdown(tmp_path):
     root = str(tmp_path / "store")
-    run_catalog(4, _cfg(), root)
+    run_catalog(4, CatalogConfig(), root)
     text = report(root)
     assert text.startswith("| tree | passport |")
     assert "`W((()()))`" in text and "| g3 | c(10) | c(10) |" in text
@@ -313,7 +322,7 @@ def test_report_names_escaping_and_fixed_point_fates(tmp_path):
     root = str(tmp_path / "store")
     store = Store(root)
     for code in ("W(((())()))", "B(((((()()()))))())"):
-        store.save(analyze_tree(parse_plane_code(code), _cfg()))
+        store.save(analyze_tree(parse_plane_code(code), CatalogConfig()))
     text = report(root)
     assert "| `W(((())()))` | 3,1,1|2,2,1 | g4 | inf | inf |" in text
     assert "| `B(((((()()()))))())` | 4,3,2|2,2,1,1,1,1,1 | s1 | c(4) | p |" \
@@ -367,7 +376,7 @@ def test_mirror_records_match_a_fresh_analysis(tmp_path, edges, derived,
     # partner's solution conjugated in place of a solve, then the stages of
     # any record: its fates are what classify gives on the derived
     # polynomial, and close to those of a fresh solve
-    recs = run_catalog(edges, _cfg(), str(tmp_path / "store"))
+    recs = run_catalog(edges, CatalogConfig(), str(tmp_path / "store"))
     codes = {r.tree_code for r in recs}
     mine = [r for r in recs if _derived(r)]
     assert len(mine) == derived
@@ -381,7 +390,7 @@ def test_mirror_records_match_a_fresh_analysis(tmp_path, edges, derived,
             assert set(rec.timings) == {"derive", "classify"}
             assert classify(rec.sz.poly) == rec.classification
         _assert_like_fresh(rec, analyze_tree(parse_plane_code(rec.tree_code),
-                                             _cfg()))
+                                             CatalogConfig()))
 
 
 # both box values low: the sets are disconnected; box 1.4526 against 1.3921
@@ -390,7 +399,7 @@ _PAIR = ("W(((((())()))))", "W(((((())))()))")
 
 
 def test_a_mirror_record_copies_its_partners_dimensions(tmp_path):
-    cfg = _cfg(with_dims=True)
+    cfg = CatalogConfig(with_dims=True)
     first, second = map(parse_plane_code, _PAIR)
     a, b = catalog._run_trees([first, second], cfg, str(tmp_path / "store"))
     assert not _derived(a) and _derived(b)
@@ -403,15 +412,46 @@ def test_a_mirror_record_copies_its_partners_dimensions(tmp_path):
 
 
 def test_a_stored_partner_without_dimensions_gets_them(tmp_path):
+    # a stored partner without estimates does not answer a dims run: the
+    # tree is solved and estimated itself
     root = str(tmp_path / "store")
     first, second = map(parse_plane_code, _PAIR)
-    catalog._run_trees([first], _cfg(), root)
-    (b,) = catalog._run_trees([second], _cfg(with_dims=True), root)
-    assert _derived(b) and {"box_dim", "pressure_dim"} <= set(b.timings)
+    catalog._run_trees([first], CatalogConfig(), root)
+    (b,) = catalog._run_trees([second], CatalogConfig(with_dims=True), root)
+    assert not _derived(b)
+    assert {"solve", "box_dim", "pressure_dim"} <= set(b.timings)
     assert [d.method for d in b.dims] == ["box_counting", "pressure"]
-    # force counts only the partners of its own run
-    (again,) = catalog._run_trees([second], _cfg(force=True), root)
+    # with force no stored record is reused, not even as a partner
+    (again,) = catalog._run_trees([second], CatalogConfig(force=True), root)
     assert not _derived(again)
+
+
+def _untimed_records(root):
+    return [{k: v for k, v in rec.to_json().items() if k != "timings"}
+            for rec in Store(root).all_records()]
+
+
+def test_a_resumed_store_gains_the_stages_it_lacks(tmp_path):
+    # a store written without dims and images, resumed with both, equals a
+    # store written with both at once, its image bytes too; then every
+    # record answers the run, and none is analysed again
+    trees = [parse_plane_code(c) for c in (*_PAIR, "W(()()())")]
+    full = CatalogConfig(with_dims=True, with_images=True)
+    resumed, fresh = str(tmp_path / "resumed"), str(tmp_path / "fresh")
+    catalog._run_trees(trees, CatalogConfig(), resumed)
+    catalog._run_trees(trees, full, resumed)
+    catalog._run_trees(trees, full, fresh)
+    assert _untimed_records(resumed) == _untimed_records(fresh)
+    assert [len(r["dims"]) for r in _untimed_records(fresh)] == [2, 2, 0]
+    images = sorted(os.listdir(os.path.join(fresh, "images")))
+    assert len(images) == 4
+    assert sorted(os.listdir(os.path.join(resumed, "images"))) == images
+    for name in images:
+        assert Path(resumed, "images", name).read_bytes() == \
+            Path(fresh, "images", name).read_bytes()
+    seen = []
+    catalog._run_trees(trees, full, resumed, progress=seen.append)
+    assert seen == []
 
 
 def test_after_an_exhausted_partner_the_tree_is_analysed(tmp_path,
@@ -424,7 +464,7 @@ def test_after_an_exhausted_partner_the_tree_is_analysed(tmp_path,
         return solve_tree(tree)
 
     monkeypatch.setattr(catalog, "solve_tree", exhausted_for_first)
-    a, b = catalog._run_trees([first, second], _cfg(),
+    a, b = catalog._run_trees([first, second], CatalogConfig(),
                               str(tmp_path / "store"))
     assert a.sz_absent_reason == "exhausted"
     assert not _derived(b) and b.sz is not None
@@ -451,7 +491,7 @@ def test_the_workers_get_one_tree_per_mirror_class(tmp_path, monkeypatch):
 
     monkeypatch.setattr(catalog, "ProcessPoolExecutor", InProcessPool)
     seen = []
-    recs = run_catalog(7, _cfg(), str(tmp_path / "store"),
+    recs = run_catalog(7, CatalogConfig(), str(tmp_path / "store"),
                        progress=lambda r: seen.append(r.tree_code), jobs=2)
     codes = [r.tree_code for r in recs]
     assert seen == codes == sorted(codes)

@@ -273,7 +273,6 @@ def test_catalog_and_report(tmp_path):
     store = str(tmp_path / "store")
     code, text = run(["catalog", "--edges", "3", "--store", store])
     assert code == 0
-    assert "seed: 0" in text
     assert len([l for l in text.splitlines() if "\t" in l]) == 2
     code, rep = run(["report", "--store", store])
     assert code == 0
@@ -292,6 +291,42 @@ def test_report_refuses_a_missing_store(tmp_path, capsys):
     assert code == 0
     assert text.startswith("| tree | passport |")
     assert len(text.splitlines()) == 2
+
+
+def _bad_record(tmp_path, text):
+    """A store whose record of the 3-edge tree W((())) holds ``text``."""
+    store = cat.Store(str(tmp_path / "store"))
+    path = store.record_path("W((()))")
+    with open(path, "w") as fh:
+        fh.write(text)
+    return ["--store", store.root], path
+
+
+def _blocked_store(tmp_path):
+    (tmp_path / "F").write_text("")
+    return ["--store", str(tmp_path / "F" / "x")], None
+
+
+@pytest.mark.parametrize("command, setup", [
+    (["render", "--poly", "0,0,1", "--size", "8x8", "--out", "nodir/x.ppm"],
+     lambda tmp_path: ([], None)),
+    (["catalog", "--edges", "3"], _blocked_store),
+    (["report"], lambda tmp_path: _bad_record(tmp_path, "{")),
+    (["catalog", "--edges", "3"],
+     lambda tmp_path: _bad_record(tmp_path, '{"tree_code": "x"}'))],
+    ids=["missing-directory", "store-under-a-file", "truncated-record",
+         "record-without-sz"])
+def test_an_unusable_path_or_record_is_an_error_line(command, setup, tmp_path,
+                                                     monkeypatch, capsys):
+    # exit 1 with one error line, no traceback; a bad record is named
+    monkeypatch.chdir(tmp_path)
+    extra, bad_file = setup(tmp_path)
+    code, _ = run(command + extra)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if bad_file:
+        assert bad_file in err
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

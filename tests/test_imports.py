@@ -104,8 +104,6 @@ UNREAD_PUBLIC_NAMES = {
     "identify_tree": "documented API: the README's Library example",
     "zapponi_normalize": "documented API: the README's Library section, "
                          "on tree identification",
-    "big_passport_trees": "the one loader of the bundled 15-edge passport "
-                          "fixture",
 }
 
 

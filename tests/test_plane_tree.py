@@ -1,15 +1,21 @@
+import json
 from collections import Counter, defaultdict
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from dessinjulia.catalog import big_passport_trees, series_tree
+from dessinjulia.catalog import series_tree
 from dessinjulia.plane_tree import (BLACK, WHITE, Passport, PlaneTree,
                                     PlaneTreeError, enumerate_trees,
                                     invert_colors, is_rotational, mirror,
                                     parse_plane_code, passport_of, plane_code,
                                     symmetry_flags, trees_with_passport,
                                     vertices_by_degree)
+
+# the six embeddings of the 15-edge passport <13,1,1|2,2,1,...,1>
+BIG_PASSPORT = json.loads(
+    (Path(__file__).parent / "big_passport_trees.json").read_text())
 
 # non-symmetric tree-pair counts by edge number (independent of this code
 # base; cross-checked again by the growth oracle below)
@@ -100,7 +106,7 @@ def _reference_trees():
     for family in (1, 2, 3):
         for n in range(3, 14):
             yield series_tree(family, n)
-    for entry in big_passport_trees()["trees"]:
+    for entry in BIG_PASSPORT["trees"]:
         yield parse_plane_code(entry["code"])
 
 
@@ -248,7 +254,7 @@ def test_trees_with_passport_beyond_enumeration():
     assert len(trees) == 10
     assert _tutte_rooted((4, 3, 1, 1, 1), (2, 2, 2, 2, 1, 1)) == 10 * 10
     # the fixture codes are not canonical: compare canonical forms
-    big = big_passport_trees()
+    big = BIG_PASSPORT
     pp = Passport.parse(big["passport"])
     trees = trees_with_passport(pp.white, pp.black)
     assert [plane_code(t) for t in trees] == sorted(
